@@ -10,13 +10,14 @@
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
 //! ```
 
-use spur_bench::jobs::{events_job_obs, finish_run_obs, pageout_job, refbit_job_obs};
 use spur_bench::{jobs_from_args, obs_from_args, scale_from_args, ObsOptions};
 use spur_core::experiments::events::{render_table_3_3, EventRow};
 use spur_core::experiments::pageout::{render_table_3_5, PageoutRow};
 use spur_core::experiments::refbit::{render_table_4_1, RefbitRow};
 use spur_core::experiments::{self, overhead};
+use spur_core::jobs::{events_job_obs, pageout_job, refbit_job_obs};
 use spur_harness::{run_jobs_with_progress, Job, RunReport};
+use spur_scenario::persist_run;
 use spur_trace::workloads::{slc, workload1, DevHost, Workload};
 use spur_types::{CostParams, MemSize, SystemConfig};
 use spur_vm::policy::RefPolicy;
@@ -143,7 +144,7 @@ fn main() {
 
     let hosts = DevHost::table_3_5();
     let report = run_jobs_with_progress(build_jobs(scale, &hosts, &obs), workers, obs.progress);
-    finish_run_obs("reproduce_all", &scale, &report, obs.trace_out.as_deref());
+    persist_run("reproduce_all", &scale, &report, obs.trace_out.as_deref());
 
     let rows = match assemble_events(&report) {
         Ok(rows) => rows,

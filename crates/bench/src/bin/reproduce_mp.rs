@@ -17,7 +17,6 @@
 //! cargo run --release -p spur-bench --bin reproduce_mp -- --scale quick --jobs 4 --verify
 //! ```
 
-use spur_bench::jobs::finish_run_obs;
 use spur_bench::{has_flag, jobs_from_args, obs_from_args, scale_from_args};
 use spur_check::Lockstep;
 use spur_core::experiments::mp::{mp_model, render_mp_model};
@@ -25,6 +24,7 @@ use spur_core::experiments::Scale;
 use spur_core::{DirtyPolicy, SimConfig};
 use spur_harness::{run_jobs_with_progress, Job, RunReport};
 use spur_mp::{mp_job, mp_key, render_mp, MpRow, MpScheduler};
+use spur_scenario::persist_run;
 use spur_trace::workloads::mp_workers;
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
@@ -142,7 +142,7 @@ fn main() {
     }
 
     let report = run_jobs_with_progress(build_jobs(scale, &obs), workers, obs.progress);
-    finish_run_obs("reproduce_mp", &scale, &report, obs.trace_out.as_deref());
+    persist_run("reproduce_mp", &scale, &report, obs.trace_out.as_deref());
 
     match assemble(&report, &scale) {
         Ok(rows) => {

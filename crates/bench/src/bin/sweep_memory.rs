@@ -6,10 +6,11 @@
 //! Every (size, policy) cell is a harness job (`--jobs N` parallelism);
 //! artifacts land in `results/json/sweep_memory-<scale>/`.
 
-use spur_bench::jobs::{assemble_memory_sweep, finish_run_obs, memory_sweep_jobs_obs};
+use spur_bench::jobs::{assemble_memory_sweep, memory_sweep_jobs_obs};
 use spur_bench::{has_flag, jobs_from_args, obs_from_args, print_header, scale_from_args};
 use spur_core::experiments::sweep::render_memory_sweep;
 use spur_harness::run_jobs_with_progress;
+use spur_scenario::persist_run;
 use spur_trace::workloads::workload1;
 
 const SIZES: [u32; 5] = [4, 5, 6, 8, 10];
@@ -27,7 +28,7 @@ fn main() {
         workers,
         obs.progress,
     );
-    finish_run_obs("sweep_memory", &scale, &report, obs.trace_out.as_deref());
+    persist_run("sweep_memory", &scale, &report, obs.trace_out.as_deref());
     match assemble_memory_sweep(&report, &SIZES) {
         Ok(rows) => {
             if has_flag("csv") {

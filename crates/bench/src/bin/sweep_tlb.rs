@@ -5,10 +5,10 @@
 //! Every (entries, flush) cell is a harness job (`--jobs N`
 //! parallelism); artifacts land in `results/json/sweep_tlb-<scale>/`.
 
-use spur_bench::jobs::finish_run_obs;
 use spur_bench::{jobs_from_args, obs_from_args, print_header, scale_from_args};
 use spur_core::experiments::sweep::{measure_tlb_point, render_tlb_sweep, TlbSweepRow};
 use spur_harness::{run_jobs_with_progress, Job, JobOutput, RunReport};
+use spur_scenario::persist_run;
 use spur_trace::workloads::workload1;
 use spur_types::MemSize;
 
@@ -55,7 +55,7 @@ fn main() {
         })
         .collect();
     let report = run_jobs_with_progress(jobs, workers, obs.progress);
-    finish_run_obs("sweep_tlb", &scale, &report, obs.trace_out.as_deref());
+    persist_run("sweep_tlb", &scale, &report, obs.trace_out.as_deref());
     match assemble(&report) {
         Ok(rows) => {
             println!("{}", render_tlb_sweep(&rows));

@@ -194,20 +194,6 @@ pub fn parse_jobs<I: IntoIterator<Item = String>>(args: I, env: Option<&str>) ->
         .unwrap_or(1)
 }
 
-/// Names a scale for artifact run directories: the preset's name, or
-/// `"custom"` once a binary has clamped it away from any preset.
-pub fn scale_name(scale: &Scale) -> &'static str {
-    if *scale == Scale::quick() {
-        "quick"
-    } else if *scale == Scale::default_scale() {
-        "default"
-    } else if *scale == Scale::full() {
-        "full"
-    } else {
-        "custom"
-    }
-}
-
 /// Whether a bare `--csv` style flag is present in the process args.
 pub fn has_flag(name: &str) -> bool {
     let want = format!("--{name}");
@@ -226,25 +212,17 @@ pub fn print_header(what: &str, scale: &Scale) {
 pub mod load;
 
 pub mod jobs {
-    //! Experiment cells as harness jobs.
-    //!
-    //! The cell builders themselves live in [`spur_core::jobs`] — they
-    //! are shared with the `spur-serve` experiment service so a job
-    //! submitted over HTTP runs exactly the code a CLI sweep runs —
-    //! and are re-exported here unchanged. This module keeps the
-    //! bench-side helpers: sweep assembly and the run epilogue
-    //! (artifact persistence, trace export, wall-time reporting).
-
-    pub use spur_core::jobs::{
-        attach_obs, events_job, events_job_for, events_job_obs, pageout_job, refbit_job,
-        refbit_job_for, refbit_job_obs, WorkloadCtor,
-    };
+    //! The memory sweep as harness jobs: its keys, its cells, and its
+    //! assembly back into serial row order. The cell builders live in
+    //! [`spur_core::jobs`] and the run epilogue in
+    //! [`spur_scenario::persist_run`].
 
     use spur_core::experiments::refbit::RefbitRow;
     use spur_core::experiments::sweep::MemorySweepRow;
     use spur_core::experiments::Scale;
+    use spur_core::jobs::{refbit_job_obs, WorkloadCtor};
     use spur_core::obs::ObsParams;
-    use spur_harness::{default_root, write_run, Job, Json, RunReport};
+    use spur_harness::{Job, RunReport};
     use spur_types::MemSize;
     use spur_vm::policy::RefPolicy;
 
@@ -308,93 +286,6 @@ pub mod jobs {
                 })
             })
             .collect()
-    }
-
-    /// Standard epilogue for a harness binary: persists the run's
-    /// artifacts under `results/json/<bin>-<scale>/` (or
-    /// `$SPUR_RESULTS_DIR`) and prints the run summary — both on
-    /// stderr, so stdout stays byte-identical to a serial run.
-    pub fn finish_run<T>(bin: &str, scale: &Scale, report: &RunReport<T>) {
-        finish_run_obs(bin, scale, report, None);
-    }
-
-    /// [`finish_run`] plus trace export: when `trace_out` is set, every
-    /// successful job carrying a trace is written to
-    /// `<trace_out>/<run>/<key>.trace.json` (keys sanitized for the
-    /// filesystem). Also prints the per-job wall-time distribution to
-    /// stderr — wall times are nondeterministic, so they never enter
-    /// the artifacts.
-    pub fn finish_run_obs<T>(
-        bin: &str,
-        scale: &Scale,
-        report: &RunReport<T>,
-        trace_out: Option<&std::path::Path>,
-    ) {
-        let run_name = format!("{bin}-{}", crate::scale_name(scale));
-        let meta = [
-            ("refs", Json::from(scale.refs)),
-            ("reps", Json::from(scale.reps)),
-            ("seed", Json::from(scale.seed)),
-            ("dev_refs_per_hour", Json::from(scale.dev_refs_per_hour)),
-        ];
-        match write_run(&default_root(), &run_name, report, &meta) {
-            Ok(art) => eprintln!("{}\nartifacts: {}", report.summary(), art.dir.display()),
-            Err(e) => eprintln!("{}\nartifact write FAILED: {e}", report.summary()),
-        }
-        eprintln!("{}", wall_histogram_line(report));
-        if let Some(root) = trace_out {
-            match export_traces(root, &run_name, report) {
-                Ok(0) => eprintln!("traces: none to export (observability off or no trace data)"),
-                Ok(n) => eprintln!(
-                    "traces: {n} file(s) under {}",
-                    root.join(run_name).display()
-                ),
-                Err(e) => eprintln!("trace export FAILED: {e}"),
-            }
-        }
-    }
-
-    /// Renders the per-job wall-time distribution as one stderr line.
-    fn wall_histogram_line<T>(report: &RunReport<T>) -> String {
-        let mut wall = spur_obs::Histogram::new("job_wall_ms");
-        for job in report.jobs() {
-            wall.record(job.wall.as_millis() as u64);
-        }
-        let buckets: Vec<String> = wall
-            .nonzero_buckets()
-            .iter()
-            .map(|&(lo, hi, n)| format!("[{lo}-{hi}ms]x{n}"))
-            .collect();
-        format!("job wall histogram: {}", buckets.join(" "))
-    }
-
-    /// Writes every successful job's Chrome trace under
-    /// `<root>/<run_name>/`. Returns the number of files written.
-    pub fn export_traces<T>(
-        root: &std::path::Path,
-        run_name: &str,
-        report: &RunReport<T>,
-    ) -> std::io::Result<usize> {
-        let dir = root.join(run_name);
-        let mut written = 0;
-        for job in report.jobs() {
-            let Ok(output) = &job.outcome else { continue };
-            let Some(trace) = &output.trace else { continue };
-            if written == 0 {
-                std::fs::create_dir_all(&dir)?;
-            }
-            let file = dir.join(format!("{}.trace.json", sanitize_key(&job.key)));
-            std::fs::write(&file, trace.encode() + "\n")?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
-    /// Maps a job key onto a safe file stem, using the same rule as the
-    /// artifact writer so `<key>.trace.json` sits next to `<key>.json`
-    /// under matching names.
-    pub fn sanitize_key(key: &str) -> String {
-        spur_harness::artifacts::sanitize_key(key)
     }
 }
 
@@ -639,18 +530,6 @@ mod tests {
             "quick",
         ]));
         assert_eq!(q.refs, Scale::quick().refs);
-    }
-
-    #[test]
-    fn keys_sanitize_to_file_stems() {
-        // Same rule as the artifact writer: the trace file's stem must
-        // match its sibling artifact's.
-        assert_eq!(
-            jobs::sanitize_key("table_4_1/SLC/5MB/MISS"),
-            "table_4_1-SLC-5MB-MISS"
-        );
-        assert_eq!(jobs::sanitize_key("tlb/0016/tagged"), "tlb-0016-tagged");
-        assert_eq!(jobs::sanitize_key("a b:c"), "a-b-c");
     }
 
     #[test]

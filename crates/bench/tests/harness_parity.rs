@@ -11,8 +11,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use spur_bench::jobs::{events_job, memory_sweep_jobs};
+use spur_bench::jobs::memory_sweep_jobs;
 use spur_core::experiments::Scale;
+use spur_core::jobs::events_job;
 use spur_harness::{run_jobs, write_run, Json};
 use spur_trace::workloads::{slc, workload1};
 use spur_types::MemSize;

@@ -12,11 +12,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use spur_bench::jobs::{attach_obs, events_job, events_job_obs, export_traces, sanitize_key};
 use spur_core::experiments::Scale;
+use spur_core::jobs::{attach_obs, events_job, events_job_obs};
 use spur_core::ObsParams;
+use spur_harness::artifacts::sanitize_key;
 use spur_harness::{run_jobs, write_run, Json};
 use spur_obs::validate::{get_field, parse};
+use spur_scenario::export_traces;
 use spur_trace::workloads::slc;
 use spur_types::MemSize;
 

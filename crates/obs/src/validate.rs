@@ -11,6 +11,12 @@
 
 use spur_harness::Json;
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one small document
+/// (`"[" × 100 000`) overflow the stack; the deepest document the
+/// workspace writes nests well under ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -32,6 +38,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -53,6 +60,8 @@ pub fn get_field<'a>(value: &'a Json, key: &str) -> Option<&'a Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -97,12 +106,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -386,6 +410,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted malformed input: {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"k":"#.repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for deep in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than"), "{err}");
+        }
+        // Arrays and objects count toward the same limit.
+        assert!(parse(&format!("[{}]", objects(MAX_DEPTH))).is_err());
+        // A document far past the limit fails without recursing into it.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

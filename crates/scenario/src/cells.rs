@@ -1,11 +1,15 @@
-//! Matrix expansion: one scenario → stable-keyed harness jobs.
+//! Matrix expansion: one scenario → complete, stable-keyed cells.
 //!
-//! Every cell a scenario expands to is built from the same measure
-//! functions and `spur_core::jobs` builders the legacy `ablation_*`
-//! binaries call, with the same keys and the same artifact encodings
-//! — so a cell run through a scenario writes the byte-identical
-//! artifact the binary wrote. The parity test in
-//! `tests/ablation_parity.rs` certifies this claim per key, per byte.
+//! A [`Cell`] is the one description of a runnable experiment cell,
+//! whether it came from a scenario matrix or a `POST /v1/jobs` body.
+//! [`Cell::job`] builds it from the same measure functions and
+//! `spur_core::jobs` builders the legacy binaries call, with the same
+//! keys and the same artifact encodings — so a cell run through a
+//! scenario or the serving API writes the byte-identical artifact the
+//! binary wrote. The parity tests in `tests/ablation_parity.rs` and
+//! `tests/cell_parity.rs` certify this claim per key, per byte.
+
+use std::sync::Arc;
 
 use spur_cache::assoc::SetAssocCache;
 use spur_cache::cache::VirtualCache;
@@ -16,18 +20,22 @@ use spur_core::experiments::ablation::{
 };
 use spur_core::experiments::crossover::{measure_crossover_obs, CrossoverRow};
 use spur_core::experiments::events::EventRow;
+use spur_core::experiments::refbit::RefbitRow;
 use spur_core::experiments::Scale;
-use spur_core::jobs::{attach_obs, events_job_for};
+use spur_core::jobs::{attach_obs, events_job_for, refbit_job_for};
 use spur_core::obs::ObsParams;
 use spur_core::system::{SimConfig, SimOverrides, SpurSystem};
 use spur_core::EventCounts;
+use spur_harness::fault::{arm, FaultPlan};
 use spur_harness::{Job, JobOutput, Json};
+use spur_mp::{mp_job, mp_key, MpRow};
 use spur_trace::record::RecordedTrace;
-use spur_trace::workloads::{slc, workload1, Workload};
+use spur_trace::spec::format_workload;
+use spur_trace::workloads::{mp_workers, Workload};
 use spur_types::{CostParams, MemSize, Protection, CACHE_LINES};
 use spur_vm::policy::RefPolicy;
 
-use crate::config::{Kind, Scenario};
+use crate::config::{Kind, Scenario, WorkloadSource};
 
 /// The typed result of one cell — what the legacy binaries' `Job<T>`
 /// values were, unified so one report type covers every kind. The
@@ -49,6 +57,10 @@ pub enum CellValue {
     Paging(PagingCell),
     /// A `sim` cell.
     Sim(SimCell),
+    /// A `refbit` cell.
+    Refbit(RefbitRow),
+    /// An `mp` cell.
+    Mp(MpRow),
 }
 
 /// Paging outcome of one inline `SpurSystem` run (the legacy
@@ -79,22 +91,216 @@ pub struct SimCell {
     pub events: EventCounts,
 }
 
-/// One expanded cell: its stable job key and its axis coordinates
-/// (declared-axis order), separate from the runnable job so callers
-/// can enumerate cells without running anything.
+/// One runnable cell, complete and cloneable: kind, coordinates,
+/// workload, memory, resolved scale and observability, overrides, and
+/// the run options its job needs. A server queues it and calls
+/// [`Cell::job`] on every attempt; the CLI runner calls the same
+/// method, so both run the same job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// The harness job key (identical to the legacy binary's).
+    /// The harness job key (identical to the legacy binary's), minted
+    /// once at construction.
     pub key: String,
+    /// The experiment family.
+    pub kind: Kind,
     /// (axis, value) pairs, one per declared axis.
     pub coords: Vec<(String, Json)>,
+    /// Where the references come from: the `workload` coordinate when
+    /// the kind sweeps it, else the scenario-level source.
+    pub workload: Option<WorkloadSource>,
+    /// Memory size in MB: the `mem_mb` coordinate when the kind sweeps
+    /// it, else the scenario-level size.
+    pub mem_mb: Option<u32>,
+    /// The resolved (and clamped) scale.
+    pub scale: Scale,
+    /// Per-simulation observability (`None` runs uninstrumented).
+    pub obs: Option<ObsParams>,
+    /// Configuration overrides (`refbit` and `events` honor them).
+    pub overrides: SimOverrides,
+    /// Run in lockstep against the `spur-check` oracle (`sim` only).
+    pub lockstep: bool,
+    /// `(seed, panic_ppm)` fault injection, armed on every
+    /// [`Cell::job`] call.
+    pub fault_plan: Option<(u64, u64)>,
 }
 
 impl Cell {
+    /// A cell of `kind` at `coords` (declared-axis order). A `workload`
+    /// or `mem_mb` coordinate takes the place of the `workload` /
+    /// `mem_mb` given for kinds that fix them outside the matrix;
+    /// `key_prefix` renames an `events` cell's table. Overrides and run
+    /// options start at their defaults.
+    pub fn new(
+        kind: Kind,
+        coords: Vec<(String, Json)>,
+        workload: Option<WorkloadSource>,
+        mem_mb: Option<u32>,
+        key_prefix: Option<&str>,
+        scale: Scale,
+        obs: Option<ObsParams>,
+    ) -> Cell {
+        let mut cell = Cell {
+            key: String::new(),
+            kind,
+            coords,
+            workload,
+            mem_mb,
+            scale,
+            obs,
+            overrides: SimOverrides::default(),
+            lockstep: false,
+            fault_plan: None,
+        };
+        if let Some(Json::Str(name)) = cell.coord("workload") {
+            cell.workload = Some(WorkloadSource::Builtin(name.clone()));
+        }
+        if cell.coord("mem_mb").is_some() {
+            cell.mem_mb = Some(cell.u64_at("mem_mb") as u32);
+        }
+        cell.key = cell.mint_key(key_prefix);
+        cell
+    }
+
     /// The coordinate on `axis`, if that axis is declared.
     pub fn coord(&self, axis: &str) -> Option<&Json> {
         self.coords.iter().find(|(a, _)| a == axis).map(|(_, v)| v)
     }
+
+    /// The full-spec identity, the unit a server coalesces and caches
+    /// on. The key deliberately omits scale, seed, observability and
+    /// overrides; everything that changes a served cell's artifact
+    /// bytes is folded in here, so two equal identities are
+    /// interchangeable results. (Lockstep and fault plans are scenario
+    /// run options; scenario cells are never coalesced or cached.)
+    /// Custom workload text enters as a hash of its canonical form:
+    /// identities stay short and never embed user payloads.
+    pub fn identity(&self) -> String {
+        let workload = self
+            .simulated_workload()
+            .map_or(0, |w| fnv1a(format_workload(&w).as_bytes()));
+        let s = &self.scale;
+        format!(
+            "{}|wl={workload:016x}|refs={},seed={},reps={},dev={}|obs={:?}|ov={:?}",
+            self.key, s.refs, s.seed, s.reps, s.dev_refs_per_hour, self.obs, self.overrides,
+        )
+    }
+
+    /// Builds the cell's harness job. Called once per run attempt: a
+    /// declared fault plan is armed fresh on every call, so a retried
+    /// cell meets its injected fault again instead of a spent one.
+    pub fn job(&self) -> Job<CellValue> {
+        let job = self.unarmed_job();
+        match self.fault_plan {
+            Some((seed, ppm)) => arm(&Arc::new(FaultPlan::new(seed, ppm)), job, &self.key),
+            None => job,
+        }
+    }
+
+    fn u64_at(&self, axis: &str) -> u64 {
+        match self.coord(axis) {
+            Some(Json::UInt(u)) => *u,
+            Some(Json::Int(i)) => *i as u64,
+            _ => unreachable!("validated {axis} coordinate"),
+        }
+    }
+
+    /// The `ref` coordinate; MISS where the kind leaves it undeclared.
+    fn policy(&self) -> RefPolicy {
+        match self.coord("ref") {
+            Some(Json::Str(s)) => s.parse().expect("canonical policy"),
+            _ => RefPolicy::Miss,
+        }
+    }
+
+    /// The `dirty` coordinate; SPUR where undeclared.
+    fn dirty(&self) -> DirtyPolicy {
+        match self.coord("dirty") {
+            Some(Json::Str(s)) => s.parse().expect("canonical policy"),
+            _ => DirtyPolicy::Spur,
+        }
+    }
+
+    /// The `cpus` coordinate; one where undeclared.
+    fn cpus(&self) -> usize {
+        match self.coord("cpus") {
+            Some(Json::UInt(n)) => *n as usize,
+            _ => 1,
+        }
+    }
+
+    fn mem(&self) -> MemSize {
+        MemSize::new(self.mem_mb.expect("kind shape requires mem_mb"))
+    }
+
+    fn source(&self) -> WorkloadSource {
+        self.workload
+            .clone()
+            .expect("kind shape requires a workload")
+    }
+
+    /// The workload the cell simulates, if it has one. An `mp` cell's
+    /// is derived from its coordinates, exactly as `reproduce_mp`
+    /// derives it (and its memory is `spur-mp`'s fixed 8 MB node).
+    fn simulated_workload(&self) -> Option<Workload> {
+        match self.kind {
+            Kind::Mp => Some(mp_workers(self.cpus(), self.u64_at("shared_pages"))),
+            _ => self.workload.as_ref().map(WorkloadSource::workload),
+        }
+    }
+
+    fn mint_key(&self, key_prefix: Option<&str>) -> String {
+        let name = || {
+            self.simulated_workload()
+                .map(|w| w.name().to_string())
+                .unwrap_or_default()
+        };
+        match self.kind {
+            Kind::Flush => flush_key(self.u64_at("occupancy_pct")),
+            Kind::Assoc => assoc_key(&name(), self.u64_at("ways") as usize),
+            Kind::CacheScaling => cache_scaling_key(self.u64_at("cache_kb") as usize),
+            Kind::Crossover => crossover_key(self.period(), self.policy()),
+            Kind::Events => events_key(
+                key_prefix.unwrap_or("table_3_3"),
+                &name(),
+                self.mem().megabytes(),
+            ),
+            Kind::SoftFaults => soft_faults_key(self.policy(), self.soft_faults()),
+            Kind::Watermarks => watermarks_key(self.u64_at("high_water") as u32, self.policy()),
+            Kind::Sim => sim_key(
+                &name(),
+                self.mem().megabytes(),
+                self.dirty(),
+                self.policy(),
+                self.cpus(),
+            ),
+            Kind::Refbit => refbit_key(&name(), self.mem().megabytes(), self.policy()),
+            Kind::Mp => mp_key(self.cpus(), self.u64_at("shared_pages"), self.policy()),
+        }
+    }
+
+    fn period(&self) -> Option<u64> {
+        match self.coord("period") {
+            Some(Json::Null) => None,
+            Some(Json::UInt(p)) => Some(*p),
+            _ => unreachable!("validated period coordinate"),
+        }
+    }
+
+    fn soft_faults(&self) -> bool {
+        matches!(self.coord("soft_faults"), Some(Json::Bool(true)))
+    }
+}
+
+/// FNV-1a 64, the same tiny non-cryptographic hash the fault plan
+/// uses: enough to fold arbitrary workload text into a fixed-width
+/// identity component.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// The `flush` kind's cell key (identical to `ablation_flush`).
@@ -150,32 +356,10 @@ pub fn sim_key(
     format!("sim/{workload}/{mb}MB/{dirty}/{policy}/{cpus}cpu")
 }
 
-fn coord_u64(cell: &Cell, axis: &str) -> u64 {
-    match cell.coord(axis) {
-        Some(Json::UInt(u)) => *u,
-        Some(Json::Int(i)) => *i as u64,
-        _ => unreachable!("validated {axis} coordinate"),
-    }
-}
-
-fn coord_str<'a>(cell: &'a Cell, axis: &str) -> &'a str {
-    match cell.coord(axis) {
-        Some(Json::Str(s)) => s,
-        _ => unreachable!("validated {axis} coordinate"),
-    }
-}
-
-/// Builds the workload named by a canonical axis value.
-fn axis_workload(name: &str) -> (&'static str, fn() -> Workload) {
-    match name {
-        "SLC" => ("SLC", slc),
-        _ => ("WORKLOAD1", workload1),
-    }
-}
-
-/// The effective memory size for kinds with a scenario-level `mem_mb`.
-fn scenario_mem(s: &Scenario) -> MemSize {
-    MemSize::new(s.mem_mb.expect("kind shape requires mem_mb"))
+/// The `refbit` kind's cell key (identical to `reproduce_all`'s
+/// Table 4.1 cells).
+pub fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
+    format!("table_4_1/{workload}/{mb}MB/{policy}")
 }
 
 /// The cartesian product of the declared axes, first axis outermost —
@@ -196,340 +380,313 @@ fn cartesian(scenario: &Scenario) -> Vec<Vec<(String, Json)>> {
     combos
 }
 
-/// Expands a validated scenario into its cells and runnable jobs at
-/// the given (already resolved and clamped) scale.
+impl Scenario {
+    /// Expands the validated matrix into its cells at the given
+    /// (already resolved and clamped) scale and observability, in
+    /// expansion order.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the colliding key if two cells expand
+    /// to the same key (a backstop — axis-level duplicate detection
+    /// should make this unreachable).
+    pub fn cells(&self, scale: Scale, obs: Option<ObsParams>) -> Result<Vec<Cell>, String> {
+        let mut cells: Vec<Cell> = Vec::new();
+        for coords in cartesian(self) {
+            let mut cell = Cell::new(
+                self.kind,
+                coords,
+                self.workload.clone(),
+                self.mem_mb,
+                self.key_prefix.as_deref(),
+                scale,
+                obs,
+            );
+            cell.lockstep = self.run.lockstep;
+            cell.fault_plan = self.run.fault_plan;
+            if cells.iter().any(|c| c.key == cell.key) {
+                return Err(format!("matrix: cells collide on key {:?}", cell.key));
+            }
+            cells.push(cell);
+        }
+        Ok(cells)
+    }
+}
+
+/// [`Scenario::cells`], each paired with its job.
 ///
 /// # Errors
 ///
-/// Returns a message naming the colliding key if two cells expand to
-/// the same key (a backstop — axis-level duplicate detection should
-/// make this unreachable).
+/// As [`Scenario::cells`].
 pub fn expand(
     scenario: &Scenario,
     scale: Scale,
     obs: Option<ObsParams>,
 ) -> Result<Vec<(Cell, Job<CellValue>)>, String> {
-    let mut cells = Vec::new();
-    for coords in cartesian(scenario) {
-        let cell = Cell {
-            key: String::new(),
-            coords,
-        };
-        let (key, job) = build_cell(scenario, &cell, scale, obs)?;
-        if cells.iter().any(|(c, _): &(Cell, _)| c.key == key) {
-            return Err(format!("matrix: cells collide on key {key:?}"));
-        }
-        cells.push((
-            Cell {
-                key,
-                coords: cell.coords,
-            },
-            job,
-        ));
-    }
-    Ok(cells)
+    let cells = scenario.cells(scale, obs)?;
+    Ok(cells
+        .into_iter()
+        .map(|cell| {
+            let job = cell.job();
+            (cell, job)
+        })
+        .collect())
 }
 
-/// [`expand`] without jobs, for `explain` and serve-side planning.
-pub fn enumerate(scenario: &Scenario, scale: Scale) -> Result<Vec<Cell>, String> {
-    expand(scenario, scale, None).map(|cells| cells.into_iter().map(|(c, _)| c).collect())
-}
-
-fn build_cell(
-    scenario: &Scenario,
-    cell: &Cell,
-    scale: Scale,
-    obs: Option<ObsParams>,
-) -> Result<(String, Job<CellValue>), String> {
-    match scenario.kind {
-        Kind::Flush => {
-            let pct = coord_u64(cell, "occupancy_pct");
-            let frac = pct as f64 / 100.0;
-            let key = flush_key(pct);
-            let job = Job::new(key.clone(), move || {
-                let cmp = flush_cost_comparison(frac, &CostParams::paper());
-                let artifact = cmp.to_json();
-                Ok(JobOutput::new(CellValue::Flush(cmp), artifact))
-            });
-            Ok((key, job))
-        }
-        Kind::Assoc => {
-            let (name, make) = axis_workload(coord_str(cell, "workload"));
-            let ways = coord_u64(cell, "ways") as usize;
-            let key = assoc_key(name, ways);
-            let job = Job::new(key.clone(), move || {
-                let workload = make();
-                let mut misses = 0u64;
-                if ways == 1 {
-                    // Direct-mapped reference point.
-                    let mut cache = VirtualCache::prototype();
-                    for r in workload.generator(scale.seed).take(scale.refs as usize) {
-                        if !cache.probe(r.addr).hit {
-                            misses += 1;
-                            cache.fill_for_read(r.addr, Protection::ReadWrite, false);
+impl Cell {
+    fn unarmed_job(&self) -> Job<CellValue> {
+        let key = self.key.clone();
+        let (scale, obs, overrides) = (self.scale, self.obs, self.overrides);
+        match self.kind {
+            Kind::Flush => {
+                let frac = self.u64_at("occupancy_pct") as f64 / 100.0;
+                Job::new(key, move || {
+                    let cmp = flush_cost_comparison(frac, &CostParams::paper());
+                    let artifact = cmp.to_json();
+                    Ok(JobOutput::new(CellValue::Flush(cmp), artifact))
+                })
+            }
+            Kind::Assoc => {
+                let source = self.source();
+                let ways = self.u64_at("ways") as usize;
+                Job::new(key, move || {
+                    let workload = source.workload();
+                    let mut misses = 0u64;
+                    if ways == 1 {
+                        // Direct-mapped reference point.
+                        let mut cache = VirtualCache::prototype();
+                        for r in workload.generator(scale.seed).take(scale.refs as usize) {
+                            if !cache.probe(r.addr).hit {
+                                misses += 1;
+                                cache.fill_for_read(r.addr, Protection::ReadWrite, false);
+                            }
+                        }
+                    } else {
+                        let mut cache = SetAssocCache::new(CACHE_LINES as usize, ways);
+                        for r in workload.generator(scale.seed).take(scale.refs as usize) {
+                            if !cache.probe(r.addr) {
+                                misses += 1;
+                                cache.fill(r.addr, Protection::ReadWrite, false, false);
+                            }
                         }
                     }
-                } else {
-                    let mut cache = SetAssocCache::new(CACHE_LINES as usize, ways);
-                    for r in workload.generator(scale.seed).take(scale.refs as usize) {
-                        if !cache.probe(r.addr) {
-                            misses += 1;
-                            cache.fill(r.addr, Protection::ReadWrite, false, false);
-                        }
-                    }
-                }
-                let ratio = misses as f64 / scale.refs as f64;
-                let artifact = Json::object([
-                    ("workload", Json::from(workload.name())),
-                    ("ways", Json::from(ways)),
-                    ("misses", Json::from(misses)),
-                    ("refs", Json::from(scale.refs)),
-                    ("miss_ratio", Json::from(ratio)),
-                ]);
-                Ok(JobOutput::new(CellValue::MissRatio(ratio), artifact))
-            });
-            Ok((key, job))
-        }
-        Kind::CacheScaling => {
-            let kb = coord_u64(cell, "cache_kb") as usize;
-            let mem = scenario_mem(scenario);
-            let source = scenario.workload.clone().expect("kind shape");
-            let key = cache_scaling_key(kb);
-            let job = Job::new(key.clone(), move || {
-                let workload = source.workload();
-                let (row, rep) = measure_cache_scaling_point_obs(&workload, mem, &scale, kb, obs)
-                    .map_err(|e| e.to_string())?;
-                let artifact = row.to_json();
-                Ok(attach_obs(
-                    JobOutput::new(CellValue::CacheScaling(row), artifact),
-                    rep,
-                ))
-            });
-            Ok((key, job))
-        }
-        Kind::Crossover => {
-            let period = match cell.coord("period") {
-                Some(Json::Null) => None,
-                Some(Json::UInt(p)) => Some(*p),
-                _ => unreachable!("validated period coordinate"),
-            };
-            let policy: RefPolicy = coord_str(cell, "ref").parse().expect("canonical policy");
-            let mem = scenario_mem(scenario);
-            let source = scenario.workload.clone().expect("kind shape");
-            let key = crossover_key(period, policy);
-            let job = Job::new(key.clone(), move || {
-                let workload = source.workload();
-                let (row, rep) = measure_crossover_obs(&workload, mem, period, policy, &scale, obs)
-                    .map_err(|e| e.to_string())?;
-                let artifact = row.to_json();
-                Ok(attach_obs(
-                    JobOutput::new(CellValue::Crossover(row), artifact),
-                    rep,
-                ))
-            });
-            Ok((key, job))
-        }
-        Kind::Events => {
-            let (name, make) = axis_workload(coord_str(cell, "workload"));
-            let mb = coord_u64(cell, "mem_mb") as u32;
-            let prefix = scenario.key_prefix.as_deref().unwrap_or("table_3_3");
-            let key = events_key(prefix, name, mb);
-            let job = events_job_for(
-                key.clone(),
-                make,
-                MemSize::new(mb),
-                scale,
-                obs,
-                SimOverrides::default(),
-            )
-            .map(CellValue::Events);
-            Ok((key, job))
-        }
-        Kind::SoftFaults => {
-            let policy: RefPolicy = coord_str(cell, "ref").parse().expect("canonical policy");
-            let enabled = matches!(cell.coord("soft_faults"), Some(Json::Bool(true)));
-            let mem = scenario_mem(scenario);
-            let source = scenario.workload.clone().expect("kind shape");
-            let key = soft_faults_key(policy, enabled);
-            let job = Job::new(key.clone(), move || {
-                let workload = source.workload();
-                let mut sim = SpurSystem::new(SimConfig {
-                    mem,
+                    let ratio = misses as f64 / scale.refs as f64;
+                    let artifact = Json::object([
+                        ("workload", Json::from(workload.name())),
+                        ("ways", Json::from(ways)),
+                        ("misses", Json::from(misses)),
+                        ("refs", Json::from(scale.refs)),
+                        ("miss_ratio", Json::from(ratio)),
+                    ]);
+                    Ok(JobOutput::new(CellValue::MissRatio(ratio), artifact))
+                })
+            }
+            Kind::CacheScaling => {
+                let kb = self.u64_at("cache_kb") as usize;
+                let (source, mem) = (self.source(), self.mem());
+                Job::new(key, move || {
+                    let workload = source.workload();
+                    let (row, rep) =
+                        measure_cache_scaling_point_obs(&workload, mem, &scale, kb, obs)
+                            .map_err(|e| e.to_string())?;
+                    let artifact = row.to_json();
+                    Ok(attach_obs(
+                        JobOutput::new(CellValue::CacheScaling(row), artifact),
+                        rep,
+                    ))
+                })
+            }
+            Kind::Crossover => {
+                let (period, policy) = (self.period(), self.policy());
+                let (source, mem) = (self.source(), self.mem());
+                Job::new(key, move || {
+                    let workload = source.workload();
+                    let (row, rep) =
+                        measure_crossover_obs(&workload, mem, period, policy, &scale, obs)
+                            .map_err(|e| e.to_string())?;
+                    let artifact = row.to_json();
+                    Ok(attach_obs(
+                        JobOutput::new(CellValue::Crossover(row), artifact),
+                        rep,
+                    ))
+                })
+            }
+            Kind::Events => {
+                let source = self.source();
+                events_job_for(
+                    key,
+                    move || source.workload(),
+                    self.mem(),
+                    scale,
+                    obs,
+                    overrides,
+                )
+                .map(CellValue::Events)
+            }
+            Kind::SoftFaults => {
+                let (policy, enabled) = (self.policy(), self.soft_faults());
+                let cfg = SimConfig {
+                    mem: self.mem(),
                     dirty: DirtyPolicy::Spur,
                     ref_policy: policy,
                     soft_faults: enabled,
                     ..SimConfig::default()
-                })
-                .map_err(|e| e.to_string())?;
-                if let Some(p) = obs {
-                    sim.enable_obs(p);
-                }
-                sim.load_workload(&workload).map_err(|e| e.to_string())?;
-                sim.run(&mut workload.generator(scale.seed), scale.refs)
-                    .map_err(|e| e.to_string())?;
-                let rep = sim.finish_obs();
-                let stats = sim.vm().stats();
-                let row = PagingCell {
-                    page_ins: stats.page_ins,
-                    soft_faults: stats.soft_faults,
-                    elapsed_secs: sim.events().elapsed_seconds(),
                 };
-                let artifact = Json::object([
+                let lead = [
                     ("policy", Json::from(policy.to_string())),
                     ("soft_faults_enabled", Json::from(enabled)),
-                    ("page_ins", Json::from(row.page_ins)),
-                    ("soft_faults_taken", Json::from(row.soft_faults)),
-                    ("elapsed_secs", Json::from(row.elapsed_secs)),
-                ]);
-                Ok(attach_obs(
-                    JobOutput::new(CellValue::Paging(row), artifact),
-                    rep,
-                ))
-            });
-            Ok((key, job))
-        }
-        Kind::Watermarks => {
-            let high = coord_u64(cell, "high_water") as u32;
-            let policy: RefPolicy = coord_str(cell, "ref").parse().expect("canonical policy");
-            let mem = scenario_mem(scenario);
-            let source = scenario.workload.clone().expect("kind shape");
-            let key = watermarks_key(high, policy);
-            let job = Job::new(key.clone(), move || {
-                let workload = source.workload();
-                let mut sim = SpurSystem::new(SimConfig {
-                    mem,
+                ];
+                self.paging_job(cfg, lead)
+            }
+            Kind::Watermarks => {
+                let (high, policy) = (self.u64_at("high_water") as u32, self.policy());
+                let cfg = SimConfig {
+                    mem: self.mem(),
                     dirty: DirtyPolicy::Spur,
                     ref_policy: policy,
                     free_low_water: (high / 4).max(8),
                     free_high_water: high,
                     ..SimConfig::default()
-                })
-                .map_err(|e| e.to_string())?;
-                if let Some(p) = obs {
-                    sim.enable_obs(p);
-                }
-                sim.load_workload(&workload).map_err(|e| e.to_string())?;
-                sim.run(&mut workload.generator(scale.seed), scale.refs)
-                    .map_err(|e| e.to_string())?;
-                let rep = sim.finish_obs();
-                let stats = sim.vm().stats();
-                let row = PagingCell {
-                    page_ins: stats.page_ins,
-                    soft_faults: stats.soft_faults,
-                    elapsed_secs: sim.events().elapsed_seconds(),
                 };
-                let artifact = Json::object([
+                let lead = [
                     ("free_high_water", Json::from(high)),
                     ("policy", Json::from(policy.to_string())),
-                    ("page_ins", Json::from(row.page_ins)),
-                    ("soft_faults_taken", Json::from(row.soft_faults)),
-                    ("elapsed_secs", Json::from(row.elapsed_secs)),
-                ]);
-                Ok(attach_obs(
-                    JobOutput::new(CellValue::Paging(row), artifact),
-                    rep,
-                ))
-            });
-            Ok((key, job))
+                ];
+                self.paging_job(cfg, lead)
+            }
+            Kind::Sim => self.sim_job(),
+            Kind::Refbit => {
+                let source = self.source();
+                refbit_job_for(
+                    key,
+                    move || source.workload(),
+                    self.mem(),
+                    self.policy(),
+                    scale,
+                    obs,
+                    overrides,
+                )
+                .map(CellValue::Refbit)
+            }
+            Kind::Mp => mp_job(
+                key,
+                self.cpus(),
+                self.policy(),
+                self.u64_at("shared_pages"),
+                scale,
+                obs,
+            )
+            .map(CellValue::Mp),
         }
-        Kind::Sim => build_sim_cell(scenario, cell, scale, obs),
     }
-}
 
-/// The general matrix point: one full `SpurSystem` (or lockstep
-/// oracle) run per (mem, dirty, ref, cpus) coordinate, over a builtin
-/// workload, a spec, or a recorded trace.
-fn build_sim_cell(
-    scenario: &Scenario,
-    cell: &Cell,
-    scale: Scale,
-    obs: Option<ObsParams>,
-) -> Result<(String, Job<CellValue>), String> {
-    let mb = coord_u64(cell, "mem_mb") as u32;
-    let dirty: DirtyPolicy = match cell.coord("dirty") {
-        Some(Json::Str(s)) => s.parse().expect("canonical policy"),
-        _ => DirtyPolicy::Spur,
-    };
-    let policy: RefPolicy = match cell.coord("ref") {
-        Some(Json::Str(s)) => s.parse().expect("canonical policy"),
-        _ => RefPolicy::Miss,
-    };
-    let cpus = match cell.coord("cpus") {
-        Some(Json::UInt(n)) => *n as usize,
-        _ => 1,
-    };
-    let source = scenario.workload.clone().expect("kind shape");
-    let name = source.workload().name().to_string();
-    let key = sim_key(&name, mb, dirty, policy, cpus);
-    let lockstep = scenario.run.lockstep;
-
-    let job = Job::new(key.clone(), move || {
-        let workload = source.workload();
-        let cfg = SimConfig {
-            mem: MemSize::new(mb),
-            dirty,
-            ref_policy: policy,
-            cpus,
-            ..SimConfig::default()
-        };
-        let trace = match source.trace_path() {
-            None => None,
-            Some(path) => Some(
-                RecordedTrace::load(path)
-                    .map_err(|e| format!("loading recorded trace {path:?}: {e}"))?,
-            ),
-        };
-        let (ev, page_ins, soft_faults, rep) = if lockstep {
-            let mut check = Lockstep::new(cfg)?;
-            check.load_workload(&workload)?;
-            let run_result = match &trace {
-                Some(t) => check.run(&mut t.iter(), scale.refs),
-                None => check.run(&mut workload.generator(scale.seed), scale.refs),
-            };
-            run_result.map_err(|d| format!("lockstep divergence: {d}"))?;
-            let sys = check.system();
-            let stats = sys.vm().stats();
-            (sys.events(), stats.page_ins, stats.soft_faults, None)
-        } else {
+    /// One inline `SpurSystem` run under `cfg` for the paging kinds
+    /// (`soft_faults`, `watermarks`); the artifact is `lead` followed
+    /// by the paging counters.
+    fn paging_job(&self, cfg: SimConfig, lead: [(&'static str, Json); 2]) -> Job<CellValue> {
+        let (source, scale, obs) = (self.source(), self.scale, self.obs);
+        Job::new(self.key.clone(), move || {
+            let workload = source.workload();
             let mut sim = SpurSystem::new(cfg).map_err(|e| e.to_string())?;
             if let Some(p) = obs {
                 sim.enable_obs(p);
             }
             sim.load_workload(&workload).map_err(|e| e.to_string())?;
-            match &trace {
-                Some(t) => sim.run(&mut t.iter(), scale.refs),
-                None => sim.run(&mut workload.generator(scale.seed), scale.refs),
-            }
-            .map_err(|e| e.to_string())?;
+            sim.run(&mut workload.generator(scale.seed), scale.refs)
+                .map_err(|e| e.to_string())?;
             let rep = sim.finish_obs();
             let stats = sim.vm().stats();
-            (sim.events(), stats.page_ins, stats.soft_faults, rep)
-        };
-        let row = SimCell {
-            dirty_faults: ev.n_ds + ev.n_ef,
-            page_ins,
-            soft_faults,
-            elapsed_secs: ev.elapsed_seconds(),
-            events: ev,
-        };
-        let artifact = Json::object([
-            ("workload", Json::from(workload.name())),
-            ("mem_mb", Json::from(mb)),
-            ("dirty", Json::from(dirty.to_string())),
-            ("ref", Json::from(policy.to_string())),
-            ("cpus", Json::from(cpus)),
-            ("dirty_faults", Json::from(row.dirty_faults)),
-            ("page_ins", Json::from(row.page_ins)),
-            ("soft_faults_taken", Json::from(row.soft_faults)),
-            ("elapsed_secs", Json::from(row.elapsed_secs)),
-            ("events", ev.to_json()),
-        ]);
-        Ok(attach_obs(
-            JobOutput::new(CellValue::Sim(row), artifact),
-            rep,
-        ))
-    });
-    Ok((key, job))
+            let row = PagingCell {
+                page_ins: stats.page_ins,
+                soft_faults: stats.soft_faults,
+                elapsed_secs: sim.events().elapsed_seconds(),
+            };
+            let artifact = Json::object(lead.into_iter().chain([
+                ("page_ins", Json::from(row.page_ins)),
+                ("soft_faults_taken", Json::from(row.soft_faults)),
+                ("elapsed_secs", Json::from(row.elapsed_secs)),
+            ]));
+            Ok(attach_obs(
+                JobOutput::new(CellValue::Paging(row), artifact),
+                rep,
+            ))
+        })
+    }
+
+    /// The general matrix point: one full `SpurSystem` (or lockstep
+    /// oracle) run per (mem, dirty, ref, cpus) coordinate, over a
+    /// builtin workload, a spec, or a recorded trace.
+    fn sim_job(&self) -> Job<CellValue> {
+        let mb = self.mem().megabytes();
+        let (dirty, policy, cpus) = (self.dirty(), self.policy(), self.cpus());
+        let (source, scale, obs, lockstep) = (self.source(), self.scale, self.obs, self.lockstep);
+        Job::new(self.key.clone(), move || {
+            let workload = source.workload();
+            let cfg = SimConfig {
+                mem: MemSize::new(mb),
+                dirty,
+                ref_policy: policy,
+                cpus,
+                ..SimConfig::default()
+            };
+            let trace = match source.trace_path() {
+                None => None,
+                Some(path) => Some(
+                    RecordedTrace::load(path)
+                        .map_err(|e| format!("loading recorded trace {path:?}: {e}"))?,
+                ),
+            };
+            let (ev, page_ins, soft_faults, rep) = if lockstep {
+                let mut check = Lockstep::new(cfg)?;
+                check.load_workload(&workload)?;
+                let run_result = match &trace {
+                    Some(t) => check.run(&mut t.iter(), scale.refs),
+                    None => check.run(&mut workload.generator(scale.seed), scale.refs),
+                };
+                run_result.map_err(|d| format!("lockstep divergence: {d}"))?;
+                let sys = check.system();
+                let stats = sys.vm().stats();
+                (sys.events(), stats.page_ins, stats.soft_faults, None)
+            } else {
+                let mut sim = SpurSystem::new(cfg).map_err(|e| e.to_string())?;
+                if let Some(p) = obs {
+                    sim.enable_obs(p);
+                }
+                sim.load_workload(&workload).map_err(|e| e.to_string())?;
+                match &trace {
+                    Some(t) => sim.run(&mut t.iter(), scale.refs),
+                    None => sim.run(&mut workload.generator(scale.seed), scale.refs),
+                }
+                .map_err(|e| e.to_string())?;
+                let rep = sim.finish_obs();
+                let stats = sim.vm().stats();
+                (sim.events(), stats.page_ins, stats.soft_faults, rep)
+            };
+            let row = SimCell {
+                dirty_faults: ev.n_ds + ev.n_ef,
+                page_ins,
+                soft_faults,
+                elapsed_secs: ev.elapsed_seconds(),
+                events: ev,
+            };
+            let artifact = Json::object([
+                ("workload", Json::from(workload.name())),
+                ("mem_mb", Json::from(mb)),
+                ("dirty", Json::from(dirty.to_string())),
+                ("ref", Json::from(policy.to_string())),
+                ("cpus", Json::from(cpus)),
+                ("dirty_faults", Json::from(row.dirty_faults)),
+                ("page_ins", Json::from(row.page_ins)),
+                ("soft_faults_taken", Json::from(row.soft_faults)),
+                ("elapsed_secs", Json::from(row.elapsed_secs)),
+                ("events", ev.to_json()),
+            ]);
+            Ok(attach_obs(
+                JobOutput::new(CellValue::Sim(row), artifact),
+                rep,
+            ))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -547,7 +704,7 @@ mod tests {
                 "workload":"WORKLOAD1","mem_mb":8,
                 "matrix":{"period":[null,500000,100000],"ref":["MISS","REF","NOREF"]}}"#,
         );
-        let cells = enumerate(&s, Scale::quick()).unwrap();
+        let cells = s.cells(Scale::quick(), None).unwrap();
         let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
         assert_eq!(keys[0], "crossover/off/MISS");
         assert_eq!(keys[3], "crossover/0500000/MISS");
@@ -561,7 +718,7 @@ mod tests {
             r#"{"schema_version":1,"name":"t","experiment":"assoc",
                 "matrix":{"workload":["SLC","WORKLOAD1"],"ways":[1,2,4,8]}}"#,
         );
-        let cells = enumerate(&s, Scale::quick()).unwrap();
+        let cells = s.cells(Scale::quick(), None).unwrap();
         let keys: Vec<&str> = cells.iter().map(|c| c.key.as_str()).collect();
         assert_eq!(
             keys,
@@ -584,7 +741,8 @@ mod tests {
             r#"{"schema_version":1,"name":"t","experiment":"flush",
                 "matrix":{"occupancy_pct":[5,10,100]}}"#,
         );
-        let keys: Vec<String> = enumerate(&s, Scale::quick())
+        let keys: Vec<String> = s
+            .cells(Scale::quick(), None)
             .unwrap()
             .into_iter()
             .map(|c| c.key)
@@ -596,7 +754,8 @@ mod tests {
                 "workload":"WORKLOAD1","mem_mb":5,
                 "matrix":{"high_water":[32,320],"ref":["MISS"]}}"#,
         );
-        let keys: Vec<String> = enumerate(&s, Scale::quick())
+        let keys: Vec<String> = s
+            .cells(Scale::quick(), None)
             .unwrap()
             .into_iter()
             .map(|c| c.key)
@@ -610,7 +769,8 @@ mod tests {
             r#"{"schema_version":1,"name":"t","experiment":"sim",
                 "workload":"SLC","matrix":{"mem_mb":[5],"dirty":["MIN","FAULT"]}}"#,
         );
-        let keys: Vec<String> = enumerate(&s, Scale::quick())
+        let keys: Vec<String> = s
+            .cells(Scale::quick(), None)
             .unwrap()
             .into_iter()
             .map(|c| c.key)
@@ -628,7 +788,7 @@ mod tests {
                 "workload":"WORKLOAD1","mem_mb":5,
                 "matrix":{"ref":["MISS","NOREF"],"soft_faults":[true,false]}}"#,
         );
-        let cells = enumerate(&s, Scale::quick()).unwrap();
+        let cells = s.cells(Scale::quick(), None).unwrap();
         assert_eq!(
             cells[0].coords[0],
             ("ref".to_string(), Json::Str("MISS".into()))
@@ -639,5 +799,22 @@ mod tests {
         );
         assert_eq!(cells[1].key, "soft_faults/MISS/off");
         assert_eq!(cells[2].key, "soft_faults/NOREF/on");
+    }
+
+    #[test]
+    fn every_job_call_arms_a_fresh_fault_plan() {
+        // Once-semantics within one plan would let a second attempt
+        // pass; a fresh plan per call fails it again, like the first.
+        let s = parse(
+            r#"{"schema_version":1,"name":"t","experiment":"flush",
+                "matrix":{"occupancy_pct":[10]},
+                "run":{"fault_plan":{"seed":1,"panic_ppm":1000000}}}"#,
+        );
+        let cell = &s.cells(Scale::quick(), None).unwrap()[0];
+        for _ in 0..2 {
+            let done = spur_harness::run_one(cell.job());
+            let failure = done.failure().expect("the plan trips every call");
+            assert_eq!(failure.kind, spur_harness::FailureKind::Panic);
+        }
     }
 }

@@ -8,6 +8,8 @@
 //! value (`matrix.dirty[2]: duplicate "FLUSH"`), so a typo'd config
 //! can never silently run a different experiment than the one reviewed.
 
+use std::sync::Arc;
+
 use spur_core::dirty::DirtyPolicy;
 use spur_core::experiments::Scale;
 use spur_harness::Json;
@@ -33,13 +35,17 @@ pub const MAX_MEM_MB: u64 = 4096;
 /// Largest matrix a single scenario may expand to.
 pub const MAX_CELLS: usize = 4096;
 
+/// Largest `shared_pages` coordinate of an `mp` cell.
+pub const MAX_SHARED_PAGES: u64 = 8192;
+
 /// Where a scenario's references come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSource {
     /// A named paper workload (`SLC`, `WORKLOAD1`).
     Builtin(String),
-    /// A full workload-spec text (the `spur-trace::spec` format).
-    Spec(String),
+    /// A full workload-spec text (the `spur-trace::spec` format),
+    /// shared rather than copied by every cell of a matrix.
+    Spec(Arc<str>),
     /// A recorded `SPURTRC1` trace file, replayed bit-identically. The
     /// region map is not stored in the trace, so a companion workload
     /// (builtin or spec) provides it.
@@ -67,6 +73,17 @@ impl WorkloadSource {
             }
             WorkloadSource::Trace { regions, .. } => regions.workload(),
         }
+    }
+
+    /// A spec-text source, validated by parsing it once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `path`-qualified message if the text is not a valid
+    /// workload spec.
+    pub fn spec(text: &str, path: &str) -> Result<WorkloadSource, String> {
+        parse_workload(text).map_err(|e| format!("{path}: bad workload spec: {e}"))?;
+        Ok(WorkloadSource::Spec(text.into()))
     }
 
     /// The recorded-trace path, when this source replays one.
@@ -102,9 +119,29 @@ pub enum Kind {
     /// (memory, dirty, ref, cpus) point (axes: `mem_mb`, `dirty`,
     /// `ref`, `cpus`).
     Sim,
+    /// Table 4.1 reference-bit policy cells (axes: `workload`,
+    /// `mem_mb`, `ref`).
+    Refbit,
+    /// §4.1's measured multiprocessor cells on `spur-mp` (axes: `ref`,
+    /// `cpus`, `shared_pages`).
+    Mp,
 }
 
 impl Kind {
+    /// Every kind, in config-documentation order.
+    pub const ALL: [Kind; 10] = [
+        Kind::Flush,
+        Kind::Assoc,
+        Kind::CacheScaling,
+        Kind::Crossover,
+        Kind::Events,
+        Kind::SoftFaults,
+        Kind::Watermarks,
+        Kind::Sim,
+        Kind::Refbit,
+        Kind::Mp,
+    ];
+
     /// The config-file name of the kind.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -116,7 +153,15 @@ impl Kind {
             Kind::SoftFaults => "soft_faults",
             Kind::Watermarks => "watermarks",
             Kind::Sim => "sim",
+            Kind::Refbit => "refbit",
+            Kind::Mp => "mp",
         }
+    }
+
+    /// The kind with config-file name `name` (inverse of
+    /// [`Kind::as_str`]).
+    pub fn from_name(name: &str) -> Option<Kind> {
+        Kind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 }
 
@@ -251,7 +296,8 @@ fn fields(doc: &Json) -> &[(String, Json)] {
     }
 }
 
-fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
+/// The value of object field `key`, if present.
+pub fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
     fields(doc).iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -277,14 +323,16 @@ fn at(path: &str, key: &str) -> String {
     }
 }
 
-fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, String> {
+/// `v` as a string, or a `path`-qualified error.
+pub fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, String> {
     match v {
         Json::Str(s) => Ok(s),
         _ => Err(format!("{path}: must be a string")),
     }
 }
 
-fn as_u64(v: &Json, path: &str) -> Result<u64, String> {
+/// `v` as a non-negative integer, or a `path`-qualified error.
+pub fn as_u64(v: &Json, path: &str) -> Result<u64, String> {
     match v {
         Json::UInt(u) => Ok(*u),
         Json::Int(i) if *i >= 0 => Ok(*i as u64),
@@ -299,13 +347,15 @@ fn as_bool(v: &Json, path: &str) -> Result<bool, String> {
     }
 }
 
-fn opt_u64(doc: &Json, path: &str, key: &str) -> Result<Option<u64>, String> {
+/// Optional non-negative integer field `key` of the object at `path`.
+pub fn opt_u64(doc: &Json, path: &str, key: &str) -> Result<Option<u64>, String> {
     field(doc, key)
         .map(|v| as_u64(v, &at(path, key)))
         .transpose()
 }
 
-fn require<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
+/// Required field `key` of the object at `path`.
+pub fn require<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
     field(doc, key).ok_or_else(|| format!("{}: missing required field", at(path, key)))
 }
 
@@ -352,21 +402,13 @@ fn parse_scenario(doc: &Json) -> Result<Scenario, String> {
         None => String::new(),
     };
 
-    let kind = match as_str(require(doc, "", "experiment")?, "experiment")? {
-        "flush" => Kind::Flush,
-        "assoc" => Kind::Assoc,
-        "cache_scaling" => Kind::CacheScaling,
-        "crossover" => Kind::Crossover,
-        "events" => Kind::Events,
-        "soft_faults" => Kind::SoftFaults,
-        "watermarks" => Kind::Watermarks,
-        "sim" => Kind::Sim,
-        other => {
-            return Err(format!(
-                "experiment: unknown experiment {other:?} (expected flush|assoc|cache_scaling|\
-                 crossover|events|soft_faults|watermarks|sim)"
-            ))
-        }
+    let experiment = as_str(require(doc, "", "experiment")?, "experiment")?;
+    let Some(kind) = Kind::from_name(experiment) else {
+        let names: Vec<&str> = Kind::ALL.iter().map(|k| k.as_str()).collect();
+        return Err(format!(
+            "experiment: unknown experiment {experiment:?} (expected {})",
+            names.join("|")
+        ));
     };
 
     let workload = field(doc, "workload")
@@ -384,7 +426,12 @@ fn parse_scenario(doc: &Json) -> Result<Scenario, String> {
 
     let axes = parse_matrix(require(doc, "", "matrix")?, kind)?;
 
-    let scale = field(doc, "scale").map(parse_scale).transpose()?;
+    let scale = field(doc, "scale")
+        .map(|v| {
+            check_unknown(v, "scale", &["refs", "seed", "reps", "dev_refs_per_hour"])?;
+            parse_scale(v, Scale::default_scale())
+        })
+        .transpose()?;
     let max_refs = match opt_u64(doc, "", "max_refs")? {
         None => None,
         Some(0) => return Err("max_refs: must be positive".into()),
@@ -450,10 +497,8 @@ fn parse_workload_source(v: &Json, path: &str) -> Result<WorkloadSource, String>
             match (builtin, spec, trace) {
                 (Some(b), None, None) => parse_workload_source(b, &at(path, "builtin")),
                 (None, Some(s), None) => {
-                    let text = as_str(s, &at(path, "spec"))?;
-                    parse_workload(text)
-                        .map_err(|e| format!("{}: bad workload spec: {e}", at(path, "spec")))?;
-                    Ok(WorkloadSource::Spec(text.to_string()))
+                    let path = at(path, "spec");
+                    WorkloadSource::spec(as_str(s, &path)?, &path)
                 }
                 (None, None, Some(t)) => {
                     let trace_path = as_str(t, &at(path, "trace"))?.to_string();
@@ -487,6 +532,8 @@ fn allowed_axes(kind: Kind) -> &'static [&'static str] {
         Kind::SoftFaults => &["ref", "soft_faults"],
         Kind::Watermarks => &["high_water", "ref"],
         Kind::Sim => &["mem_mb", "dirty", "ref", "cpus"],
+        Kind::Refbit => &["workload", "mem_mb", "ref"],
+        Kind::Mp => &["ref", "cpus", "shared_pages"],
     }
 }
 
@@ -523,7 +570,12 @@ fn parse_matrix(doc: &Json, kind: Kind) -> Result<Vec<Axis>, String> {
 /// Validates one axis value and canonicalizes it (policy names to
 /// their `Display` form, builtin workloads to upper case) so that the
 /// same coordinate always compares and keys identically.
-fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<Json, String> {
+///
+/// # Errors
+///
+/// Returns a `path`-qualified message for an out-of-range or
+/// mistyped value.
+pub fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<Json, String> {
     match axis {
         "occupancy_pct" => {
             let pct = as_u64(v, path)?;
@@ -597,11 +649,28 @@ fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<Json
             }
             Ok(Json::UInt(cpus))
         }
+        "shared_pages" => {
+            let pages = as_u64(v, path)?;
+            if pages == 0 || pages > MAX_SHARED_PAGES {
+                return Err(format!(
+                    "{path}: must be in 1..={MAX_SHARED_PAGES}, got {pages}"
+                ));
+            }
+            Ok(Json::UInt(pages))
+        }
         _ => unreachable!("axis {axis} admitted for kind {kind:?} but not parsed"),
     }
 }
 
-fn parse_scale(v: &Json) -> Result<Scale, String> {
+/// Validates a `scale` value: a preset name, or an object whose
+/// missing fields come from `base` (scenario files fill from
+/// `default`, `/v1/jobs` bodies from `quick`).
+///
+/// # Errors
+///
+/// Returns a `scale`-qualified message for an unknown preset, a
+/// mistyped value, or a value outside the guardrails.
+pub fn parse_scale(v: &Json, base: Scale) -> Result<Scale, String> {
     match v {
         Json::Str(preset) => match preset.as_str() {
             "quick" => Ok(Scale::quick()),
@@ -612,8 +681,7 @@ fn parse_scale(v: &Json) -> Result<Scale, String> {
             )),
         },
         Json::Obj(_) => {
-            check_unknown(v, "scale", &["refs", "seed", "reps", "dev_refs_per_hour"])?;
-            let mut scale = Scale::default_scale();
+            let mut scale = base;
             if let Some(refs) = opt_u64(v, "scale", "refs")? {
                 if refs == 0 || refs > MAX_REFS {
                     return Err(format!("scale.refs: must be in 1..={MAX_REFS}, got {refs}"));
@@ -766,6 +834,20 @@ fn check_kind_shape(s: &Scenario) -> Result<(), String> {
         Kind::Sim => {
             need_axis("mem_mb")?;
             need_workload()?;
+            no_mem()?;
+        }
+        Kind::Refbit => {
+            need_axis("workload")?;
+            need_axis("mem_mb")?;
+            need_axis("ref")?;
+            no_workload("the workload is a matrix axis")?;
+            no_mem()?;
+        }
+        Kind::Mp => {
+            need_axis("ref")?;
+            need_axis("cpus")?;
+            need_axis("shared_pages")?;
+            no_workload("each CPU runs an mp_workers shard sized by cpus and shared_pages")?;
             no_mem()?;
         }
     }

@@ -15,8 +15,10 @@
 //! - [`config`] — the strict parser: unknown fields, duplicate matrix
 //!   cells, and empty axes are hard errors with path-qualified
 //!   messages.
-//! - [`cells`] — matrix expansion: scenario → `(Cell, Job)` pairs with
-//!   stable keys (`sim/WORKLOAD1/5MB/FAULT/MISS/1cpu`).
+//! - [`cells`] — matrix expansion: scenario → complete [`Cell`]s with
+//!   stable keys (`sim/WORKLOAD1/5MB/FAULT/MISS/1cpu`), each of which
+//!   builds its own job. `spur-serve` compiles a `POST /v1/jobs` body
+//!   into a one-cell `Cell` with the same validators.
 //! - [`asserts`] — the assertion language: counter ranges, cross-cell
 //!   relations ("FAULT dirty faults ≥ MIN at every memory size"),
 //!   monotonicity along an axis.
@@ -33,6 +35,8 @@ pub mod render;
 pub mod run;
 
 pub use asserts::{Assertion, CellResult, Verdict};
-pub use cells::{enumerate, Cell, CellValue};
+pub use cells::{Cell, CellValue};
 pub use config::{Kind, Scenario, WorkloadSource, SCHEMA_VERSION};
-pub use run::{run_legacy, run_scenario, scale_name, RunnerOptions, ScenarioRun};
+pub use run::{
+    export_traces, persist_run, run_legacy, run_scenario, scale_name, RunnerOptions, ScenarioRun,
+};

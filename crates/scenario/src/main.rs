@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use spur_core::experiments::Scale;
-use spur_scenario::{enumerate, run_legacy, run_scenario, scale_name, RunnerOptions, Scenario};
+use spur_scenario::{run_legacy, run_scenario, scale_name, RunnerOptions, Scenario};
 
 const USAGE: &str = "usage: spur-scenario <command> [args]
 
@@ -66,7 +66,7 @@ fn validate(files: &[String]) -> ExitCode {
         match load(path) {
             Ok(s) => {
                 let scale = s.resolve_scale(None);
-                match enumerate(&s, scale) {
+                match s.cells(scale, None) {
                     Ok(cells) => println!(
                         "ok: {path}: {} ({:?}, {} cell(s), {} assertion(s))",
                         s.name,
@@ -117,7 +117,7 @@ fn explain(files: &[String]) -> ExitCode {
         scale.reps,
         scale.seed
     );
-    match enumerate(&scenario, scale) {
+    match scenario.cells(scale, None) {
         Ok(cells) => {
             println!("cells: {}", cells.len());
             for cell in &cells {
@@ -255,7 +255,7 @@ fn list(args: &[String]) -> ExitCode {
         match load(&path.to_string_lossy()) {
             Ok(s) => {
                 let scale = s.resolve_scale(None);
-                let cells = enumerate(&s, scale).map(|c| c.len());
+                let cells = s.cells(scale, None).map(|c| c.len());
                 match cells {
                     Ok(n) => println!(
                         "{:<40} {:<14} {:>3} cell(s) {:>2} assertion(s)  {}",

@@ -37,9 +37,13 @@ pub fn legacy_banner(scenario: &Scenario, scale: &Scale) -> Option<String> {
 /// The stderr prefix each legacy binary used on a missing/failed cell.
 pub fn error_prefix(kind: Kind) -> &'static str {
     match kind {
-        Kind::Flush | Kind::Assoc | Kind::CacheScaling | Kind::Crossover | Kind::Events => {
-            "experiment failed"
-        }
+        Kind::Flush
+        | Kind::Assoc
+        | Kind::CacheScaling
+        | Kind::Crossover
+        | Kind::Events
+        | Kind::Refbit
+        | Kind::Mp => "experiment failed",
         Kind::SoftFaults | Kind::Watermarks | Kind::Sim => "run failed",
     }
 }
@@ -338,6 +342,12 @@ pub fn render_legacy(scenario: &Scenario, report: &RunReport<CellValue>) -> Resu
         }
         Kind::Sim => {
             out.push_str(&render_sim(scenario, report)?);
+        }
+        Kind::Refbit | Kind::Mp => {
+            return Err(format!(
+                "experiment {:?} has no legacy stdout",
+                scenario.kind.as_str()
+            ))
         }
     }
     Ok(out)

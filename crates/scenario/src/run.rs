@@ -1,18 +1,16 @@
 //! The scenario runner: resolve the scale, expand the matrix, run the
 //! jobs, persist artifacts, evaluate assertions.
 //!
-//! The persistence epilogue deliberately mirrors the legacy binaries'
-//! `finish_run_obs` line for line — run directory `<name>-<scale>`,
-//! the same manifest meta in the same order, the same stderr summary —
-//! so a scenario run is a drop-in replacement for the binary it
-//! folded in, down to the artifact tree.
+//! The persistence epilogue ([`persist_run`]) is the one every harness
+//! binary ends with — run directory `<name>-<scale>`, the same
+//! manifest meta in the same order, the same stderr summary — so a
+//! scenario run is a drop-in replacement for the binary it folded in,
+//! down to the artifact tree.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use spur_core::experiments::Scale;
 use spur_core::obs::ObsParams;
-use spur_harness::fault::{arm, FaultPlan};
 use spur_harness::{
     default_root, job_artifact_json, run_jobs_with_progress, write_run, Json, RunReport,
 };
@@ -144,24 +142,10 @@ pub fn effective_obs(scenario: &Scenario, opts: &RunnerOptions) -> Option<ObsPar
 /// and partial results.
 pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<ScenarioRun, String> {
     let scale = scenario.resolve_scale(opts.scale);
-    let obs = effective_obs(scenario, opts);
-    let expanded = expand(scenario, scale, obs)?;
-
-    let mut cells = Vec::with_capacity(expanded.len());
-    let mut jobs = Vec::with_capacity(expanded.len());
-    let plan = scenario
-        .run
-        .fault_plan
-        .map(|(seed, ppm)| Arc::new(FaultPlan::new(seed, ppm)));
-    for (cell, job) in expanded {
-        let job = match &plan {
-            Some(plan) => arm(plan, job, &cell.key),
-            None => job,
-        };
-        cells.push(cell);
-        jobs.push(job);
-    }
-
+    let (cells, jobs): (Vec<Cell>, Vec<_>) =
+        expand(scenario, scale, effective_obs(scenario, opts))?
+            .into_iter()
+            .unzip();
     let report = run_jobs_with_progress(jobs, opts.workers, opts.progress);
     if opts.persist {
         persist_run(&scenario.name, &scale, &report, opts.trace_out.as_deref());
@@ -254,17 +238,13 @@ pub fn scale_name(scale: &Scale) -> &'static str {
     }
 }
 
-/// The run epilogue, line-for-line what the legacy binaries' shared
-/// `finish_run_obs` printed: persist artifacts under
-/// `results/json/<name>-<scale>/` (or `$SPUR_RESULTS_DIR`), print the
-/// run summary and the wall-time histogram, export traces on request
-/// — all on stderr, leaving stdout to the tables.
-pub fn persist_run(
-    name: &str,
-    scale: &Scale,
-    report: &RunReport<CellValue>,
-    trace_out: Option<&Path>,
-) {
+/// The run epilogue every harness binary and scenario run ends with:
+/// persist artifacts under `results/json/<name>-<scale>/` (or
+/// `$SPUR_RESULTS_DIR`), print the run summary and the per-job
+/// wall-time histogram, and export Chrome traces under `trace_out`
+/// on request — all on stderr, leaving stdout to the tables. Wall
+/// times are nondeterministic, so they never enter the artifacts.
+pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_out: Option<&Path>) {
     let run_name = format!("{name}-{}", scale_name(scale));
     let meta = [
         ("refs", Json::from(scale.refs)),
@@ -305,7 +285,7 @@ fn write_scenario_result(scenario: &Scenario, run: &ScenarioRun) {
     }
 }
 
-fn wall_histogram_line(report: &RunReport<CellValue>) -> String {
+fn wall_histogram_line<T>(report: &RunReport<T>) -> String {
     let mut wall = spur_obs::Histogram::new("job_wall_ms");
     for job in report.jobs() {
         wall.record(job.wall.as_millis() as u64);
@@ -318,12 +298,18 @@ fn wall_histogram_line(report: &RunReport<CellValue>) -> String {
     format!("job wall histogram: {}", buckets.join(" "))
 }
 
-/// Writes every successful job's Chrome trace under
-/// `<root>/<run_name>/`, same file-stem rule as the artifact writer.
-fn export_traces(
+/// Writes every successful job's Chrome trace to
+/// `<root>/<run_name>/<key>.trace.json`, keys mapped to file stems by
+/// the artifact writer's rule so each trace sits beside its artifact's
+/// name. Returns the number of files written.
+///
+/// # Errors
+///
+/// Propagates the first filesystem error.
+pub fn export_traces<T>(
     root: &Path,
     run_name: &str,
-    report: &RunReport<CellValue>,
+    report: &RunReport<T>,
 ) -> std::io::Result<usize> {
     let dir = root.join(run_name);
     let mut written = 0;

@@ -1,11 +1,13 @@
-//! The job-submission API: JSON bodies in, keyed harness jobs out.
+//! The job-submission API: a flat JSON body in, one scenario cell out.
 //!
-//! A submission describes one experiment cell with the same vocabulary
-//! the CLI regenerators use, and compiles to a [`Job`] built by the
-//! *same* builders in `spur_core::jobs` under the *same* key scheme
-//! `reproduce_all` uses (`table_4_1/SLC/5MB/MISS`, …). That shared
-//! construction is the whole determinism story: a job submitted over
-//! HTTP produces artifact bytes identical to the batch sweep's.
+//! A submission describes one experiment cell and compiles to a
+//! one-cell [`spur_scenario::Cell`]: every field is checked by the
+//! scenario engine's own value validators and limits, the cell mints
+//! the same key `reproduce_all` uses (`table_4_1/SLC/5MB/MISS`, …),
+//! and the worker runs [`Cell::job`] — the `spur_core::jobs` builders
+//! a CLI sweep calls. That shared construction is the whole
+//! determinism story: a job submitted over HTTP produces artifact
+//! bytes identical to the batch sweep's.
 //!
 //! ```json
 //! {
@@ -19,94 +21,48 @@
 //! }
 //! ```
 //!
-//! `workload` names a builtin (`SLC`, `WORKLOAD1`); `workload_spec`
-//! instead carries a full workload-spec text (the `spur-trace::spec`
-//! format) for custom workloads. `scale` is a preset name (`quick`,
-//! `default`, `full`) or an object. Everything but `experiment`,
-//! `workload`/`workload_spec`, and `mem_mb` is optional.
+//! `experiment` is `refbit` (a Table 4.1 cell), `events` (Table 3.3)
+//! or `mp` (a §4.1 multiprocessor cell). `workload` names a builtin
+//! (`SLC`, `WORKLOAD1`); `workload_spec` instead carries a full
+//! workload-spec text (the `spur-trace::spec` format) for custom
+//! workloads. `scale` is a preset name (`quick`, `default`, `full`) or
+//! an object whose missing fields come from `quick`. An `mp` cell
+//! takes `cpus` (default 2) and `shared_pages` (default 256) and
+//! derives its workload and memory itself, so it refuses `workload`,
+//! `workload_spec`, `mem_mb` and `overrides`. Everything but
+//! `experiment`, `workload`/`workload_spec`, and `mem_mb` is optional.
 
 use spur_core::experiments::Scale;
-use spur_core::jobs::{events_job_for, refbit_job_for};
 use spur_core::obs::ObsParams;
 use spur_core::system::SimOverrides;
-use spur_harness::{Job, Json};
-use spur_obs::validate::{get_field, parse};
-use spur_trace::spec::{format_workload, parse_workload};
-use spur_trace::workloads::{slc, workload1, Workload};
-use spur_types::MemSize;
-use spur_vm::policy::RefPolicy;
+use spur_harness::Json;
+use spur_obs::validate::parse;
+use spur_scenario::config::{
+    as_str, as_u64, field, opt_u64, parse_axis_value, parse_scale, require,
+};
+use spur_scenario::{Cell, Kind, WorkloadSource};
 
 use crate::queue::Priority;
 
-/// Guardrail on `scale.refs`: one served job may be big, but not
-/// "typo'd an extra three zeros" big.
-pub const MAX_REFS: u64 = 100_000_000;
-
-/// Guardrail on `scale.reps`.
-pub const MAX_REPS: u32 = 16;
-
-/// Largest accepted `mem_mb` (the paper's machines top out at 16 MB;
-/// 4 GB is beyond any sensible cell).
-pub const MAX_MEM_MB: u64 = 4096;
-
-/// Guardrail on the mp cell's sharing degree.
-pub const MAX_SHARED_PAGES: u64 = 8192;
-
-/// Which experiment family a submission runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    /// A Table 4.1 cell (reference-bit policy evaluation).
-    Refbit(RefPolicy),
-    /// A Table 3.3 cell (event frequencies).
-    Events,
-    /// A measured multiprocessor cell (`spur-mp` sweep). The workload
-    /// and memory size are derived from the cell parameters, exactly
-    /// as `reproduce_mp` derives them.
-    Mp {
-        policy: RefPolicy,
-        cpus: usize,
-        shared_pages: u64,
-    },
-}
-
-/// A validated submission, ready to compile into a keyed [`Job`].
+/// A validated submission: one complete cell and its priority lane.
 #[derive(Debug)]
 pub struct JobSpec {
-    kind: Kind,
-    workload: Workload,
-    mem: MemSize,
-    scale: Scale,
-    obs: Option<ObsParams>,
-    overrides: SimOverrides,
+    cell: Cell,
     priority: Priority,
 }
 
 impl JobSpec {
-    /// The experiment family name, used as the `experiment` label on
-    /// span-derived Prometheus histograms (a closed, static set so
-    /// label cardinality stays bounded).
+    /// The experiment family name (`refbit`, `events`, `mp`), used as
+    /// the `experiment` label on span-derived Prometheus histograms (a
+    /// closed, static set so label cardinality stays bounded).
     pub fn experiment(&self) -> &'static str {
-        match self.kind {
-            Kind::Refbit(_) => "refbit",
-            Kind::Events => "events",
-            Kind::Mp { .. } => "mp",
-        }
+        self.cell.kind.as_str()
     }
 
     /// The job's stable key, identical to the CLI sweep's for the same
     /// cell.
     pub fn key(&self) -> String {
-        let name = self.workload.name();
-        let mb = self.mem.megabytes();
-        match self.kind {
-            Kind::Refbit(policy) => format!("table_4_1/{name}/{mb}MB/{policy}"),
-            Kind::Events => format!("table_3_3/{name}/{mb}MB"),
-            Kind::Mp {
-                policy,
-                cpus,
-                shared_pages,
-            } => spur_mp::mp_key(cpus, shared_pages, policy),
-        }
+        self.cell.key.clone()
     }
 
     /// The submission's priority lane (`"priority"` field, default
@@ -120,65 +76,23 @@ impl JobSpec {
     /// time. A greedy client submitting huge cells burns its deficit
     /// proportionally faster than one submitting quick cells.
     pub fn cost(&self) -> u64 {
-        self.scale.refs.saturating_mul(u64::from(self.scale.reps))
+        self.cell
+            .scale
+            .refs
+            .saturating_mul(u64::from(self.cell.scale.reps))
     }
 
-    /// The canonical *full-spec* identity, the unit of coalescing,
-    /// caching, and peer routing.
-    ///
-    /// The harness key (`table_4_1/SLC/5MB/MISS`) deliberately omits
-    /// scale, seed, observability, and overrides — two submissions with
-    /// the same key can still demand different simulations. Everything
-    /// that changes the produced artifact byte-for-byte is folded in
-    /// here, so two equal identities are interchangeable results by
-    /// construction. Custom workload text enters as a hash: identity
-    /// strings stay short and never embed user payloads.
+    /// The cell's full-spec identity ([`Cell::identity`]), the unit of
+    /// coalescing, caching, and peer routing. Priority deliberately
+    /// stays out: a high-priority duplicate can ride an in-flight
+    /// normal-priority run.
     pub fn identity(&self) -> String {
-        let s = &self.scale;
-        format!(
-            "{}|wl={:016x}|refs={},seed={},reps={},dev={}|obs={:?}|ov={:?}",
-            self.key(),
-            fnv1a(format_workload(&self.workload).as_bytes()),
-            s.refs,
-            s.seed,
-            s.reps,
-            s.dev_refs_per_hour,
-            self.obs,
-            self.overrides,
-        )
+        self.cell.identity()
     }
 
-    /// Compiles the spec into a harness job via the shared builders.
-    /// The typed row is erased — the service only persists artifacts.
-    pub fn build(self) -> Job<()> {
-        let key = self.key();
-        let workload = self.workload;
-        match self.kind {
-            Kind::Refbit(policy) => refbit_job_for(
-                key,
-                move || workload,
-                self.mem,
-                policy,
-                self.scale,
-                self.obs,
-                self.overrides,
-            )
-            .map(|_| ()),
-            Kind::Events => events_job_for(
-                key,
-                move || workload,
-                self.mem,
-                self.scale,
-                self.obs,
-                self.overrides,
-            )
-            .map(|_| ()),
-            Kind::Mp {
-                policy,
-                cpus,
-                shared_pages,
-            } => spur_mp::mp_job(key, cpus, policy, shared_pages, self.scale, self.obs).map(|_| ()),
-        }
+    /// The compiled cell, whose [`Cell::job`] the worker runs.
+    pub fn into_cell(self) -> Cell {
+        self.cell
     }
 }
 
@@ -190,98 +104,78 @@ pub fn parse_job_spec(body: &[u8]) -> Result<JobSpec, String> {
     if !matches!(doc, Json::Obj(_)) {
         return Err("body must be a JSON object".into());
     }
-
-    let kind = match require_str(&doc, "experiment")? {
-        "refbit" => {
-            let policy = match get_field(&doc, "policy") {
-                None => RefPolicy::Miss,
-                Some(v) => as_str(v, "policy")?
-                    .parse::<RefPolicy>()
-                    .map_err(|e| e.to_string())?,
-            };
-            Kind::Refbit(policy)
-        }
-        "events" => Kind::Events,
-        "mp" => {
-            let policy = match get_field(&doc, "policy") {
-                None => RefPolicy::Miss,
-                Some(v) => as_str(v, "policy")?
-                    .parse::<RefPolicy>()
-                    .map_err(|e| e.to_string())?,
-            };
-            let cpus = opt_u64(&doc, "cpus")?.unwrap_or(2);
-            if cpus == 0 || cpus > 12 {
-                return Err(format!("cpus must be in 1..=12, got {cpus}"));
-            }
-            let shared_pages = opt_u64(&doc, "shared_pages")?.unwrap_or(256);
-            if shared_pages == 0 || shared_pages > MAX_SHARED_PAGES {
-                return Err(format!(
-                    "shared_pages must be in 1..={MAX_SHARED_PAGES}, got {shared_pages}"
-                ));
-            }
-            Kind::Mp {
-                policy,
-                cpus: cpus as usize,
-                shared_pages,
-            }
-        }
-        other => {
+    let experiment = as_str(require(&doc, "", "experiment")?, "experiment")?;
+    let kind = match Kind::from_name(experiment) {
+        Some(kind @ (Kind::Refbit | Kind::Events | Kind::Mp)) => kind,
+        _ => {
             return Err(format!(
-                "unknown experiment {other:?} (expected refbit|events|mp)"
+                "unknown experiment {experiment:?} (expected refbit|events|mp)"
             ))
         }
     };
+    // The flat fields are the one-cell matrix's coordinates, each
+    // validated as the scenario engine validates that axis.
+    let coord = |axis: &str, name: &str, value: &Json| -> Result<(String, Json), String> {
+        Ok((axis.to_string(), parse_axis_value(kind, axis, value, name)?))
+    };
+    let policy = field(&doc, "policy")
+        .cloned()
+        .unwrap_or_else(|| Json::from("MISS"));
 
-    let scale = parse_scale(&doc)?;
-    let obs = parse_obs(&doc)?;
-    let priority = parse_priority(&doc)?;
-
-    if let Kind::Mp {
-        cpus, shared_pages, ..
-    } = kind
-    {
+    let mut coords = Vec::new();
+    let mut workload = None;
+    let mut overrides = SimOverrides::default();
+    if kind == Kind::Mp {
         // The mp cell derives its workload (`mp_workers`) and memory
         // size itself, exactly as `reproduce_mp` does — accepting a
         // workload here would break the shared-key determinism story.
-        for field in ["workload", "workload_spec", "mem_mb", "overrides"] {
-            if get_field(&doc, field).is_some() {
-                return Err(format!("{field} is not accepted for experiment \"mp\""));
+        for name in ["workload", "workload_spec", "mem_mb", "overrides"] {
+            if field(&doc, name).is_some() {
+                return Err(format!("{name} is not accepted for experiment \"mp\""));
             }
         }
-        return Ok(JobSpec {
-            kind,
-            workload: spur_trace::workloads::mp_workers(cpus, shared_pages),
-            mem: MemSize::MB8,
-            scale,
-            obs,
-            overrides: SimOverrides::default(),
-            priority,
-        });
+        coords.push(coord("ref", "policy", &policy)?);
+        let cpus = field(&doc, "cpus").cloned().unwrap_or(Json::UInt(2));
+        coords.push(coord("cpus", "cpus", &cpus)?);
+        let shared = field(&doc, "shared_pages")
+            .cloned()
+            .unwrap_or(Json::UInt(256));
+        coords.push(coord("shared_pages", "shared_pages", &shared)?);
+    } else {
+        match (field(&doc, "workload"), field(&doc, "workload_spec")) {
+            (Some(_), Some(_)) => {
+                return Err("give either workload or workload_spec, not both".into())
+            }
+            (Some(v), None) => coords.push(coord("workload", "workload", v)?),
+            (None, Some(v)) => {
+                workload = Some(WorkloadSource::spec(
+                    as_str(v, "workload_spec")?,
+                    "workload_spec",
+                )?)
+            }
+            (None, None) => return Err("missing workload (or workload_spec)".into()),
+        }
+        coords.push(coord("mem_mb", "mem_mb", require(&doc, "", "mem_mb")?)?);
+        if kind == Kind::Refbit {
+            coords.push(coord("ref", "policy", &policy)?);
+        }
+        overrides = parse_overrides(&doc)?;
     }
+    let scale = match field(&doc, "scale") {
+        None => Scale::quick(),
+        Some(v) => parse_scale(v, Scale::quick())?,
+    };
 
-    let workload = parse_workload_field(&doc)?;
-
-    let mem_mb = require_u64(&doc, "mem_mb")?;
-    if mem_mb == 0 || mem_mb > MAX_MEM_MB {
-        return Err(format!("mem_mb must be in 1..={MAX_MEM_MB}, got {mem_mb}"));
-    }
-    let mem = MemSize::new(mem_mb as u32);
-
-    let overrides = parse_overrides(&doc)?;
-
+    let mut cell = Cell::new(kind, coords, workload, None, None, scale, parse_obs(&doc)?);
+    cell.overrides = overrides;
     Ok(JobSpec {
-        kind,
-        workload,
-        mem,
-        scale,
-        obs,
-        overrides,
-        priority,
+        cell,
+        priority: parse_priority(&doc)?,
     })
 }
 
 fn parse_priority(doc: &Json) -> Result<Priority, String> {
-    match get_field(doc, "priority") {
+    match field(doc, "priority") {
         None => Ok(Priority::Normal),
         Some(v) => match as_str(v, "priority")? {
             "high" => Ok(Priority::High),
@@ -294,80 +188,8 @@ fn parse_priority(doc: &Json) -> Result<Priority, String> {
     }
 }
 
-/// FNV-1a 64, the same tiny non-cryptographic hash the fault plan
-/// uses: enough to fold arbitrary workload text into a fixed-width
-/// identity component.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn parse_workload_field(doc: &Json) -> Result<Workload, String> {
-    match (get_field(doc, "workload"), get_field(doc, "workload_spec")) {
-        (Some(_), Some(_)) => Err("give either workload or workload_spec, not both".into()),
-        (Some(v), None) => match as_str(v, "workload")?.to_ascii_uppercase().as_str() {
-            "SLC" => Ok(slc()),
-            "WORKLOAD1" => Ok(workload1()),
-            other => Err(format!(
-                "unknown workload {other:?} (expected SLC|WORKLOAD1; use workload_spec for custom workloads)"
-            )),
-        },
-        (None, Some(v)) => {
-            let text = as_str(v, "workload_spec")?;
-            parse_workload(text).map_err(|e| format!("bad workload_spec: {e}"))
-        }
-        (None, None) => Err("missing workload (or workload_spec)".into()),
-    }
-}
-
-fn parse_scale(doc: &Json) -> Result<Scale, String> {
-    let Some(value) = get_field(doc, "scale") else {
-        return Ok(Scale::quick());
-    };
-    let mut scale = match value {
-        Json::Str(preset) => {
-            return match preset.as_str() {
-                "quick" => Ok(Scale::quick()),
-                "default" => Ok(Scale::default_scale()),
-                "full" => Ok(Scale::full()),
-                other => Err(format!(
-                    "unknown scale preset {other:?} (expected quick|default|full)"
-                )),
-            }
-        }
-        Json::Obj(_) => Scale::quick(),
-        _ => return Err("scale must be a preset name or an object".into()),
-    };
-    if let Some(refs) = opt_u64(value, "refs")? {
-        if refs == 0 || refs > MAX_REFS {
-            return Err(format!("scale.refs must be in 1..={MAX_REFS}, got {refs}"));
-        }
-        scale.refs = refs;
-    }
-    if let Some(seed) = opt_u64(value, "seed")? {
-        scale.seed = seed;
-    }
-    if let Some(reps) = opt_u64(value, "reps")? {
-        if reps == 0 || reps > MAX_REPS as u64 {
-            return Err(format!("scale.reps must be in 1..={MAX_REPS}, got {reps}"));
-        }
-        scale.reps = reps as u32;
-    }
-    if let Some(per_hour) = opt_u64(value, "dev_refs_per_hour")? {
-        if per_hour == 0 {
-            return Err("scale.dev_refs_per_hour must be positive".into());
-        }
-        scale.dev_refs_per_hour = per_hour;
-    }
-    Ok(scale)
-}
-
 fn parse_obs(doc: &Json) -> Result<Option<ObsParams>, String> {
-    match get_field(doc, "obs") {
+    match field(doc, "obs") {
         // Observability is on by default: a service without metrics on
         // its own jobs would be a poor advertisement for the obs layer.
         None => Ok(Some(ObsParams::default())),
@@ -375,7 +197,7 @@ fn parse_obs(doc: &Json) -> Result<Option<ObsParams>, String> {
         Some(Json::Bool(true)) => Ok(Some(ObsParams::default())),
         Some(v @ Json::Obj(_)) => {
             let mut params = ObsParams::default();
-            if let Some(epoch) = opt_u64(v, "epoch")? {
+            if let Some(epoch) = opt_u64(v, "obs", "epoch")? {
                 if epoch == 0 {
                     return Err("obs.epoch must be positive".into());
                 }
@@ -388,26 +210,27 @@ fn parse_obs(doc: &Json) -> Result<Option<ObsParams>, String> {
 }
 
 fn parse_overrides(doc: &Json) -> Result<SimOverrides, String> {
-    let Some(value) = get_field(doc, "overrides") else {
+    let Some(value) = field(doc, "overrides") else {
         return Ok(SimOverrides::default());
     };
     if !matches!(value, Json::Obj(_)) {
         return Err("overrides must be an object".into());
     }
+    let path = "overrides";
     let mut ov = SimOverrides::default();
-    if let Some(cpus) = opt_u64(value, "cpus")? {
+    if let Some(cpus) = opt_u64(value, path, "cpus")? {
         if cpus == 0 {
             return Err("overrides.cpus must be positive".into());
         }
         ov.cpus = Some(cpus as usize);
     }
-    if let Some(v) = get_field(value, "soft_faults") {
+    if let Some(v) = field(value, "soft_faults") {
         match v {
             Json::Bool(b) => ov.soft_faults = Some(*b),
             _ => return Err("overrides.soft_faults must be a bool".into()),
         }
     }
-    if let Some(v) = get_field(value, "daemon_period") {
+    if let Some(v) = field(value, "daemon_period") {
         match v {
             // An explicit null forces the periodic daemon *off*,
             // distinct from "don't override".
@@ -421,66 +244,44 @@ fn parse_overrides(doc: &Json) -> Result<SimOverrides, String> {
             }
         }
     }
-    if let Some(frames) = opt_u64(value, "kernel_reserved_frames")? {
+    if let Some(frames) = opt_u64(value, path, "kernel_reserved_frames")? {
         ov.kernel_reserved_frames = Some(frames as u32);
     }
-    if let Some(low) = opt_u64(value, "free_low_water")? {
+    if let Some(low) = opt_u64(value, path, "free_low_water")? {
         ov.free_low_water = Some(low as u32);
     }
-    if let Some(high) = opt_u64(value, "free_high_water")? {
+    if let Some(high) = opt_u64(value, path, "free_high_water")? {
         ov.free_high_water = Some(high as u32);
     }
     Ok(ov)
 }
 
-fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
-    match v {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("{what} must be a string")),
-    }
-}
-
-fn as_u64(v: &Json, what: &str) -> Result<u64, String> {
-    match v {
-        Json::UInt(u) => Ok(*u),
-        Json::Int(i) if *i >= 0 => Ok(*i as u64),
-        _ => Err(format!("{what} must be a non-negative integer")),
-    }
-}
-
-fn require_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
-    get_field(doc, key)
-        .ok_or_else(|| format!("missing {key}"))
-        .and_then(|v| as_str(v, key))
-}
-
-fn require_u64(doc: &Json, key: &str) -> Result<u64, String> {
-    get_field(doc, key)
-        .ok_or_else(|| format!("missing {key}"))
-        .and_then(|v| as_u64(v, key))
-}
-
-fn opt_u64(doc: &Json, key: &str) -> Result<Option<u64>, String> {
-    get_field(doc, key).map(|v| as_u64(v, key)).transpose()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spur_core::jobs::{events_job_for, refbit_job_for, refbit_job_obs};
     use spur_harness::{job_artifact_json, run_one};
-    use spur_trace::spec::format_workload;
+    use spur_trace::spec::{format_workload, parse_workload};
+    use spur_trace::workloads::slc;
+    use spur_types::MemSize;
+    use spur_vm::policy::RefPolicy;
 
     fn spec(body: &str) -> Result<JobSpec, String> {
         parse_job_spec(body.as_bytes())
+    }
+
+    /// A job's artifact document, as the result endpoint serves it.
+    fn artifact<T>(job: spur_harness::Job<T>) -> String {
+        job_artifact_json(&run_one(job)).encode_pretty()
     }
 
     #[test]
     fn minimal_refbit_submission_gets_cli_key_and_defaults() {
         let s = spec(r#"{"experiment":"refbit","workload":"slc","mem_mb":5}"#).unwrap();
         assert_eq!(s.key(), "table_4_1/SLC/5MB/MISS");
-        assert_eq!(s.scale, Scale::quick());
-        assert_eq!(s.obs, Some(ObsParams::default()));
-        assert!(s.overrides.is_noop());
+        assert_eq!(s.cell.scale, Scale::quick());
+        assert_eq!(s.cell.obs, Some(ObsParams::default()));
+        assert!(s.cell.overrides.is_noop());
     }
 
     #[test]
@@ -502,12 +303,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.key(), "table_4_1/SLC/6MB/NOREF");
-        assert_eq!(s.scale.refs, 30000);
-        assert_eq!(s.scale.seed, 7);
-        assert_eq!(s.scale.reps, 2);
-        assert_eq!(s.obs.unwrap().epoch, Some(5000));
-        assert_eq!(s.overrides.daemon_period, Some(Some(1000)));
-        assert_eq!(s.overrides.soft_faults, Some(false));
+        assert_eq!(s.cell.scale.refs, 30000);
+        assert_eq!(s.cell.scale.seed, 7);
+        assert_eq!(s.cell.scale.reps, 2);
+        assert_eq!(s.cell.obs.unwrap().epoch, Some(5000));
+        assert_eq!(s.cell.overrides.daemon_period, Some(Some(1000)));
+        assert_eq!(s.cell.overrides.soft_faults, Some(false));
     }
 
     #[test]
@@ -527,7 +328,7 @@ mod tests {
     fn minimal_mp_submission_gets_sweep_key_and_defaults() {
         let s = spec(r#"{"experiment":"mp"}"#).unwrap();
         assert_eq!(s.key(), "mp/02cpu/0256sh/MISS");
-        assert_eq!(s.scale, Scale::quick());
+        assert_eq!(s.cell.scale, Scale::quick());
     }
 
     #[test]
@@ -538,8 +339,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.key(), "mp/04cpu/1024sh/REF");
-        assert_eq!(s.scale.refs, 30000);
-        assert!(s.obs.is_none());
+        assert_eq!(s.cell.scale.refs, 30000);
+        assert!(s.cell.obs.is_none());
     }
 
     #[test]
@@ -555,7 +356,7 @@ mod tests {
                 "scale":{"refs":30000,"seed":1989,"reps":1},"obs":false}"#,
         )
         .unwrap();
-        let via_api = run_one(s.build());
+        let via_api = run_one(s.into_cell().job());
         let direct = run_one(spur_mp::mp_job(
             "mp/02cpu/0256sh/MISS".into(),
             2,
@@ -573,15 +374,15 @@ mod tests {
     #[test]
     fn mp_rejections_are_messages_not_panics() {
         for (body, needle) in [
-            (r#"{"experiment":"mp","cpus":0}"#, "cpus must be"),
-            (r#"{"experiment":"mp","cpus":13}"#, "cpus must be"),
+            (r#"{"experiment":"mp","cpus":0}"#, "cpus: must be"),
+            (r#"{"experiment":"mp","cpus":13}"#, "cpus: must be"),
             (
                 r#"{"experiment":"mp","shared_pages":0}"#,
-                "shared_pages must be",
+                "shared_pages: must be",
             ),
             (
                 r#"{"experiment":"mp","shared_pages":100000}"#,
-                "shared_pages must be",
+                "shared_pages: must be",
             ),
             (
                 r#"{"experiment":"mp","workload":"SLC"}"#,
@@ -610,7 +411,10 @@ mod tests {
         for (body, needle) in [
             ("", "not valid JSON"),
             ("[1,2]", "must be a JSON object"),
-            (r#"{"workload":"SLC","mem_mb":5}"#, "missing experiment"),
+            (
+                r#"{"workload":"SLC","mem_mb":5}"#,
+                "experiment: missing required field",
+            ),
             (
                 r#"{"experiment":"tlb","workload":"SLC","mem_mb":5}"#,
                 "unknown experiment",
@@ -622,19 +426,19 @@ mod tests {
             ),
             (
                 r#"{"experiment":"events","workload_spec":"not a spec","mem_mb":5}"#,
-                "bad workload_spec",
+                "workload_spec: bad workload spec",
             ),
             (
                 r#"{"experiment":"events","workload":"SLC"}"#,
-                "missing mem_mb",
+                "mem_mb: missing required field",
             ),
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":0}"#,
-                "mem_mb must be",
+                "mem_mb: must be in",
             ),
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":-5}"#,
-                "mem_mb must be a non-negative",
+                "mem_mb: must be a non-negative",
             ),
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":5,"scale":{"refs":0}}"#,
@@ -642,7 +446,7 @@ mod tests {
             ),
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":5,"scale":"huge"}"#,
-                "scale preset",
+                "scale: unknown preset",
             ),
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":5,"scale":{"reps":999}}"#,
@@ -716,6 +520,12 @@ mod tests {
         let f = spec(r#"{"experiment":"refbit","workload":"SLC","mem_mb":5,"priority":"high"}"#)
             .unwrap();
         assert_eq!(d.identity(), f.identity());
+
+        // Names canonicalize before they reach the identity: lower-case
+        // spellings of the same cell share the upper-case identity.
+        let g =
+            spec(r#"{"experiment":"refbit","workload":"slc","mem_mb":5,"policy":"miss"}"#).unwrap();
+        assert_eq!(d.identity(), g.identity());
     }
 
     #[test]
@@ -735,24 +545,99 @@ mod tests {
             reps: 1,
             dev_refs_per_hour: 120_000,
         };
-        let s = spec(
-            r#"{"experiment":"refbit","workload":"SLC","mem_mb":5,
-                "scale":{"refs":20000,"seed":1989,"reps":1},"obs":false}"#,
-        )
-        .unwrap();
-        let via_api = run_one(s.build());
-        let direct = run_one(spur_core::jobs::refbit_job_for(
-            "table_4_1/SLC/5MB/MISS".into(),
-            slc,
-            MemSize::MB5,
-            RefPolicy::Miss,
-            scale,
-            None,
-            SimOverrides::default(),
-        ));
-        assert_eq!(
-            job_artifact_json(&via_api).encode_pretty(),
-            job_artifact_json(&direct).encode_pretty(),
-        );
+        let scale_field = r#""scale":{"refs":20000,"seed":1989,"reps":1}"#;
+        let key = "table_4_1/SLC/5MB/MISS".to_string();
+        let daemon = SimOverrides {
+            daemon_period: Some(Some(1000)),
+            ..SimOverrides::default()
+        };
+        let epoch = ObsParams {
+            epoch: Some(5000),
+            ..ObsParams::default()
+        };
+        let spec_text = format_workload(&slc());
+        let spec_body = Json::object([
+            ("experiment", Json::from("refbit")),
+            ("workload_spec", Json::Str(spec_text.clone())),
+            ("mem_mb", Json::UInt(5)),
+            (
+                "scale",
+                parse(r#"{"refs":20000,"seed":1989,"reps":1}"#).unwrap(),
+            ),
+            ("obs", Json::Bool(false)),
+        ])
+        .encode();
+        let cases = [
+            (
+                format!(
+                    r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":false}}"#
+                ),
+                artifact(refbit_job_for(
+                    key.clone(),
+                    slc,
+                    MemSize::MB5,
+                    RefPolicy::Miss,
+                    scale,
+                    None,
+                    SimOverrides::default(),
+                )),
+            ),
+            (
+                format!(
+                    r#"{{"experiment":"events","workload":"SLC","mem_mb":5,{scale_field},"obs":false}}"#
+                ),
+                artifact(events_job_for(
+                    "table_3_3/SLC/5MB".into(),
+                    slc,
+                    MemSize::MB5,
+                    scale,
+                    None,
+                    SimOverrides::default(),
+                )),
+            ),
+            (
+                spec_body,
+                artifact(refbit_job_for(
+                    key.clone(),
+                    move || parse_workload(&spec_text).unwrap(),
+                    MemSize::MB5,
+                    RefPolicy::Miss,
+                    scale,
+                    None,
+                    SimOverrides::default(),
+                )),
+            ),
+            (
+                format!(
+                    r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":false,"overrides":{{"daemon_period":1000}}}}"#
+                ),
+                artifact(refbit_job_for(
+                    key.clone(),
+                    slc,
+                    MemSize::MB5,
+                    RefPolicy::Miss,
+                    scale,
+                    None,
+                    daemon,
+                )),
+            ),
+            (
+                format!(
+                    r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":{{"epoch":5000}}}}"#
+                ),
+                artifact(refbit_job_obs(
+                    key,
+                    slc,
+                    MemSize::MB5,
+                    RefPolicy::Miss,
+                    scale,
+                    Some(epoch),
+                )),
+            ),
+        ];
+        for (body, direct) in cases {
+            let via_api = artifact(spec(&body).unwrap().into_cell().job());
+            assert_eq!(via_api, direct, "{body}");
+        }
     }
 }

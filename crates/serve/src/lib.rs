@@ -48,9 +48,13 @@
 //!
 //! # Determinism
 //!
-//! Served jobs are compiled by the same `spur_core::jobs` builders
-//! under the same keys the CLI sweeps use, executed by the same
-//! [`spur_harness::run_one`] body, and the result endpoint streams
+//! A `POST /v1/jobs` body compiles to a one-cell
+//! [`spur_scenario::Cell`] and a `POST /v1/scenarios` matrix to one
+//! cell per point; workers build every job with
+//! [`spur_scenario::Cell::job`] — the call the `spur-scenario` CLI
+//! makes, over the same `spur_core::jobs` builders and keys the CLI
+//! sweeps use — execute it with the same [`spur_harness::run_one`]
+//! body, and the result endpoint streams
 //! [`spur_harness::job_artifact_json`] pretty-encoded — byte-for-byte
 //! the file a `reproduce_all` run writes for the same cell. The
 //! integration tests assert that equality end-to-end over a real

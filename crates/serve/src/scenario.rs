@@ -3,30 +3,25 @@
 //! `POST /v1/scenarios` accepts the same schema-versioned document the
 //! `spur-scenario` CLI runs from a file (see `docs/SCENARIOS.md`). The
 //! server validates it with the same strict parser — a 400 carries the
-//! parser's path-qualified message — expands the matrix with the same
-//! `spur_scenario::cells` expansion, and enqueues one job per cell
+//! parser's path-qualified message — expands the matrix into complete
+//! [`Cell`]s with the same expansion, and enqueues one job per cell
 //! *atomically*: either the whole matrix fits in the bounded queue or
 //! the submission is shed with 429 and nothing ran.
 //!
-//! Each cell is rebuilt from the stored scenario bytes at pop time
-//! (like single-job submissions are rebuilt from their request bytes),
-//! so a served scenario cell's artifact is byte-identical to the same
-//! cell run by the CLI or a folded-in `ablation_*` binary.
+//! Workers run each queued cell's [`Cell::job`], the call the CLI
+//! runner makes, so a served scenario cell's artifact is
+//! byte-identical to the same cell run by the CLI or a folded-in
+//! `ablation_*` binary.
 //!
 //! When the last cell finishes, `GET /v1/scenarios/{id}` evaluates the
 //! scenario's expected-shape assertions against the produced artifact
 //! documents and reports per-assertion verdicts; the scenario passes
 //! only if every cell succeeded *and* every assertion held.
 
-use std::sync::Arc;
-
-use spur_core::obs::ObsParams;
-use spur_harness::fault::{arm, FaultPlan};
-use spur_harness::Job;
 use spur_obs::validate::parse;
 use spur_scenario::asserts::evaluate;
-use spur_scenario::cells::expand;
-use spur_scenario::{enumerate, Cell, CellResult, Scenario, Verdict, WorkloadSource};
+use spur_scenario::run::effective_obs;
+use spur_scenario::{Cell, CellResult, RunnerOptions, Scenario, Verdict, WorkloadSource};
 
 /// Largest matrix one HTTP submission may expand to. A scenario
 /// occupies queue slots for every cell at once (admission is
@@ -35,13 +30,13 @@ use spur_scenario::{enumerate, Cell, CellResult, Scenario, Verdict, WorkloadSour
 pub const MAX_SCENARIO_CELLS: usize = 64;
 
 /// A validated scenario submission: the parsed document plus its
-/// enumerated cells (in expansion order, which is also key order for
-/// the scenario result's cell list).
+/// cells, in expansion order (which is also key order for the scenario
+/// result's cell list).
 #[derive(Debug)]
 pub struct ScenarioSubmission {
     /// The parsed, validated scenario.
     pub scenario: Scenario,
-    /// The enumerated matrix cells.
+    /// The matrix cells, ready to queue.
     pub cells: Vec<Cell>,
 }
 
@@ -56,8 +51,11 @@ pub fn parse_scenario_submission(body: &[u8]) -> Result<ScenarioSubmission, Stri
                 .into(),
         );
     }
+    // Served cells run at the scale and observability the CLI runner
+    // resolves with no flags given.
     let scale = scenario.resolve_scale(None);
-    let cells = enumerate(&scenario, scale)?;
+    let obs = effective_obs(&scenario, &RunnerOptions::default());
+    let cells = scenario.cells(scale, obs)?;
     if cells.len() > MAX_SCENARIO_CELLS {
         return Err(format!(
             "matrix: scenario expands to {} cells, more than the served cap of {MAX_SCENARIO_CELLS}",
@@ -67,71 +65,34 @@ pub fn parse_scenario_submission(body: &[u8]) -> Result<ScenarioSubmission, Stri
     Ok(ScenarioSubmission { scenario, cells })
 }
 
-/// The observability parameters a served scenario runs with — the
-/// scenario's own `run.obs` / `run.epoch`, exactly as the CLI runner
-/// resolves them with no flags given.
-fn serving_obs(scenario: &Scenario) -> Option<ObsParams> {
-    scenario.run.obs.then(|| ObsParams {
-        epoch: scenario.run.epoch,
-        ..ObsParams::default()
-    })
-}
-
-/// Rebuilds one cell's job from the stored scenario bytes. The bytes
-/// were validated at submit time, so any failure here degrades to an
-/// error the caller records against the job.
-pub fn build_scenario_cell(body: &[u8], key: &str) -> Result<Job<()>, String> {
-    let scenario = Scenario::parse_bytes(body)?;
-    let scale = scenario.resolve_scale(None);
-    let obs = serving_obs(&scenario);
-    let expanded = expand(&scenario, scale, obs)?;
-    let (cell, job) = expanded
-        .into_iter()
-        .find(|(cell, _)| cell.key == key)
-        .ok_or_else(|| format!("scenario no longer expands a cell keyed {key}"))?;
-    let mut job = job.map(|_| ());
-    if let Some((seed, ppm)) = scenario.run.fault_plan {
-        let plan = Arc::new(FaultPlan::new(seed, ppm));
-        job = arm(&plan, job, &cell.key);
-    }
-    Ok(job)
-}
-
 /// Evaluates a finished scenario's assertions against the artifact
 /// documents its successful cells produced. `finished` pairs each
-/// cell's key with the pretty-encoded artifact of its job, `None` for
-/// cells whose job failed (those simply produce no `CellResult`; an
+/// cell with the pretty-encoded artifact of its job, `None` for cells
+/// whose job failed (those simply produce no `CellResult`; an
 /// assertion whose selector needs a missing cell fails with a message
 /// saying so, which is the honest verdict).
 pub fn evaluate_finished(
-    body: &[u8],
-    finished: &[(String, Option<String>)],
-) -> Result<Vec<Verdict>, String> {
-    let scenario = Scenario::parse_bytes(body)?;
-    let scale = scenario.resolve_scale(None);
-    let cells = enumerate(&scenario, scale)?;
-    let results: Vec<CellResult> = cells
-        .into_iter()
-        .filter_map(|cell| {
-            let artifact = finished
-                .iter()
-                .find(|(key, _)| *key == cell.key)
-                .and_then(|(_, artifact)| artifact.as_deref())?;
-            let doc = parse(artifact).ok()?;
+    scenario: &Scenario,
+    finished: &[(&Cell, Option<String>)],
+) -> Vec<Verdict> {
+    let results: Vec<CellResult> = finished
+        .iter()
+        .filter_map(|(cell, artifact)| {
             Some(CellResult {
-                key: cell.key,
-                coords: cell.coords,
-                doc,
+                key: cell.key.clone(),
+                coords: cell.coords.clone(),
+                doc: parse(artifact.as_deref()?).ok()?,
             })
         })
         .collect();
-    Ok(evaluate(&scenario.assertions, &results))
+    evaluate(&scenario.assertions, &results)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spur_harness::{job_artifact_json, run_one};
+    use spur_scenario::run_scenario;
 
     const SMALL: &str = r#"{
       "schema_version": 1,
@@ -201,39 +162,50 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_cell_matches_direct_expansion_byte_for_byte() {
+    fn queued_cells_match_the_cli_runner_byte_for_byte() {
         let sub = parse_scenario_submission(SMALL.as_bytes()).unwrap();
-        let key = &sub.cells[1].key;
-        let served = run_one(build_scenario_cell(SMALL.as_bytes(), key).unwrap());
-        let scale = sub.scenario.resolve_scale(None);
-        let obs = serving_obs(&sub.scenario);
-        let direct = expand(&sub.scenario, scale, obs)
-            .unwrap()
-            .into_iter()
-            .find(|(cell, _)| cell.key == *key)
-            .map(|(_, job)| run_one(job.map(|_| ())))
-            .unwrap();
-        assert_eq!(
-            job_artifact_json(&served).encode_pretty(),
-            job_artifact_json(&direct).encode_pretty(),
-        );
+        let cli = run_scenario(
+            &sub.scenario,
+            &RunnerOptions {
+                workers: 1,
+                persist: false,
+                ..RunnerOptions::default()
+            },
+        )
+        .unwrap();
+        for cell in &sub.cells {
+            let served = run_one(cell.job());
+            let direct = cli
+                .report
+                .jobs()
+                .iter()
+                .find(|j| j.key == cell.key)
+                .unwrap();
+            assert_eq!(
+                job_artifact_json(&served).encode_pretty(),
+                job_artifact_json(direct).encode_pretty(),
+            );
+        }
+    }
+
+    fn finished(
+        sub: &ScenarioSubmission,
+        ran: impl Fn(&Cell) -> bool,
+    ) -> Vec<(&Cell, Option<String>)> {
+        sub.cells
+            .iter()
+            .map(|cell| {
+                let artifact =
+                    ran(cell).then(|| job_artifact_json(&run_one(cell.job())).encode_pretty());
+                (cell, artifact)
+            })
+            .collect()
     }
 
     #[test]
     fn finished_scenarios_evaluate_their_assertions() {
         let sub = parse_scenario_submission(SMALL.as_bytes()).unwrap();
-        let finished: Vec<(String, Option<String>)> = sub
-            .cells
-            .iter()
-            .map(|cell| {
-                let completed = run_one(build_scenario_cell(SMALL.as_bytes(), &cell.key).unwrap());
-                (
-                    cell.key.clone(),
-                    Some(job_artifact_json(&completed).encode_pretty()),
-                )
-            })
-            .collect();
-        let verdicts = evaluate_finished(SMALL.as_bytes(), &finished).unwrap();
+        let verdicts = evaluate_finished(&sub.scenario, &finished(&sub, |_| true));
         assert_eq!(verdicts.len(), 1);
         assert_eq!(verdicts[0].name, "fault_ge_min");
         assert!(verdicts[0].passed, "{:?}", verdicts[0].failures);
@@ -244,19 +216,8 @@ mod tests {
         let sub = parse_scenario_submission(SMALL.as_bytes()).unwrap();
         // The FAULT cell failed: no artifact. The relation must report
         // a failure, not silently pass on an empty selection.
-        let finished: Vec<(String, Option<String>)> = sub
-            .cells
-            .iter()
-            .map(|cell| {
-                let artifact = (!cell.key.contains("FAULT")).then(|| {
-                    let completed =
-                        run_one(build_scenario_cell(SMALL.as_bytes(), &cell.key).unwrap());
-                    job_artifact_json(&completed).encode_pretty()
-                });
-                (cell.key.clone(), artifact)
-            })
-            .collect();
-        let verdicts = evaluate_finished(SMALL.as_bytes(), &finished).unwrap();
+        let finished = finished(&sub, |cell| !cell.key.contains("FAULT"));
+        let verdicts = evaluate_finished(&sub.scenario, &finished);
         assert_eq!(verdicts.len(), 1);
         assert!(!verdicts[0].passed);
     }

@@ -45,20 +45,20 @@ use std::time::{Duration, Instant};
 
 use spur_core::jobs::trace_cycle_bounds;
 use spur_harness::fault::{arm, roll, FaultPlan};
-use spur_harness::{job_artifact_json, run_one, write_run, FailureKind, Job, Json, RunReport};
+use spur_harness::{job_artifact_json, run_one, write_run, FailureKind, Json, RunReport};
 use spur_obs::merged_chrome_trace;
 use spur_obs::prometheus::{render_counter, render_counter_labeled, render_gauge};
 use spur_obs::slo::{SloTarget, SloTracker};
 use spur_obs::span::{SpanContext, SpanSink};
 
-use crate::api::{parse_job_spec, JobSpec};
+use crate::api::parse_job_spec;
 use crate::cache::{CachedResult, ResultsCache};
 use crate::http::{read_request, write_response, ReadError, Request, Response};
 use crate::metrics::{PhaseSample, ServeMetrics};
 use crate::queue::{retry_after_secs, Admission, FairPushError, FairQueue, Priority};
 use crate::ring::HashRing;
-use crate::scenario::{build_scenario_cell, evaluate_finished, parse_scenario_submission};
-use spur_scenario::Verdict;
+use crate::scenario::{evaluate_finished, parse_scenario_submission};
+use spur_scenario::{Cell, Scenario, Verdict};
 
 /// Simulator traces retained in memory for `GET /v1/jobs/{id}/trace/chrome`
 /// merging. Instrumented sim traces are large (up to the job's
@@ -79,9 +79,9 @@ const ID_STRIDE: u64 = 1_000_000_000;
 /// full-scale job (2M refs) bills ~40 rotations of patience.
 const DRR_QUANTUM: u64 = 50_000;
 
-/// Flat DRR cost billed per scenario cell (cells don't carry a
-/// parsed-out Scale here; a mid-size constant keeps a big matrix from
-/// starving interactive clients without special-casing the lane math).
+/// Flat DRR cost billed per scenario cell: a mid-size constant keeps a
+/// big matrix from starving interactive clients without special-casing
+/// the lane math.
 const SCENARIO_CELL_COST: u64 = 20_000;
 
 /// Sliding window for the drain-rate estimate behind `Retry-After`.
@@ -112,7 +112,7 @@ pub struct ServeConfig {
     pub results_dir: Option<PathBuf>,
     /// How many times a job whose worker *panicked* is re-queued and
     /// re-run before being recorded as failed. Jobs are rebuilt from
-    /// the original request bytes, so a retried job's artifact is
+    /// their queued cell, so a retried job's artifact is
     /// byte-identical to an undisturbed run. Zero (the default)
     /// preserves the original fail-fast behavior; `Err` results are
     /// never retried (they are deterministic).
@@ -228,24 +228,14 @@ struct JobRecord {
     admitted_us: u64,
 }
 
-/// Where a queued job came from — what the worker rebuilds it from.
-enum JobSource {
-    /// A single-cell `POST /v1/jobs` submission: its request bytes.
-    Spec(Vec<u8>),
-    /// One cell of a `POST /v1/scenarios` submission: the scenario
-    /// bytes, shared across the whole matrix; the cell is selected by
-    /// the queued job's key.
-    ScenarioCell(Arc<Vec<u8>>),
-}
-
-/// A queued submission holds the validated *request bytes*, not a
-/// built job: the worker rebuilds the job at pop time (and again on
-/// each retry). Jobs are pure functions of their spec, so a rebuild
-/// after an injected panic reproduces the artifact byte-for-byte.
+/// A queued submission holds its compiled [`Cell`], not a built job:
+/// the worker builds the job at pop time (and again on each retry).
+/// Jobs are pure functions of their cell, so a rebuild after an
+/// injected panic reproduces the artifact byte-for-byte.
 struct QueuedJob {
     id: u64,
-    key: String,
-    source: JobSource,
+    /// The cell a `POST /v1/jobs` body or a scenario matrix compiled to.
+    cell: Cell,
     /// Root span of the request's trace.
     trace: SpanContext,
     /// The open `queue_wait` span, closed by the worker that pops it.
@@ -284,22 +274,19 @@ struct Dedup {
     inflight: HashMap<String, Inflight>,
 }
 
-/// One accepted scenario submission: the stored config bytes plus the
-/// job ids its matrix expanded to, in expansion order.
+/// One accepted scenario submission: the validated scenario (its
+/// assertions are evaluated at result time) plus every expanded cell
+/// with its job id, in expansion order.
 struct ScenarioRecord {
-    name: String,
-    /// The validated scenario document — cells are rebuilt from it at
-    /// pop time, and assertions re-read it at result time.
-    body: Arc<Vec<u8>>,
-    /// `(job id, cell key)` for every expanded cell.
-    cells: Vec<(u64, String)>,
+    scenario: Scenario,
+    cells: Vec<(u64, Cell)>,
 }
 
 struct Shared {
     cfg: ServeConfig,
     queue: FairQueue<QueuedJob>,
     jobs: Mutex<HashMap<u64, JobRecord>>,
-    scenarios: Mutex<HashMap<u64, ScenarioRecord>>,
+    scenarios: Mutex<HashMap<u64, Arc<ScenarioRecord>>>,
     /// Cache + inflight coalescing state (see [`Dedup`]). Lock order:
     /// `dedup` before `jobs`; never taken while holding `jobs`.
     dedup: Mutex<Dedup>,
@@ -549,21 +536,6 @@ fn slo_ticker_loop(shared: &Shared) {
     }
 }
 
-/// Rebuilds a queued submission's job from its stored request bytes.
-/// The bytes were validated at submit time, so a parse failure here is
-/// a bug — it degrades to a job that records the error.
-fn rebuild_job(queued: &QueuedJob) -> Job<()> {
-    let built = match &queued.source {
-        JobSource::Spec(body) => parse_job_spec(body).map(JobSpec::build),
-        JobSource::ScenarioCell(body) => build_scenario_cell(body, &queued.key),
-    };
-    built.unwrap_or_else(|message| {
-        Job::new(queued.key.clone(), move || {
-            Err(format!("stored request no longer parses: {message}"))
-        })
-    })
-}
-
 fn worker_loop(shared: &Shared, shard: usize) {
     while let Some(queued) = shared.queue.pop(shard) {
         let picked_us = shared.spans.now_us();
@@ -583,7 +555,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
         let mut attempts = 0u32;
         let mut run_wall_us = 0u64;
         let completed = loop {
-            let mut job = rebuild_job(&queued);
+            let mut job = queued.cell.job().map(|_| ());
             if let Some(plan) = &shared.fault_plan {
                 job = arm(plan, job, &fault_key);
             }
@@ -678,7 +650,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
                     let evicted = dedup.cache.insert(
                         identity.clone(),
                         CachedResult {
-                            key: queued.key.clone(),
+                            key: queued.cell.key.clone(),
                             experiment: queued.experiment,
                             artifact: artifact.clone(),
                             wall_ms,
@@ -1315,8 +1287,7 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
         cost: spec.cost(),
         item: QueuedJob {
             id,
-            key: key.clone(),
-            source: JobSource::Spec(request.body.clone()),
+            cell: spec.into_cell(),
             trace: root,
             queue_span,
             experiment,
@@ -1427,8 +1398,7 @@ fn submit_scenario(
     };
     let client = client_id(request, conn_client);
     let scenario_id = shared.next_scenario_id.fetch_add(1, Ordering::Relaxed) + 1;
-    let body: Arc<Vec<u8>> = Arc::new(request.body.clone());
-    let body_hash = crate::ring::hash64(&body);
+    let body_hash = crate::ring::hash64(&request.body);
 
     // Give every cell the full per-job treatment — its own id, record,
     // and span trace — before asking the queue for room, so a rejected
@@ -1482,8 +1452,7 @@ fn submit_scenario(
                 cost: SCENARIO_CELL_COST,
                 item: QueuedJob {
                     id,
-                    key: cell.key.clone(),
-                    source: JobSource::ScenarioCell(Arc::clone(&body)),
+                    cell: cell.clone(),
                     trace: root,
                     queue_span,
                     experiment: "scenario",
@@ -1500,16 +1469,17 @@ fn submit_scenario(
                 .metrics
                 .jobs_submitted
                 .fetch_add(admitted.len() as u64, Ordering::Relaxed);
+            let name = submission.scenario.name.clone();
             lock_unpoisoned(&shared.scenarios).insert(
                 scenario_id,
-                ScenarioRecord {
-                    name: submission.scenario.name.clone(),
-                    body,
+                Arc::new(ScenarioRecord {
+                    scenario: submission.scenario,
                     cells: admitted
                         .iter()
-                        .map(|(id, key, _)| (*id, key.clone()))
+                        .map(|(id, _, _)| *id)
+                        .zip(submission.cells)
                         .collect(),
-                },
+                }),
             );
             let cells: Vec<Json> = admitted
                 .iter()
@@ -1521,7 +1491,7 @@ fn submit_scenario(
                 202,
                 Json::object([
                     ("id", Json::UInt(scenario_id)),
-                    ("name", Json::Str(submission.scenario.name)),
+                    ("name", Json::Str(name)),
                     ("status", Json::Str("queued".into())),
                     ("cells", Json::Arr(cells)),
                     ("queue_depth", Json::UInt(depth as u64)),
@@ -1593,31 +1563,24 @@ fn submit_scenario(
 /// once every cell finished, the scenario's assertions evaluated
 /// against the produced artifacts, with per-assertion verdicts.
 fn scenario_status(shared: &Shared, id: u64) -> Response {
-    let (name, body, cells) = {
-        let scenarios = lock_unpoisoned(&shared.scenarios);
-        match scenarios.get(&id) {
-            None => return error_response(404, "no such scenario"),
-            Some(record) => (
-                record.name.clone(),
-                Arc::clone(&record.body),
-                record.cells.clone(),
-            ),
-        }
+    let record = match lock_unpoisoned(&shared.scenarios).get(&id) {
+        None => return error_response(404, "no such scenario"),
+        Some(record) => Arc::clone(record),
     };
 
-    let mut cell_docs = Vec::with_capacity(cells.len());
-    let mut finished: Vec<(String, Option<String>)> = Vec::new();
+    let mut cell_docs = Vec::with_capacity(record.cells.len());
+    let mut finished: Vec<(&Cell, Option<String>)> = Vec::new();
     let mut all_finished = true;
     let mut any_started = false;
     let mut any_failed = false;
     {
         let jobs = lock_unpoisoned(&shared.jobs);
-        for (job_id, key) in &cells {
-            let Some(record) = jobs.get(job_id) else {
+        for (job_id, cell) in &record.cells {
+            let Some(job) = jobs.get(job_id) else {
                 all_finished = false;
                 continue;
             };
-            match record.state {
+            match job.state {
                 JobState::Queued => all_finished = false,
                 JobState::Running => {
                     all_finished = false;
@@ -1625,23 +1588,20 @@ fn scenario_status(shared: &Shared, id: u64) -> Response {
                 }
                 JobState::Done => {
                     any_started = true;
-                    finished.push((key.clone(), record.artifact.clone()));
+                    finished.push((cell, job.artifact.clone()));
                 }
                 JobState::Failed => {
                     any_started = true;
                     any_failed = true;
-                    finished.push((key.clone(), None));
+                    finished.push((cell, None));
                 }
             }
             let mut fields = vec![
                 ("id".to_string(), Json::UInt(*job_id)),
-                ("key".to_string(), Json::Str(key.clone())),
-                (
-                    "status".to_string(),
-                    Json::Str(record.state.as_str().into()),
-                ),
+                ("key".to_string(), Json::Str(cell.key.clone())),
+                ("status".to_string(), Json::Str(job.state.as_str().into())),
             ];
-            if let Some(error) = &record.error {
+            if let Some(error) = &job.error {
                 fields.push(("error".to_string(), Json::Str(error.clone())));
             }
             cell_docs.push(Json::Obj(fields));
@@ -1657,25 +1617,18 @@ fn scenario_status(shared: &Shared, id: u64) -> Response {
     };
     let mut fields = vec![
         ("id".to_string(), Json::UInt(id)),
-        ("name".to_string(), Json::Str(name)),
+        ("name".to_string(), Json::Str(record.scenario.name.clone())),
         ("status".to_string(), Json::Str(status.into())),
         ("cells".to_string(), Json::Arr(cell_docs)),
     ];
     if all_finished {
-        match evaluate_finished(&body, &finished) {
-            Ok(verdicts) => {
-                let passed = !any_failed && verdicts.iter().all(|v| v.passed);
-                fields.push(("passed".to_string(), Json::Bool(passed)));
-                fields.push((
-                    "assertions".to_string(),
-                    Json::Arr(verdicts.iter().map(Verdict::to_json).collect()),
-                ));
-            }
-            // The stored bytes validated at submit time; failing to
-            // re-evaluate them is a server bug worth surfacing, not
-            // hiding behind a false verdict.
-            Err(message) => fields.push(("assertion_error".to_string(), Json::Str(message))),
-        }
+        let verdicts = evaluate_finished(&record.scenario, &finished);
+        let passed = !any_failed && verdicts.iter().all(|v| v.passed);
+        fields.push(("passed".to_string(), Json::Bool(passed)));
+        fields.push((
+            "assertions".to_string(),
+            Json::Arr(verdicts.iter().map(Verdict::to_json).collect()),
+        ));
     }
     Response::json(200, Json::Obj(fields).encode_pretty())
 }

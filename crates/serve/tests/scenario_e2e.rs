@@ -151,8 +151,12 @@ fn malformed_scenarios_get_path_qualified_400s() {
     let server = Server::start(test_config()).unwrap();
     let addr = server.addr().to_string();
 
+    // 100k nested brackets: past the parser's depth cap, a 400 rather
+    // than a stack overflow that aborts the instance.
+    let deep = "[".repeat(100_000);
     for (body, needle) in [
         ("{not json", "not valid JSON"),
+        (deep.as_str(), "nesting deeper than"),
         (
             r#"{"schema_version": 1, "name": "x", "description": "d",
                 "experiment": "sim", "workload": "SLC",
@@ -273,6 +277,47 @@ fn failed_assertions_surface_on_the_scenario_result() {
     for cell in arr_field(&result, "cells") {
         assert_eq!(str_field(cell, "status"), "done");
     }
+
+    server.shutdown();
+}
+
+#[test]
+fn served_fault_plans_fail_their_cells_despite_retries() {
+    // A fault plan at 1,000,000 ppm trips every cell on every attempt:
+    // each retry builds the job from the queued cell again, arming a
+    // fresh plan, so the retry meets the fault too. The served verdict
+    // matches the CLI's instead of passing on a spent plan.
+    let server = Server::start(ServeConfig {
+        panic_retries: 2,
+        ..test_config()
+    })
+    .unwrap();
+    let addr = server.addr().to_string();
+    let body = r#"{
+      "schema_version": 1,
+      "name": "served_faults",
+      "description": "every cell trips its fault plan",
+      "experiment": "flush",
+      "matrix": { "occupancy_pct": [10, 50] },
+      "run": { "fault_plan": { "seed": 7, "panic_ppm": 1000000 } }
+    }"#;
+    let accepted = submit_scenario(&addr, body);
+    let result = await_scenario(&addr, uint_field(&accepted, "id"));
+    assert_eq!(get_field(&result, "passed"), Some(&Json::Bool(false)));
+    let cells = arr_field(&result, "cells");
+    assert_eq!(cells.len(), 2);
+    for cell in cells {
+        assert_eq!(str_field(cell, "status"), "failed");
+        let error = str_field(cell, "error");
+        assert!(error.contains("injected fault"), "{error}");
+    }
+
+    // Both retries of both cells really ran.
+    let metrics = get(&addr, "/metrics", TIMEOUT).unwrap().text();
+    assert!(
+        metrics.contains("spur_serve_jobs_retried_total 4"),
+        "{metrics}"
+    );
 
     server.shutdown();
 }

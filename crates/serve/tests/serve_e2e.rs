@@ -200,7 +200,10 @@ fn malformed_requests_get_4xx_never_a_panic() {
     let server = Server::start(test_config()).unwrap();
     let addr = server.addr().to_string();
 
-    // Bad JSON bodies and bad specs → 400 with a message.
+    // Bad JSON bodies and bad specs → 400 with a message. The last is
+    // 100k nested brackets: past the parser's depth cap it is a 400,
+    // not a stack overflow that aborts the instance.
+    let deep = "[".repeat(100_000);
     for body in [
         "",
         "not json",
@@ -210,6 +213,7 @@ fn malformed_requests_get_4xx_never_a_panic() {
         r#"{"experiment":"warp","workload":"SLC","mem_mb":5}"#,
         r#"{"experiment":"refbit","workload":"SLC","mem_mb":5,"policy":"lru"}"#,
         r#"{"experiment":"refbit","workload_spec":"gibberish","mem_mb":5}"#,
+        deep.as_str(),
     ] {
         let resp = post_json(&addr, "/v1/jobs", body, TIMEOUT).unwrap();
         assert_eq!(resp.status, 400, "body {body:?} got {}", resp.text());
