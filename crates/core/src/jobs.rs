@@ -14,21 +14,16 @@ use crate::experiments::refbit::{measure_refbit_obs_with, RefbitRow};
 use crate::experiments::Scale;
 use crate::obs::{ObsParams, ObsReport};
 use crate::system::SimOverrides;
-use spur_harness::{Job, JobOutput, Json};
-use spur_obs::export::sim_cycle_bounds;
-use spur_obs::validate::get_field;
+use spur_harness::{Job, JobOutput};
 use spur_trace::workloads::{DevHost, Workload};
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
-/// The `pid` stamped on exported Chrome traces (each job is its own
-/// file, so one logical process suffices).
-const TRACE_PID: u64 = 1;
-
 /// Attaches a finalized observability report to a job output:
-/// `metrics` and `series` ride the artifact pipeline, the Chrome
-/// trace awaits `--trace-out` export. Binaries that run
-/// `SpurSystem` inline call this with `sim.finish_obs()`.
+/// `metrics` and `series` ride the artifact pipeline, while the event
+/// recorder itself is kept, unencoded, until a `--trace-out` export or
+/// a `/trace/chrome` request reads it. Binaries that run `SpurSystem`
+/// inline call this with `sim.finish_obs()`.
 pub fn attach_obs<T>(mut out: JobOutput<T>, report: Option<ObsReport>) -> JobOutput<T> {
     if let Some(rep) = report {
         if let Some(series) = rep.series_json() {
@@ -36,7 +31,7 @@ pub fn attach_obs<T>(mut out: JobOutput<T>, report: Option<ObsReport>) -> JobOut
         }
         out = out
             .with_metrics(rep.metrics_json())
-            .with_trace(rep.trace_json(TRACE_PID, 0));
+            .with_trace(rep.recorder);
     }
     out
 }
@@ -45,20 +40,6 @@ pub fn attach_obs<T>(mut out: JobOutput<T>, report: Option<ObsReport>) -> JobOut
 /// worker so the closures stay `'static` and each cell is a pure
 /// function of its inputs.
 pub type WorkloadCtor = fn() -> Workload;
-
-/// The simulated-cycle range `[first, last]` covered by a job's
-/// exported Chrome trace (the `trace` a builder attached via
-/// [`attach_obs`]). `None` for uninstrumented jobs or traces with no
-/// events. The serve path stamps these bounds onto a job's `run` span
-/// so a request's real-time trace names exactly which slice of
-/// simulated time it paid for — and the reconciliation tests can match
-/// the span against the recorder's own `obs_emitted_total` bounds.
-pub fn trace_cycle_bounds(trace: &Json) -> Option<(u64, u64)> {
-    match get_field(trace, "traceEvents")? {
-        Json::Arr(events) => sim_cycle_bounds(events),
-        _ => None,
-    }
-}
 
 /// One Table 3.3 cell: event counts for (workload, memory).
 pub fn events_job(key: String, make: WorkloadCtor, mem: MemSize, scale: Scale) -> Job<EventRow> {
@@ -156,6 +137,7 @@ pub fn pageout_job(key: String, host: DevHost, scale: Scale) -> Job<PageoutRow> 
 mod tests {
     use super::*;
     use spur_harness::run_one;
+    use spur_obs::TraceRecorder;
     use spur_trace::workloads::slc;
 
     #[test]
@@ -217,7 +199,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_cycle_bounds_covers_instrumented_runs_only() {
+    fn only_instrumented_runs_keep_their_recorder() {
         let scale = Scale {
             refs: 20_000,
             seed: 1989,
@@ -238,8 +220,10 @@ mod tests {
             Some(obs),
         ));
         let out = done.outcome.as_ref().expect("job ran");
-        let trace = out.trace.as_ref().expect("instrumented job has a trace");
-        let (first, last) = trace_cycle_bounds(trace).expect("trace has events");
+        let trace = out.trace.as_deref().expect("instrumented job has a trace");
+        let recorder = TraceRecorder::from_handle(trace).expect("the trace is the recorder");
+        assert_eq!(recorder.capacity(), 4096, "the cell's own ring");
+        let (first, last) = recorder.cycle_bounds().expect("trace has events");
         assert!(
             first < last,
             "cycle range is non-trivial: [{first}, {last}]"
@@ -254,6 +238,5 @@ mod tests {
             None,
         ));
         assert!(plain.outcome.as_ref().unwrap().trace.is_none());
-        assert_eq!(trace_cycle_bounds(&Json::object([("x", Json::Null)])), None);
     }
 }

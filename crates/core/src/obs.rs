@@ -22,8 +22,7 @@ use spur_harness::Json;
 use spur_types::FastMap;
 
 use spur_obs::{
-    chrome_trace, histogram_json, series_json, EpochSeries, EventBuf, EventKind, Histogram,
-    TraceRecorder,
+    histogram_json, series_json, EpochSeries, EventBuf, EventKind, Histogram, TraceRecorder,
 };
 
 /// The counter columns sampled into every epoch row, in order.
@@ -200,10 +199,5 @@ impl ObsReport {
     /// The per-epoch series document, when sampling was enabled.
     pub fn series_json(&self) -> Option<Json> {
         self.series.as_ref().map(series_json)
-    }
-
-    /// The Chrome-trace-event document (Perfetto-loadable).
-    pub fn trace_json(&self, pid: u64, tid: u64) -> Json {
-        chrome_trace(&self.recorder, pid, tid)
     }
 }

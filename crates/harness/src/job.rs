@@ -1,5 +1,8 @@
 //! Jobs: one experiment cell each, with a stable key.
 
+use std::any::Any;
+use std::io;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::json::Json;
@@ -60,6 +63,23 @@ impl<T> core::fmt::Debug for Job<T> {
     }
 }
 
+/// A finished run's event trace, held as recorded and encoded only when
+/// something reads it.
+///
+/// The harness cannot name the simulator's event recorder (the
+/// observability crate sits above it), so job outputs carry the trace
+/// behind this trait and `spur-obs` implements it. Readers that want
+/// the typed events downcast through [`Any`].
+pub trait ChromeTrace: Any + Send + Sync + core::fmt::Debug {
+    /// Writes the trace as one compact Chrome-trace-event JSON
+    /// document, without a trailing newline.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error from `out`.
+    fn write_to(&self, out: &mut dyn io::Write) -> io::Result<()>;
+}
+
 /// What a successful job produces: the typed value for in-process
 /// assembly and the JSON artifact that is persisted for machines.
 ///
@@ -67,7 +87,7 @@ impl<T> core::fmt::Debug for Job<T> {
 /// times and other nondeterminism belong in the run manifest, not
 /// here, so that per-job artifacts are byte-identical however many
 /// workers ran the sweep.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct JobOutput<T> {
     /// The typed result, consumed by table assembly.
     pub value: T,
@@ -81,10 +101,9 @@ pub struct JobOutput<T> {
     /// Optional per-epoch counter series, merged into the per-job
     /// artifact under `series`.
     pub series: Option<Json>,
-    /// Optional Chrome-trace document. Not persisted by `write_run`
-    /// (traces are large); the caller exports it to its `--trace-out`
-    /// directory.
-    pub trace: Option<Json>,
+    /// Optional event trace. Not persisted by `write_run` (traces are
+    /// large); the caller encodes it into its `--trace-out` directory.
+    pub trace: Option<Arc<dyn ChromeTrace>>,
 }
 
 impl<T> JobOutput<T> {
@@ -111,9 +130,9 @@ impl<T> JobOutput<T> {
         self
     }
 
-    /// Attaches a Chrome-trace document.
-    pub fn with_trace(mut self, trace: Json) -> Self {
-        self.trace = Some(trace);
+    /// Attaches an event trace.
+    pub fn with_trace(mut self, trace: impl ChromeTrace) -> Self {
+        self.trace = Some(Arc::new(trace));
         self
     }
 }

@@ -38,6 +38,6 @@ pub mod run;
 
 pub use artifacts::{default_root, job_artifact_json, write_run, RunArtifacts, SCHEMA_VERSION};
 pub use fault::FaultPlan;
-pub use job::{CompletedJob, FailureKind, Job, JobFailure, JobOutput};
+pub use job::{ChromeTrace, CompletedJob, FailureKind, Job, JobFailure, JobOutput};
 pub use json::Json;
 pub use run::{run_jobs, run_jobs_with_progress, run_one, RunReport};

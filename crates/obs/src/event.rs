@@ -170,6 +170,16 @@ pub struct SimEvent {
     pub cpu: u32,
 }
 
+impl SimEvent {
+    /// Where the event sits on a trace timeline, as `(start, duration)`
+    /// in cycles: it starts `cost` cycles before it completed
+    /// (saturating at 0), and lasts at least one cycle so zero-cost
+    /// bookkeeping events stay visible.
+    pub fn extent(&self) -> (u64, u64) {
+        (self.cycle.saturating_sub(self.cost), self.cost.max(1))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,7 @@ pub mod validate;
 
 pub use epoch::EpochSeries;
 pub use event::{EventKind, SimEvent};
-pub use export::{chrome_trace, histogram_json, merged_chrome_trace, series_json};
+pub use export::{histogram_json, merged_chrome_trace, series_json};
 pub use hist::Histogram;
 pub use recorder::{CpuTag, EventBuf, NoopRecorder, Recorder, TraceRecorder};
 pub use slo::{SloKind, SloReport, SloStatus, SloTarget, SloTracker};

@@ -206,14 +206,29 @@ impl TraceRecorder {
 
     /// Retained events, oldest first (unwrapping the ring).
     pub fn events(&self) -> Vec<SimEvent> {
-        if self.ring.len() < self.capacity {
-            self.ring.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.ring.len());
-            out.extend_from_slice(&self.ring[self.head..]);
-            out.extend_from_slice(&self.ring[..self.head]);
-            out
-        }
+        self.iter().copied().collect()
+    }
+
+    /// Iterates the retained events oldest first, without copying the
+    /// ring. `head` stays 0 until the ring fills, so the split is a
+    /// no-op before the first wrap.
+    pub fn iter(&self) -> impl Iterator<Item = &SimEvent> {
+        self.ring[self.head..].iter().chain(&self.ring[..self.head])
+    }
+
+    /// `[first start, last end]` in simulated cycles over the retained
+    /// events' [`SimEvent::extent`]s; `None` when nothing is retained.
+    /// This is the slice of simulated time an exported trace covers.
+    pub fn cycle_bounds(&self) -> Option<(u64, u64)> {
+        self.iter()
+            .map(SimEvent::extent)
+            .fold(None, |bounds, (ts, dur)| {
+                let end = ts.saturating_add(dur);
+                Some(match bounds {
+                    None => (ts, end),
+                    Some((lo, hi)) => (lo.min(ts), hi.max(end)),
+                })
+            })
     }
 
     /// Number of retained events.

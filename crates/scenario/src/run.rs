@@ -7,6 +7,8 @@
 //! scenario run is a drop-in replacement for the binary it folded in,
 //! down to the artifact tree.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use spur_core::experiments::Scale;
@@ -301,7 +303,8 @@ fn wall_histogram_line<T>(report: &RunReport<T>) -> String {
 /// Writes every successful job's Chrome trace to
 /// `<root>/<run_name>/<key>.trace.json`, keys mapped to file stems by
 /// the artifact writer's rule so each trace sits beside its artifact's
-/// name. Returns the number of files written.
+/// name. Each trace is encoded here, straight into its file, one job
+/// at a time. Returns the number of files written.
 ///
 /// # Errors
 ///
@@ -323,7 +326,10 @@ pub fn export_traces<T>(
             "{}.trace.json",
             spur_harness::artifacts::sanitize_key(&job.key)
         ));
-        std::fs::write(&file, trace.encode() + "\n")?;
+        let mut out = BufWriter::new(File::create(&file)?);
+        trace.write_to(&mut out)?;
+        out.write_all(b"\n")?;
+        out.flush()?;
         written += 1;
     }
     Ok(written)

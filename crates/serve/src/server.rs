@@ -43,13 +43,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spur_core::jobs::trace_cycle_bounds;
 use spur_harness::fault::{arm, roll, FaultPlan};
-use spur_harness::{job_artifact_json, run_one, write_run, FailureKind, Json, RunReport};
-use spur_obs::merged_chrome_trace;
+use spur_harness::{
+    job_artifact_json, run_one, write_run, ChromeTrace, FailureKind, Json, RunReport,
+};
 use spur_obs::prometheus::{render_counter, render_counter_labeled, render_gauge};
 use spur_obs::slo::{SloTarget, SloTracker};
 use spur_obs::span::{SpanContext, SpanSink};
+use spur_obs::{merged_chrome_trace, TraceRecorder};
 
 use crate::api::parse_job_spec;
 use crate::cache::{CachedResult, ResultsCache};
@@ -60,10 +61,11 @@ use crate::ring::HashRing;
 use crate::scenario::{evaluate_finished, parse_scenario_submission};
 use spur_scenario::{Cell, Scenario, Verdict};
 
-/// Simulator traces retained in memory for `GET /v1/jobs/{id}/trace/chrome`
-/// merging. Instrumented sim traces are large (up to the job's
-/// `trace_capacity` events), so only the most recent few are kept; the
-/// *span* trees are small and keep their own, much larger ring.
+/// Simulator event recorders retained in memory for
+/// `GET /v1/jobs/{id}/trace/chrome` merging. A recorder holds up to the
+/// job's `trace_capacity` events (32 B each: 2 MiB at the default
+/// capacity), so only the most recent few are kept; the *span* trees
+/// are small and keep their own, much larger ring.
 const SIM_TRACE_RETAIN: usize = 32;
 
 /// Job/scenario id stride between instances: instance *k* of a
@@ -315,8 +317,9 @@ struct Shared {
     spans: SpanSink,
     /// Declared-SLO evaluator, present when any `--slo` was given.
     slo: Option<SloTracker>,
-    /// Recent instrumented sim traces for merged Chrome export.
-    sim_traces: Mutex<VecDeque<(u64, Json)>>,
+    /// Recent instrumented jobs' event recorders, unencoded, for merged
+    /// Chrome export.
+    sim_traces: Mutex<VecDeque<(u64, Arc<dyn ChromeTrace>)>>,
     /// Stops the SLO ticker thread at drain.
     stop_ticker: AtomicBool,
     started: Instant,
@@ -589,7 +592,11 @@ fn worker_loop(shared: &Shared, shard: usize) {
             .as_ref()
             .ok()
             .and_then(|out| out.trace.clone());
-        if let Some((first, last)) = sim_trace.as_ref().and_then(trace_cycle_bounds) {
+        if let Some((first, last)) = sim_trace
+            .as_deref()
+            .and_then(TraceRecorder::from_handle)
+            .and_then(TraceRecorder::cycle_bounds)
+        {
             shared
                 .spans
                 .annotate(run_span, "sim_cycles_first", first.to_string());
@@ -1727,12 +1734,14 @@ fn job_trace_chrome(shared: &Shared, id: u64) -> Response {
         )
         .with_header("retry-after", "1".to_string());
     }
-    let sim_traces = lock_unpoisoned(&shared.sim_traces);
-    let sim = sim_traces
+    // Clone the handle out and encode after the guard drops: every
+    // worker takes this lock after each instrumented job.
+    let sim = lock_unpoisoned(&shared.sim_traces)
         .iter()
         .rev()
         .find(|(job_id, _)| *job_id == id)
-        .map(|(_, doc)| doc);
+        .map(|(_, sim)| Arc::clone(sim));
+    let sim = sim.as_deref().and_then(TraceRecorder::from_handle);
     Response::json(200, merged_chrome_trace(&trace, sim).encode_pretty())
 }
 

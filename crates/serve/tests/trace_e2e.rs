@@ -7,11 +7,12 @@
 use std::time::{Duration, Instant};
 
 use spur_core::experiments::Scale;
-use spur_core::jobs::{refbit_job_obs, trace_cycle_bounds};
+use spur_core::jobs::refbit_job_obs;
 use spur_core::obs::ObsParams;
 use spur_harness::{run_one, Json};
 use spur_obs::slo::SloTarget;
 use spur_obs::validate::{get_field, parse};
+use spur_obs::TraceRecorder;
 use spur_serve::client::{get, post_json};
 use spur_serve::{ServeConfig, Server};
 use spur_types::MemSize;
@@ -162,8 +163,10 @@ fn trace_endpoint_returns_a_reconciling_span_tree() {
         scale,
         Some(ObsParams::default()),
     ));
-    let local_trace = local.outcome.as_ref().unwrap().trace.as_ref().unwrap();
-    let (first, last) = trace_cycle_bounds(local_trace).expect("local run has events");
+    let local_trace = local.outcome.as_ref().unwrap().trace.as_deref().unwrap();
+    let (first, last) = TraceRecorder::from_handle(local_trace)
+        .and_then(TraceRecorder::cycle_bounds)
+        .expect("local run has events");
     assert_eq!(cycles("sim_cycles_first"), first);
     assert_eq!(cycles("sim_cycles_last"), last);
 
