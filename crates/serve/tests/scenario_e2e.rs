@@ -187,6 +187,39 @@ fn malformed_scenarios_get_path_qualified_400s() {
         );
     }
 
+    // Workload specs that break a validity rule, more of them than the
+    // config has acceptor threads (a panic while parsing would kill
+    // one): each is a 400, and the server still answers.
+    let bad_specs = [
+        "frac heap=2",
+        "frac heap=0.9 stack=0.5",
+        "phase len=0",
+        "hot heap=0",
+        "tune read_burst=0",
+        "tune theta=-1",
+        "mix 0/0/0",
+        "mix 4294967295/1/0",
+        "schedule active=9223372036854775808 idle=9223372036854775808",
+    ];
+    assert!(bad_specs.len() > test_config().accept_threads);
+    for directive in bad_specs {
+        let body = format!(
+            r#"{{"schema_version": 1, "name": "x", "description": "d",
+                "experiment": "sim",
+                "workload": {{"spec": "workload T\nprocess a\n  pages code=8 heap=32 stack=8 file=8\n  {directive}\n"}},
+                "matrix": {{"mem_mb": [5]}}}}"#
+        );
+        let resp = post_json(&addr, "/v1/scenarios", &body, TIMEOUT).unwrap();
+        assert_eq!(resp.status, 400, "{directive:?} got {}", resp.text());
+        assert!(
+            resp.text().contains("workload.spec: bad workload spec"),
+            "{}",
+            resp.text()
+        );
+    }
+    let health = get(&addr, "/healthz", TIMEOUT).unwrap();
+    assert_eq!(health.status, 200);
+
     server.shutdown();
 }
 

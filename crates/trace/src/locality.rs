@@ -151,12 +151,6 @@ impl HotSet {
         self.pages[self.slot(self.zipf.sample(rng))]
     }
 
-    /// Samples a hot page uniformly (no rank skew) — used for rare
-    /// one-off touches that should not concentrate on the hottest pages.
-    pub fn sample_uniform(&self, rng: &mut SmallRng) -> u64 {
-        self.pages[self.slot(rng.random_range(0..self.pages.len()))]
-    }
-
     /// Promotes `page` to rank 0, evicting the coldest page. Returns the
     /// evicted page.
     pub fn promote(&mut self, page: u64) -> u64 {

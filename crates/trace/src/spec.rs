@@ -143,11 +143,12 @@ fn apply_directive<'a, I: Iterator<Item = &'a str>>(
             if parts.len() != 3 {
                 return Err(bad(line_no, "mix must be ifetch/read/write"));
             }
-            proc.behavior.mix = RefMix::new(
+            proc.behavior.mix = RefMix::checked(
                 parse_num(parts[0], line_no)?,
                 parse_num(parts[1], line_no)?,
                 parse_num(parts[2], line_no)?,
-            );
+            )
+            .ok_or_else(|| bad(line_no, "mix parts must sum to between 1 and 4294967295"))?;
         }
         "hot" => {
             for token in tokens {
@@ -215,14 +216,12 @@ fn apply_directive<'a, I: Iterator<Item = &'a str>>(
                     other => return Err(bad(line_no, format!("unknown schedule key {other:?}"))),
                 }
             }
-            if active == 0 {
-                return Err(bad(line_no, "schedule needs active > 0"));
-            }
             proc.schedule = Schedule::Periodic {
                 active,
                 idle,
                 offset,
             };
+            proc.schedule.validate().map_err(|msg| bad(line_no, msg))?;
         }
         other => return Err(bad(line_no, format!("unknown directive {other:?}"))),
     }
@@ -371,6 +370,43 @@ mod tests {
         assert!(err.to_string().contains("before any process"));
         let err = parse_workload("workload T\nprocess a\n  bogus x=1\n").unwrap_err();
         assert!(err.to_string().contains("unknown directive"));
+    }
+
+    /// Every validity rule a spec can break is a typed error naming
+    /// the rule, never a panic in the parser or a value that panics or
+    /// wraps once the generator runs.
+    #[test]
+    fn invalid_specs_are_errors_not_panics() {
+        for (directive, needle) in [
+            ("frac heap=2", "heap_frac"),
+            ("frac heap=0.9 stack=0.5", "room for file data"),
+            ("phase len=0", "phase_len"),
+            ("hot heap=0", "hot sets"),
+            ("hot code=0", "hot sets"),
+            ("tune read_burst=0", "bursts"),
+            ("tune write_burst=0", "bursts"),
+            ("tune theta=-1", "zipf_theta"),
+            ("tune theta=inf", "zipf_theta"),
+            ("mix 0/0/0", "mix parts"),
+            ("mix 4294967295/1/0", "mix parts"),
+            (
+                "schedule active=9223372036854775808 idle=9223372036854775808",
+                "overflows",
+            ),
+            (
+                "schedule active=1 idle=1 offset=18446744073709551615",
+                "overflows",
+            ),
+        ] {
+            let text = format!(
+                "workload T\nprocess a\n  pages code=8 heap=32 stack=8 file=8\n  {directive}\n"
+            );
+            let err = parse_workload(&text).unwrap_err();
+            assert!(
+                matches!(err, Error::BadWorkload(_)) && err.to_string().contains(needle),
+                "{directive}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl Workload {
     /// # Errors
     ///
     /// Returns [`Error::BadWorkload`] if there are no processes, a
-    /// segment is empty, or the address space is exhausted.
+    /// process's behavior or schedule is invalid
+    /// ([`BehaviorSpec::validate`], [`Schedule::validate`]), a segment
+    /// is empty, or the address space is exhausted.
     pub fn build(name: &str, specs: Vec<ProcessSpec>) -> Result<Workload> {
         Self::build_with_shared(name, specs, 0)
     }
@@ -106,7 +108,10 @@ impl Workload {
         let mut layout = Layout::new();
         let mut regions = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            spec.behavior.assert_valid();
+            spec.behavior
+                .validate()
+                .and_then(|()| spec.schedule.validate())
+                .map_err(|msg| Error::BadWorkload(format!("process {}: {msg}", spec.name)))?;
             let pid = Pid(i as u32);
             regions.push(ProcRegions {
                 code: layout.add(pid, SegKind::Code, spec.code_pages)?,

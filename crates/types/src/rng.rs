@@ -72,6 +72,20 @@ impl SmallRng {
         result
     }
 
+    /// The 53-bit integer `k` behind `random::<f64>()`, which is
+    /// exactly `k · 2^-53`: the top 53 bits of one `next_u64`.
+    #[inline]
+    pub fn draw53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// One probability test, exactly `self.random::<f64>() < p` for
+    /// the `p` that `t` was built from, with no float arithmetic.
+    #[inline]
+    pub fn chance(&mut self, t: Threshold) -> bool {
+        t.admits(self.draw53())
+    }
+
     /// A uniform sample of `T` (see [`Standard`] for the supported types;
     /// floats are uniform in `[0, 1)`).
     pub fn random<T: Standard>(&mut self) -> T {
@@ -105,6 +119,48 @@ impl SmallRng {
     }
 }
 
+/// A probability `p` as an integer threshold on [`SmallRng::draw53`].
+///
+/// `random::<f64>()` is `k · 2^-53` for an integer `k < 2^53`, so
+/// `random::<f64>() < p` holds exactly when `k < ceil(p · 2^53)`. Both
+/// steps are exact in `f64` (scaling by a power of two, then rounding
+/// up to an integer at most `2^53` for `p` in `[0, 1]`), so a test
+/// against the threshold draws the same value and gives the same
+/// answer as the float comparison, for every `p`: below 0 or NaN never
+/// passes, 1 or more always does.
+///
+/// ```
+/// use spur_types::rng::{SmallRng, Threshold};
+///
+/// let t = Threshold::new(0.3);
+/// let mut a = SmallRng::seed_from_u64(5);
+/// let mut b = a.clone();
+/// for _ in 0..1000 {
+///     assert_eq!(a.chance(t), b.random::<f64>() < 0.3);
+/// }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Threshold(u64);
+
+impl Threshold {
+    /// The test that never passes (`p = 0`).
+    pub const NEVER: Threshold = Threshold(0);
+
+    /// The threshold of probability `p`.
+    pub fn new(p: f64) -> Self {
+        // `as` saturates: negative and NaN give 0, huge values u64::MAX.
+        Threshold((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Whether a draw `k` from [`SmallRng::draw53`] passes: the same
+    /// as `k · 2^-53 < p`. Lets one draw be tested against several cut
+    /// points, as `u < a`, then `u < b`.
+    #[inline]
+    pub fn admits(self, k: u64) -> bool {
+        k < self.0
+    }
+}
+
 /// Types [`SmallRng::random`] can produce.
 pub trait Standard: Sized {
     /// Draws one value.
@@ -114,7 +170,7 @@ pub trait Standard: Sized {
 impl Standard for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     fn sample(rng: &mut SmallRng) -> f64 {
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        rng.draw53() as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 

@@ -1,11 +1,12 @@
-//! Randomized tests for address arithmetic invariants.
+//! Randomized tests for address arithmetic invariants and the RNG's
+//! integer probability thresholds.
 //!
 //! These were proptest properties; they now draw inputs from the
 //! repository's own deterministic [`SmallRng`] so the workspace builds
 //! with no external dependencies (and failures reproduce exactly).
 
 use spur_types::addr::{BlockNum, GlobalAddr, PhysAddr, ProcAddr, Vpn};
-use spur_types::rng::SmallRng;
+use spur_types::rng::{SmallRng, Threshold};
 use spur_types::{BLOCKS_PER_PAGE, BLOCK_SIZE, PAGE_SIZE};
 
 const CASES: usize = 512;
@@ -94,4 +95,46 @@ fn vpn_block_ordering_is_monotonic() {
         assert!(v.block(i).index() < v.block(i + 1).index());
         assert_eq!(BlockNum::new(v.block(i).index()).vpn(), v);
     }
+}
+
+/// `Threshold::new(p).admits(k)` is `k · 2^-53 < p`, and `chance` is
+/// `random::<f64>() < p` on the same stream: for p = 0, p = 1, exact
+/// multiples of 2^-53 (where rounding up must not move the cut), and
+/// random p, each against random draws and the draws on either side
+/// of the cut.
+#[test]
+fn threshold_tests_equal_float_tests() {
+    const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+    let mut rng = SmallRng::seed_from_u64(0x7e57_0008);
+    let mut ps = vec![0.0, 1.0, UNIT, 1.0 - UNIT, 0.5, 0.25, -0.5, 1.5, f64::NAN];
+    for _ in 0..CASES {
+        ps.push(rng.random_range(0u64..=1 << 53) as f64 * UNIT);
+        ps.push(rng.random::<f64>());
+        // Small probabilities, where most of the precision sits.
+        ps.push(rng.random::<f64>() * 1e-3);
+    }
+    for p in ps {
+        let t = Threshold::new(p);
+        let cut = (p * (1u64 << 53) as f64)
+            .ceil()
+            .clamp(0.0, (1u64 << 53) as f64) as u64;
+        let mut draws: Vec<u64> = (0..64).map(|_| rng.draw53()).collect();
+        draws.extend([0, 1, (1 << 53) - 1]);
+        draws.extend([cut.saturating_sub(1), cut, cut + 1].map(|k| k.min((1 << 53) - 1)));
+        for k in draws {
+            assert_eq!(t.admits(k), (k as f64) * UNIT < p, "p = {p:e}, k = {k}");
+        }
+
+        let mut a = SmallRng::seed_from_u64(p.to_bits());
+        let mut b = a.clone();
+        for _ in 0..64 {
+            assert_eq!(a.chance(t), b.random::<f64>() < p, "p = {p:e}");
+        }
+        assert_eq!(
+            a, b,
+            "a threshold test draws exactly what the float test draws"
+        );
+    }
+    assert!(!Threshold::NEVER.admits(0));
+    assert_eq!(Threshold::new(0.0), Threshold::NEVER);
 }
