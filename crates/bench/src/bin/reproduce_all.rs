@@ -1,6 +1,8 @@
 //! Regenerates every table and figure in one go, in paper order.
 //!
-//! Every experiment cell is a harness job, so the whole regeneration
+//! The cells are the committed scenario configs'
+//! (`scenarios/table_3_3.json`, `table_3_5.json`, `table_4_1.json`),
+//! expanded into one harness pool, so the whole regeneration
 //! parallelizes across `--jobs N` workers (default: available
 //! parallelism, or `SPUR_JOBS`) while the assembled tables stay
 //! byte-identical to a serial run. Machine-readable artifacts land in
@@ -10,124 +12,30 @@
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
 //! ```
 
-use spur_bench::{jobs_from_args, obs_from_args, scale_from_args, ObsOptions};
-use spur_core::experiments::events::{render_table_3_3, EventRow};
-use spur_core::experiments::pageout::{render_table_3_5, PageoutRow};
-use spur_core::experiments::refbit::{render_table_4_1, RefbitRow};
-use spur_core::experiments::{self, overhead};
-use spur_core::jobs::{events_job_obs, pageout_job, refbit_job_obs};
-use spur_harness::{run_jobs_with_progress, Job, RunReport};
-use spur_scenario::persist_run;
-use spur_trace::workloads::{slc, workload1, DevHost, Workload};
-use spur_types::{CostParams, MemSize, SystemConfig};
-use spur_vm::policy::RefPolicy;
+use spur_bench::{jobs_from_args, obs_from_args, scale_from_args};
+use spur_core::experiments::events::render_table_3_3;
+use spur_core::experiments::overhead;
+use spur_core::experiments::pageout::render_table_3_5;
+use spur_core::experiments::refbit::render_table_4_1;
+use spur_harness::run_jobs_with_progress;
+use spur_scenario::render::{event_rows, pageout_rows, refbit_rows};
+use spur_scenario::{persist_run, Scenario};
+use spur_types::{CostParams, SystemConfig};
 
-/// One cell of the full regeneration.
-enum Cell {
-    Events(EventRow),
-    Pageout(PageoutRow),
-    Refbit(RefbitRow),
-}
-
-type NamedWorkload = (&'static str, fn() -> Workload);
-const WORKLOADS: [NamedWorkload; 2] = [("SLC", slc), ("WORKLOAD1", workload1)];
-
-fn events_key(workload: &str, mem: MemSize) -> String {
-    format!("table_3_3/{workload}/{}MB", mem.megabytes())
-}
-
-/// Keyed by row index as well as name: Table 3.5 samples the machine
-/// "mace" twice (two snapshots at different uptimes).
-fn pageout_key(index: usize, host: &str) -> String {
-    format!("table_3_5/{index}/{host}")
-}
-
-fn refbit_key(workload: &str, mem: MemSize, policy: RefPolicy) -> String {
-    format!("table_4_1/{workload}/{}MB/{policy}", mem.megabytes())
-}
-
-fn build_jobs(scale: experiments::Scale, hosts: &[DevHost], obs: &ObsOptions) -> Vec<Job<Cell>> {
-    let params = obs.params();
-    let mut jobs = Vec::new();
-    for (name, make) in WORKLOADS {
-        for mem in MemSize::STUDY_SIZES {
-            jobs.push(
-                events_job_obs(events_key(name, mem), make, mem, scale, params).map(Cell::Events),
-            );
-        }
-    }
-    for (i, host) in hosts.iter().enumerate() {
-        jobs.push(pageout_job(pageout_key(i, host.name), host.clone(), scale).map(Cell::Pageout));
-    }
-    for (name, make) in WORKLOADS {
-        for mem in MemSize::STUDY_SIZES {
-            for policy in RefPolicy::ALL {
-                jobs.push(
-                    refbit_job_obs(
-                        refbit_key(name, mem, policy),
-                        make,
-                        mem,
-                        policy,
-                        scale,
-                        params,
-                    )
-                    .map(Cell::Refbit),
-                );
-            }
-        }
-    }
-    jobs
-}
-
-/// Collects Table 3.3's rows in the serial (workload, size) order.
-fn assemble_events(report: &RunReport<Cell>) -> Result<Vec<EventRow>, String> {
-    let mut rows = Vec::new();
-    for (name, _) in WORKLOADS {
-        for mem in MemSize::STUDY_SIZES {
-            match report.require(&events_key(name, mem))? {
-                Cell::Events(row) => rows.push(row.clone()),
-                _ => unreachable!("table_3_3 keys hold event cells"),
-            }
-        }
-    }
-    Ok(rows)
-}
-
-fn assemble_pageouts(
-    report: &RunReport<Cell>,
-    hosts: &[DevHost],
-) -> Result<Vec<PageoutRow>, String> {
-    hosts
-        .iter()
-        .enumerate()
-        .map(
-            |(i, host)| match report.require(&pageout_key(i, host.name))? {
-                Cell::Pageout(row) => Ok(row.clone()),
-                _ => unreachable!("table_3_5 keys hold page-out cells"),
-            },
-        )
-        .collect()
-}
-
-fn assemble_refbits(report: &RunReport<Cell>) -> Result<Vec<RefbitRow>, String> {
-    let mut rows = Vec::new();
-    for (name, _) in WORKLOADS {
-        for mem in MemSize::STUDY_SIZES {
-            for policy in RefPolicy::ALL {
-                match report.require(&refbit_key(name, mem, policy))? {
-                    Cell::Refbit(row) => rows.push(row.clone()),
-                    _ => unreachable!("table_4_1 keys hold reference-bit cells"),
-                }
-            }
-        }
-    }
-    Ok(rows)
-}
+/// Tables 3.3 and 3.4 and the footnote-3 model, Table 3.5, Table 4.1:
+/// the cells in this order are the run's job order.
+const CONFIGS: [&str; 3] = [
+    include_str!("../../../../scenarios/table_3_3.json"),
+    include_str!("../../../../scenarios/table_3_5.json"),
+    include_str!("../../../../scenarios/table_4_1.json"),
+];
 
 fn main() {
     let scale = scale_from_args();
     let workers = jobs_from_args();
     let obs = obs_from_args();
+    let [events, pageouts, refbits] =
+        CONFIGS.map(|c| Scenario::parse_str(c).expect("committed scenario config is valid"));
     println!("SPUR reference/dirty-bit reproduction — all artifacts");
     println!(
         "scale: {} references/run, {} rep(s), seed {}\n",
@@ -142,11 +50,17 @@ fn main() {
     println!("=========================================");
     println!("{}\n", CostParams::paper());
 
-    let hosts = DevHost::table_3_5();
-    let report = run_jobs_with_progress(build_jobs(scale, &hosts, &obs), workers, obs.progress);
+    let mut jobs = Vec::new();
+    for scenario in [&events, &pageouts, &refbits] {
+        let cells = scenario
+            .cells(scale, obs.params())
+            .expect("committed scenario keys are distinct");
+        jobs.extend(cells.iter().map(|cell| cell.job()));
+    }
+    let report = run_jobs_with_progress(jobs, workers, obs.progress);
     persist_run("reproduce_all", &scale, &report, obs.trace_out.as_deref());
 
-    let rows = match assemble_events(&report) {
+    let rows = match event_rows(&events, &report) {
         Ok(rows) => rows,
         Err(e) => {
             eprintln!("event measurement failed: {e}");
@@ -163,12 +77,12 @@ fn main() {
         overhead::render_model(&overhead::model_vs_measured(&rows))
     );
 
-    match assemble_pageouts(&report, &hosts) {
+    match pageout_rows(&pageouts, &report) {
         Ok(rows) => println!("{}", render_table_3_5(&rows)),
         Err(e) => eprintln!("table 3.5 failed: {e}"),
     }
 
-    match assemble_refbits(&report) {
+    match refbit_rows(&refbits, &report) {
         Ok(rows) => println!("{}", render_table_4_1(&rows)),
         Err(e) => eprintln!("table 4.1 failed: {e}"),
     }

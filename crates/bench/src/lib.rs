@@ -1,13 +1,18 @@
-//! Shared helpers for the table/figure regenerator binaries and the
-//! bench targets.
+//! Shared flag parsing for the table/figure regenerator binaries.
 //!
 //! Every regenerator accepts an optional scale argument and a worker
 //! count for the experiment harness:
 //!
 //! ```text
-//! cargo run --release -p spur-bench --bin table_3_3 -- --scale quick
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
+//! cargo run --release -p spur-bench --bin sweep_memory -- --scale quick
 //! ```
+//!
+//! Tables 3.3–3.5 and 4.1 have no binary of their own: their cells are
+//! committed scenario configs, run on their own by
+//! `spur-scenario run scenarios/table_*.json --legacy-stdout` and all
+//! together by `reproduce_all`. Timing lives in `perfbench/`, the
+//! repository's one benchmark.
 
 use spur_core::experiments::Scale;
 use spur_core::obs::ObsParams;
@@ -286,138 +291,6 @@ pub mod jobs {
                 })
             })
             .collect()
-    }
-}
-
-pub mod microbench {
-    //! A std-only timing harness for the `cargo bench` targets.
-    //!
-    //! The registry is unreachable in this environment, so criterion is
-    //! not an option; this module provides the minimal useful subset:
-    //! warmup, wall-budgeted measurement, and a ns/iter +
-    //! elements/second report.
-
-    use std::time::{Duration, Instant};
-
-    /// One measured benchmark result.
-    #[derive(Debug, Clone)]
-    pub struct Measurement {
-        /// Benchmark name (`group/name`).
-        pub name: String,
-        /// Nanoseconds per iteration (mean over the measured window).
-        pub ns_per_iter: f64,
-        /// Iterations measured.
-        pub iters: u64,
-        /// Elements processed per iteration (for throughput).
-        pub elements_per_iter: u64,
-    }
-
-    /// Collects and reports measurements.
-    #[derive(Debug, Default)]
-    pub struct Bench {
-        budget: Duration,
-        results: Vec<Measurement>,
-    }
-
-    impl Bench {
-        /// Creates a harness with a per-benchmark wall budget from
-        /// `SPUR_BENCH_MS` (default 200 ms).
-        pub fn from_env() -> Self {
-            let ms = std::env::var("SPUR_BENCH_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(200);
-            Bench {
-                budget: Duration::from_millis(ms),
-                results: Vec::new(),
-            }
-        }
-
-        /// Runs `f` repeatedly for the wall budget and records the mean
-        /// iteration time. `elements` is the per-iteration element count
-        /// used for throughput reporting.
-        pub fn bench(&mut self, name: &str, elements: u64, mut f: impl FnMut()) {
-            // Warmup: a few iterations so lazy state settles.
-            for _ in 0..3 {
-                f();
-            }
-            let start = Instant::now();
-            let mut iters = 0u64;
-            while start.elapsed() < self.budget {
-                f();
-                iters += 1;
-            }
-            let total = start.elapsed();
-            self.push(name, total, iters.max(1), elements);
-        }
-
-        /// Runs `f` a fixed number of iterations (for expensive bodies
-        /// where wall-budget calibration would be wasteful).
-        pub fn bench_n(&mut self, name: &str, iters: u64, elements: u64, mut f: impl FnMut()) {
-            f(); // warmup
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            let total = start.elapsed();
-            self.push(name, total, iters.max(1), elements);
-        }
-
-        /// Like [`Bench::bench`], but rebuilds input state outside the
-        /// timed region on every iteration.
-        pub fn bench_with_setup<T>(
-            &mut self,
-            name: &str,
-            elements: u64,
-            mut setup: impl FnMut() -> T,
-            mut f: impl FnMut(T),
-        ) {
-            f(setup()); // warmup
-            let mut timed = Duration::ZERO;
-            let mut iters = 0u64;
-            let begin = Instant::now();
-            while begin.elapsed() < self.budget {
-                let input = setup();
-                let start = Instant::now();
-                f(input);
-                timed += start.elapsed();
-                iters += 1;
-            }
-            self.push(name, timed, iters.max(1), elements);
-        }
-
-        fn push(&mut self, name: &str, total: Duration, iters: u64, elements: u64) {
-            let m = Measurement {
-                name: name.to_string(),
-                ns_per_iter: total.as_nanos() as f64 / iters as f64,
-                iters,
-                elements_per_iter: elements,
-            };
-            println!("{}", render_line(&m));
-            self.results.push(m);
-        }
-
-        /// Prints the closing summary.
-        pub fn finish(self) {
-            println!(
-                "\n{} benchmarks, budget {:?} each",
-                self.results.len(),
-                self.budget
-            );
-        }
-    }
-
-    /// Formats one measurement line.
-    pub fn render_line(m: &Measurement) -> String {
-        let rate = if m.ns_per_iter > 0.0 {
-            m.elements_per_iter as f64 / (m.ns_per_iter / 1e9)
-        } else {
-            0.0
-        };
-        format!(
-            "{:<44} {:>14.1} ns/iter {:>12.0} elem/s ({} iters)",
-            m.name, m.ns_per_iter, rate, m.iters
-        )
     }
 }
 

@@ -10,7 +10,7 @@
 //! * [`flush_cost_comparison`] — SPUR's actual tag-*blind* flush vs the
 //!   assumed tag-checked flush (~2000 vs ~500 cycles), measured on real
 //!   cache states instead of the paper's back-of-envelope numbers.
-//! * [`miss_approximation_vs_cache_size`] — Section 4.1's extrapolation:
+//! * [`measure_cache_scaling_point_obs`] — Section 4.1's extrapolation:
 //!   "as caches increase in size, we expect the approximation to become
 //!   worse... at [the infinite] extreme, the MISS bit approximation
 //!   provides no benefit."
@@ -241,23 +241,8 @@ impl CacheScalingRow {
 
 /// Runs one cache size of the Section 4.1 extrapolation (both the
 /// `MISS` and `REF` policies) — the cell the experiment harness
-/// schedules.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_cache_scaling_point(
-    workload: &Workload,
-    mem: MemSize,
-    scale: &Scale,
-    cache_kb: usize,
-) -> Result<CacheScalingRow> {
-    measure_cache_scaling_point_obs(workload, mem, scale, cache_kb, None).map(|(row, _)| row)
-}
-
-/// [`measure_cache_scaling_point`] with optional observability. Each
-/// point runs two simulations (`MISS` and `REF`); only the `MISS` run is
-/// instrumented so one cell yields one trace.
+/// schedules — with optional observability. Only the `MISS` run is
+/// instrumented, so one cell yields one trace.
 ///
 /// # Errors
 ///
@@ -300,26 +285,6 @@ pub fn measure_cache_scaling_point_obs(
         miss_ref_faults,
     };
     Ok((row, report))
-}
-
-/// Section 4.1's extrapolation: as the cache grows, active pages stop
-/// missing, their reference bits stay clear, and the `MISS`
-/// approximation mistakes them for idle — `REF`'s advantage should grow
-/// with cache size.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn miss_approximation_vs_cache_size(
-    workload: &Workload,
-    mem: MemSize,
-    scale: &Scale,
-    cache_kbs: &[usize],
-) -> Result<Vec<CacheScalingRow>> {
-    cache_kbs
-        .iter()
-        .map(|&kb| measure_cache_scaling_point(workload, mem, scale, kb))
-        .collect()
 }
 
 /// Renders the cache-size scaling study.

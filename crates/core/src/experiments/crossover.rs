@@ -47,23 +47,8 @@ impl CrossoverRow {
     }
 }
 
-/// Runs one (period, policy) point.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_crossover(
-    workload: &Workload,
-    mem: MemSize,
-    period: Option<u64>,
-    policy: RefPolicy,
-    scale: &Scale,
-) -> Result<CrossoverRow> {
-    measure_crossover_obs(workload, mem, period, policy, scale, None).map(|(row, _)| row)
-}
-
-/// [`measure_crossover`] with optional observability: when `obs` is
-/// set the cell is traced and the finished [`ObsReport`] rides along.
+/// Runs one (period, policy) point. When `obs` is set the cell is
+/// traced and the finished [`ObsReport`] rides along.
 ///
 /// # Errors
 ///
@@ -99,26 +84,6 @@ pub fn measure_crossover_obs(
         elapsed_secs: ev.elapsed_seconds(),
     };
     Ok((row, report))
-}
-
-/// Sweeps daemon periods × policies at one memory size.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn crossover_sweep(
-    workload: &Workload,
-    mem: MemSize,
-    periods: &[Option<u64>],
-    scale: &Scale,
-) -> Result<Vec<CrossoverRow>> {
-    let mut rows = Vec::new();
-    for &period in periods {
-        for policy in RefPolicy::ALL {
-            rows.push(measure_crossover(workload, mem, period, policy, scale)?);
-        }
-    }
-    Ok(rows)
 }
 
 /// Renders the sweep with elapsed times relative to each period's MISS.
@@ -165,7 +130,14 @@ mod tests {
             dev_refs_per_hour: 0,
         };
         let w = workload1();
-        let rows = crossover_sweep(&w, MemSize::MB8, &[None, Some(200_000)], &scale).unwrap();
+        let mut rows = Vec::new();
+        for period in [None, Some(200_000)] {
+            for policy in RefPolicy::ALL {
+                let (row, _) =
+                    measure_crossover_obs(&w, MemSize::MB8, period, policy, &scale, None).unwrap();
+                rows.push(row);
+            }
+        }
 
         // Pressure-only: the policies are near parity at 8 MB.
         let off_miss = rows

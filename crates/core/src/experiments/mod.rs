@@ -1,15 +1,19 @@
-//! Experiment runners: one per table or figure of the paper.
+//! Experiment measurements: the per-cell functions, row types and
+//! renderers behind each table or figure of the paper.
 //!
-//! | paper artifact | runner |
-//! |---|---|
-//! | Table 3.3 (event frequencies) | [`events::table_3_3`] |
-//! | Table 3.4 (dirty-bit overheads) | [`overhead::table_3_4`] |
-//! | Table 3.5 (dev-machine page-outs) | [`pageout::table_3_5`] |
-//! | Table 4.1 (reference-bit policies) | [`refbit::table_4_1`] |
-//! | Footnote 3 model | [`overhead::model_vs_measured`] |
+//! | paper artifact | one cell | rendered by |
+//! |---|---|---|
+//! | Table 3.3 (event frequencies) | [`events::measure_events_obs_with`] | [`events::render_table_3_3`] |
+//! | Table 3.4 (dirty-bit overheads) | derived from Table 3.3's rows by [`overhead::table_3_4`] | [`overhead::render_table_3_4`] |
+//! | Table 3.5 (dev-machine page-outs) | [`pageout::measure_host`] | [`pageout::render_table_3_5`] |
+//! | Table 4.1 (reference-bit policies) | [`refbit::measure_refbit_obs_with`] | [`refbit::render_table_4_1`] |
+//! | Footnote 3 model | derived by [`overhead::model_vs_measured`] | [`overhead::render_model`] |
 //!
-//! Every runner takes a [`Scale`] so the same code serves quick CI runs,
-//! criterion benches, and full regenerations.
+//! This module runs no table: the matrix of cells a table needs is a
+//! committed scenario config (`scenarios/table_*.json`), expanded and
+//! run in parallel by `spur-scenario` and `reproduce_all`. Every
+//! measurement takes a [`Scale`], so the same code serves quick CI
+//! runs and full regenerations.
 
 pub mod ablation;
 pub mod crossover;
@@ -21,16 +25,16 @@ pub mod refbit;
 pub mod sweep;
 
 pub use ablation::{
-    flush_cost_comparison, handler_tuning, measure_cache_scaling_point,
-    miss_approximation_vs_cache_size, sun3_overhead, tdc_sensitivity,
+    flush_cost_comparison, handler_tuning, measure_cache_scaling_point_obs, sun3_overhead,
+    tdc_sensitivity,
 };
-pub use crossover::{crossover_sweep, measure_crossover, CrossoverRow};
-pub use events::{measure_events, table_3_3, EventRow};
+pub use crossover::{measure_crossover_obs, CrossoverRow};
+pub use events::{measure_events, EventRow};
 pub use mp::{mp_model, render_mp_model, MpModelRow, MP_MODEL_DAEMON_PERIOD};
 pub use overhead::{model_vs_measured, table_3_4, OverheadRow};
-pub use pageout::{table_3_5, PageoutRow};
-pub use refbit::{table_4_1, RefbitRow};
-pub use sweep::{measure_tlb_point, memory_sweep, tlb_size_sweep, MemorySweepRow, TlbSweepRow};
+pub use pageout::{measure_host, PageoutRow};
+pub use refbit::{measure_refbit, RefbitRow};
+pub use sweep::{measure_tlb_point, MemorySweepRow, TlbSweepRow};
 
 /// How big an experiment run is.
 ///
@@ -50,7 +54,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Quick smoke-test scale (CI, criterion benches).
+    /// Quick smoke-test scale (CI and parity checks).
     pub const fn quick() -> Self {
         Scale {
             refs: 1_500_000,

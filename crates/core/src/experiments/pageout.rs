@@ -89,18 +89,6 @@ pub fn measure_host(host: &DevHost, scale: &Scale) -> Result<PageoutRow> {
     })
 }
 
-/// Regenerates Table 3.5 over all six hosts.
-///
-/// # Errors
-///
-/// Propagates the first failing host.
-pub fn table_3_5(scale: &Scale) -> Result<Vec<PageoutRow>> {
-    DevHost::table_3_5()
-        .iter()
-        .map(|h| measure_host(h, scale))
-        .collect()
-}
-
 /// Renders rows in the paper's Table 3.5 format.
 pub fn render_table_3_5(rows: &[PageoutRow]) -> String {
     let mut t = Table::new("Table 3.5: Page-Out Results from Sprite Development Systems");

@@ -5,7 +5,7 @@
 //! experiment design; we do the same (the repetition count lives in
 //! [`Scale::reps`]), varying the seed per repetition and averaging.
 
-use spur_trace::workloads::{slc, workload1, Workload};
+use spur_trace::workloads::Workload;
 use spur_types::{MemSize, Result};
 use spur_vm::policy::RefPolicy;
 
@@ -68,32 +68,17 @@ pub fn measure_refbit(
     policy: RefPolicy,
     scale: &Scale,
 ) -> Result<RefbitRow> {
-    measure_refbit_obs(workload, mem, policy, scale, None).map(|(row, _)| row)
+    measure_refbit_obs_with(workload, mem, policy, scale, None, &SimOverrides::default())
+        .map(|(row, _)| row)
 }
 
-/// [`measure_refbit`] with optional observability. Only repetition 0 is
+/// [`measure_refbit`] with optional observability and [`SimOverrides`]
+/// applied to the canonical configuration. Only repetition 0 is
 /// instrumented, so the trace stays a pure function of (workload,
 /// memory, policy, base seed) regardless of the repetition count; the
-/// averaged row is untouched either way.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn measure_refbit_obs(
-    workload: &Workload,
-    mem: MemSize,
-    policy: RefPolicy,
-    scale: &Scale,
-    obs: Option<ObsParams>,
-) -> Result<(RefbitRow, Option<ObsReport>)> {
-    measure_refbit_obs_with(workload, mem, policy, scale, obs, &SimOverrides::default())
-}
-
-/// [`measure_refbit_obs`] with [`SimOverrides`] applied to the
-/// canonical configuration. Default overrides reproduce
-/// [`measure_refbit_obs`] exactly — same simulation, same artifact
-/// bytes — which is the contract the serving layer's determinism
-/// guarantee rests on.
+/// averaged row is untouched either way. Default overrides are the
+/// byte-identical pass-through — the contract the serving layer's
+/// determinism guarantee rests on.
 ///
 /// # Errors
 ///
@@ -144,24 +129,6 @@ pub fn measure_refbit_obs_with(
         elapsed_sample,
     };
     Ok((row, report))
-}
-
-/// Regenerates Table 4.1: both workloads × {5, 6, 8} MB × {MISS, REF,
-/// NOREF}.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn table_4_1(scale: &Scale) -> Result<Vec<RefbitRow>> {
-    let mut rows = Vec::new();
-    for workload in [slc(), workload1()] {
-        for mem in MemSize::STUDY_SIZES {
-            for policy in RefPolicy::ALL {
-                rows.push(measure_refbit(&workload, mem, policy, scale)?);
-            }
-        }
-    }
-    Ok(rows)
 }
 
 /// Renders rows in the paper's Table 4.1 format, with page-ins and
@@ -218,6 +185,7 @@ pub fn render_table_4_1(rows: &[RefbitRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spur_trace::workloads::slc;
 
     #[test]
     fn noref_takes_no_ref_faults_and_miss_does() {

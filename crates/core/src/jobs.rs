@@ -9,13 +9,12 @@
 //! certify the same builders the binaries ship.
 
 use crate::experiments::events::{measure_events_obs_with, EventRow};
-use crate::experiments::pageout::{measure_host, PageoutRow};
 use crate::experiments::refbit::{measure_refbit_obs_with, RefbitRow};
 use crate::experiments::Scale;
 use crate::obs::{ObsParams, ObsReport};
 use crate::system::SimOverrides;
 use spur_harness::{Job, JobOutput};
-use spur_trace::workloads::{DevHost, Workload};
+use spur_trace::workloads::Workload;
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
@@ -78,20 +77,9 @@ pub fn events_job_for(
     })
 }
 
-/// One Table 4.1 / sweep cell: (workload, memory, policy),
-/// averaged over `scale.reps` seeds.
-pub fn refbit_job(
-    key: String,
-    make: WorkloadCtor,
-    mem: MemSize,
-    policy: RefPolicy,
-    scale: Scale,
-) -> Job<RefbitRow> {
-    refbit_job_obs(key, make, mem, policy, scale, None)
-}
-
-/// [`refbit_job`] with optional observability (repetition 0 only;
-/// see `measure_refbit_obs`).
+/// One Table 4.1 / sweep cell: (workload, memory, policy), averaged
+/// over `scale.reps` seeds, with optional observability (repetition 0
+/// only; see `measure_refbit_obs_with`).
 pub fn refbit_job_obs(
     key: String,
     make: WorkloadCtor,
@@ -121,15 +109,6 @@ pub fn refbit_job_for(
             .map_err(|e| e.to_string())?;
         let artifact = row.to_json();
         Ok(attach_obs(JobOutput::new(row, artifact), rep))
-    })
-}
-
-/// One Table 3.5 cell: a development host's observed uptime.
-pub fn pageout_job(key: String, host: DevHost, scale: Scale) -> Job<PageoutRow> {
-    Job::new(key, move || {
-        let row = measure_host(&host, &scale).map_err(|e| e.to_string())?;
-        let artifact = row.to_json();
-        Ok(JobOutput::new(row, artifact))
     })
 }
 

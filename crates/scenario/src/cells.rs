@@ -20,6 +20,7 @@ use spur_core::experiments::ablation::{
 };
 use spur_core::experiments::crossover::{measure_crossover_obs, CrossoverRow};
 use spur_core::experiments::events::EventRow;
+use spur_core::experiments::pageout::{measure_host, PageoutRow};
 use spur_core::experiments::refbit::RefbitRow;
 use spur_core::experiments::Scale;
 use spur_core::jobs::{attach_obs, events_job_for, refbit_job_for};
@@ -31,7 +32,7 @@ use spur_harness::{Job, JobOutput, Json};
 use spur_mp::{mp_job, mp_key, MpRow};
 use spur_trace::record::RecordedTrace;
 use spur_trace::spec::format_workload;
-use spur_trace::workloads::{mp_workers, Workload};
+use spur_trace::workloads::{devmachine, mp_workers, DevHost, Workload};
 use spur_types::{CostParams, MemSize, Protection, CACHE_LINES};
 use spur_vm::policy::RefPolicy;
 
@@ -61,6 +62,8 @@ pub enum CellValue {
     Refbit(RefbitRow),
     /// An `mp` cell.
     Mp(MpRow),
+    /// A `pageout` cell.
+    Pageout(PageoutRow),
 }
 
 /// Paging outcome of one inline `SpurSystem` run (the legacy
@@ -240,12 +243,19 @@ impl Cell {
 
     /// The workload the cell simulates, if it has one. An `mp` cell's
     /// is derived from its coordinates, exactly as `reproduce_mp`
-    /// derives it (and its memory is `spur-mp`'s fixed 8 MB node).
+    /// derives it (and its memory is `spur-mp`'s fixed 8 MB node); a
+    /// `pageout` cell's is its host's development-machine workload.
     fn simulated_workload(&self) -> Option<Workload> {
         match self.kind {
             Kind::Mp => Some(mp_workers(self.cpus(), self.u64_at("shared_pages"))),
+            Kind::Pageout => Some(devmachine(&self.host())),
             _ => self.workload.as_ref().map(WorkloadSource::workload),
         }
+    }
+
+    /// The `host` coordinate's row of Table 3.5.
+    fn host(&self) -> DevHost {
+        DevHost::table_3_5().swap_remove(self.u64_at("host") as usize)
     }
 
     fn mint_key(&self, key_prefix: Option<&str>) -> String {
@@ -275,6 +285,7 @@ impl Cell {
             ),
             Kind::Refbit => refbit_key(&name(), self.mem().megabytes(), self.policy()),
             Kind::Mp => mp_key(self.cpus(), self.u64_at("shared_pages"), self.policy()),
+            Kind::Pageout => pageout_key(self.u64_at("host") as usize, self.host().name),
         }
     }
 
@@ -360,6 +371,14 @@ pub fn sim_key(
 /// Table 4.1 cells).
 pub fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
     format!("table_4_1/{workload}/{mb}MB/{policy}")
+}
+
+/// The `pageout` kind's cell key (identical to `reproduce_all`'s
+/// Table 3.5 cells). Keyed by row index as well as name: Table 3.5
+/// samples the machine "mace" twice (two snapshots at different
+/// uptimes).
+pub fn pageout_key(index: usize, host: &str) -> String {
+    format!("table_3_5/{index}/{host}")
 }
 
 /// The cartesian product of the declared axes, first axis outermost —
@@ -577,6 +596,15 @@ impl Cell {
                 obs,
             )
             .map(CellValue::Mp),
+            Kind::Pageout => {
+                // Uninstrumented, with the host's own fixed seed.
+                let host = self.host();
+                Job::new(key, move || {
+                    let row = measure_host(&host, &scale).map_err(|e| e.to_string())?;
+                    let artifact = row.to_json();
+                    Ok(JobOutput::new(CellValue::Pageout(row), artifact))
+                })
+            }
         }
     }
 
@@ -799,6 +827,24 @@ mod tests {
         );
         assert_eq!(cells[1].key, "soft_faults/MISS/off");
         assert_eq!(cells[2].key, "soft_faults/NOREF/on");
+    }
+
+    #[test]
+    fn pageout_keys_carry_the_row_index_and_host_name() {
+        let s = parse(
+            r#"{"schema_version":1,"name":"t","experiment":"pageout",
+                "matrix":{"host":[0, 2, 5]}}"#,
+        );
+        let keys: Vec<String> = s
+            .cells(Scale::quick(), None)
+            .unwrap()
+            .into_iter()
+            .map(|c| c.key)
+            .collect();
+        assert_eq!(
+            keys,
+            ["table_3_5/0/mace", "table_3_5/2/mace", "table_3_5/5/murder"]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use spur_harness::{job_artifact_json, run_one, Json};
 use spur_obs::validate::{get_field, parse};
 use spur_scenario::cells::expand;
-use spur_scenario::Scenario;
+use spur_scenario::{run_scenario, RunnerOptions, Scenario};
 use spur_serve::client::{get, post_json};
 use spur_serve::{ServeConfig, Server};
 
@@ -177,6 +177,32 @@ fn malformed_scenarios_get_path_qualified_400s() {
                 "surprise": true}"#,
             "surprise",
         ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "pageout",
+                "matrix": {"host": [0, 6]}}"#,
+            "matrix.host[1]: host index 6 is past the end of Table 3.5",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "pageout",
+                "scale": {"dev_refs_per_hour": 1000000000000000},
+                "matrix": {"host": [0]}}"#,
+            "scale.dev_refs_per_hour: must be in 1..=1000000",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "pageout",
+                "workload": "SLC", "matrix": {"host": [0]}}"#,
+            "workload: not accepted for experiment",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "pageout",
+                "mem_mb": 8, "matrix": {"host": [0]}}"#,
+            "mem_mb: not accepted for experiment",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "pageout",
+                "max_refs": 1000, "matrix": {"host": [0]}}"#,
+            "max_refs: not accepted for experiment",
+        ),
     ] {
         let resp = post_json(&addr, "/v1/scenarios", body, TIMEOUT).unwrap();
         assert_eq!(resp.status, 400, "{body:?} should be rejected");
@@ -191,6 +217,7 @@ fn malformed_scenarios_get_path_qualified_400s() {
     // config has acceptor threads (a panic while parsing would kill
     // one): each is a 400, and the server still answers.
     let bad_specs = [
+        "weight 0",
         "frac heap=2",
         "frac heap=0.9 stack=0.5",
         "phase len=0",
@@ -351,6 +378,56 @@ fn served_fault_plans_fail_their_cells_despite_retries() {
         metrics.contains("spur_serve_jobs_retried_total 4"),
         "{metrics}"
     );
+
+    server.shutdown();
+}
+
+#[test]
+fn served_pageout_cells_match_the_cli_runner_byte_for_byte() {
+    // Two Table 3.5 hosts at a small per-hour rate. The pageout kind is
+    // only reachable over HTTP through this endpoint.
+    const PAGEOUT: &str = r#"{
+      "schema_version": 1,
+      "name": "served_pageout",
+      "experiment": "pageout",
+      "scale": {"dev_refs_per_hour": 1000},
+      "matrix": { "host": [2, 5] }
+    }"#;
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.addr().to_string();
+    let accepted = submit_scenario(&addr, PAGEOUT);
+    let result = await_scenario(&addr, uint_field(&accepted, "id"));
+    assert_eq!(get_field(&result, "passed"), Some(&Json::Bool(true)));
+
+    let scenario = Scenario::parse_str(PAGEOUT).unwrap();
+    let cli = run_scenario(
+        &scenario,
+        &RunnerOptions {
+            workers: 1,
+            persist: false,
+            ..RunnerOptions::default()
+        },
+    )
+    .unwrap();
+    let cells = arr_field(&accepted, "cells");
+    let keys: Vec<String> = cells.iter().map(|c| str_field(c, "key")).collect();
+    assert_eq!(keys, ["table_3_5/2/mace", "table_3_5/5/murder"]);
+    for cell in cells {
+        let key = str_field(cell, "key");
+        let served = get(
+            &addr,
+            &format!("/v1/jobs/{}/result", uint_field(cell, "id")),
+            TIMEOUT,
+        )
+        .unwrap();
+        assert_eq!(served.status, 200);
+        let direct = cli.report.jobs().iter().find(|j| j.key == key).unwrap();
+        assert_eq!(
+            served.text(),
+            job_artifact_json(direct).encode_pretty(),
+            "served cell {key} must match the CLI runner byte-for-byte"
+        );
+    }
 
     server.shutdown();
 }

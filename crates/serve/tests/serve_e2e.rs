@@ -45,7 +45,8 @@ fn test_config() -> ServeConfig {
 
 /// One directive per rule of `BehaviorSpec::validate`,
 /// `Schedule::validate` and `RefMix::checked` that a spec can break.
-const BAD_WORKLOAD_SPECS: [&str; 9] = [
+const BAD_WORKLOAD_SPECS: [&str; 10] = [
+    "weight 0",
     "frac heap=2",
     "frac heap=0.9 stack=0.5",
     "phase len=0",

@@ -284,6 +284,20 @@ impl ProcessSpec {
     pub fn total_pages(&self) -> u64 {
         self.code_pages + self.heap_pages + self.stack_pages + self.file_pages
     }
+
+    /// Checks the weight, the behavior and the schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the broken rule. A zero weight gives a
+    /// zero quantum, which would never yield the CPU.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.weight == 0 {
+            return Err("weight must be positive".into());
+        }
+        self.behavior.validate()?;
+        self.schedule.validate()
+    }
 }
 
 impl fmt::Display for ProcessSpec {

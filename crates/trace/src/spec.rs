@@ -378,6 +378,7 @@ mod tests {
     #[test]
     fn invalid_specs_are_errors_not_panics() {
         for (directive, needle) in [
+            ("weight 0", "weight must be positive"),
             ("frac heap=2", "heap_frac"),
             ("frac heap=0.9 stack=0.5", "room for file data"),
             ("phase len=0", "phase_len"),

@@ -108,9 +108,7 @@ impl Workload {
         let mut layout = Layout::new();
         let mut regions = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
-            spec.behavior
-                .validate()
-                .and_then(|()| spec.schedule.validate())
+            spec.validate()
                 .map_err(|msg| Error::BadWorkload(format!("process {}: {msg}", spec.name)))?;
             let pid = Pid(i as u32);
             regions.push(ProcRegions {

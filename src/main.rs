@@ -1,27 +1,26 @@
-//! `spur-repro` — command-line front end for the SPUR reference/dirty-bit
-//! reproduction.
+//! `spur-repro` — run one simulation of the SPUR reference/dirty-bit
+//! reproduction from the command line.
 //!
 //! ```text
-//! spur-repro table <2.1|3.1|3.2|3.3|3.4|3.5|4.1> [--scale quick|default|full]
 //! spur-repro run --workload <slc|workload1> [--mem <MB>] [--dirty <policy>]
 //!                [--refbit <policy>] [--refs <N>] [--seed <N>] [--cpus <N>]
-//! spur-repro model [--scale ...]
 //! ```
+//!
+//! The paper's tables come from `reproduce_all`, the `table_*`
+//! binaries (2.1, 3.1, 3.2) and `spur-scenario run
+//! scenarios/table_*.json --legacy-stdout` (3.3–3.5, 4.1).
 
 use std::process::ExitCode;
 
 use spur_core::dirty::DirtyPolicy;
-use spur_core::experiments::{events, overhead, pageout, refbit, Scale};
 use spur_core::system::{SimConfig, SpurSystem};
 use spur_trace::workloads::{slc, workload1, Workload};
-use spur_types::{CostParams, MemSize, SystemConfig};
+use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         spur-repro table <2.1|3.1|3.2|3.3|3.4|3.5|4.1> [--scale quick|default|full]\n  \
-         spur-repro model [--scale ...]\n  \
          spur-repro run --workload <slc|workload1|spec-file> [--mem MB]\n              \
          [--dirty fault|flush|spur|write|min] [--refbit miss|ref|noref]\n              \
          [--refs N] [--seed N] [--cpus N]"
@@ -59,14 +58,6 @@ impl Args {
     }
 }
 
-fn scale_of(args: &Args) -> Scale {
-    match args.flag("scale") {
-        Some("quick") => Scale::quick(),
-        Some("full") => Scale::full(),
-        _ => Scale::default_scale(),
-    }
-}
-
 fn workload_of(name: &str) -> Option<Workload> {
     match name {
         "slc" | "SLC" => Some(slc()),
@@ -82,63 +73,6 @@ fn workload_of(name: &str) -> Option<Workload> {
                     None
                 }
             }
-        }
-    }
-}
-
-fn cmd_table(args: &Args) -> ExitCode {
-    let Some(which) = args.positional.get(1) else {
-        return usage();
-    };
-    let scale = scale_of(args);
-    let result: Result<String, spur_types::Error> = match which.as_str() {
-        "2.1" => Ok(format!(
-            "Table 2.1: SPUR System Configuration\n{}",
-            SystemConfig::prototype()
-        )),
-        "3.1" => {
-            let mut out = String::from("Table 3.1: Dirty Bit Implementation Alternatives\n");
-            for p in DirtyPolicy::ALL {
-                out.push_str(&format!("  {:<6} {}\n", p.to_string(), p.description()));
-            }
-            Ok(out)
-        }
-        "3.2" => Ok(format!(
-            "Table 3.2: Time Parameters\n{}",
-            CostParams::paper()
-        )),
-        "3.3" => events::table_3_3(&scale).map(|r| events::render_table_3_3(&r)),
-        "3.4" => events::table_3_3(&scale)
-            .map(|r| overhead::render_table_3_4(&overhead::table_3_4(&r, &CostParams::paper()))),
-        "3.5" => pageout::table_3_5(&scale).map(|r| pageout::render_table_3_5(&r)),
-        "4.1" => refbit::table_4_1(&scale).map(|r| refbit::render_table_4_1(&r)),
-        _ => return usage(),
-    };
-    match result {
-        Ok(text) => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_model(args: &Args) -> ExitCode {
-    let scale = scale_of(args);
-    match events::table_3_3(&scale) {
-        Ok(rows) => {
-            println!(
-                "{}",
-                overhead::render_model(&overhead::model_vs_measured(&rows))
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
         }
     }
 }
@@ -216,8 +150,6 @@ fn main() -> ExitCode {
         return usage();
     };
     match args.positional.first().map(String::as_str) {
-        Some("table") => cmd_table(&args),
-        Some("model") => cmd_model(&args),
         Some("run") => cmd_run(&args),
         _ => usage(),
     }
