@@ -1,7 +1,7 @@
 //! Regenerates the multiprocessor reference-bit artifacts: the measured
 //! policy × CPU count × sharing-degree sweep on the real N-cache
-//! `MpSystem`, with the old analytic extrapolation printed alongside as
-//! a cross-check.
+//! `MpSystem`, with the old analytic extrapolation from the measured
+//! 1-CPU rows printed alongside as a cross-check.
 //!
 //! Every cell is a harness job, so the sweep parallelizes across
 //! `--jobs N` workers while the assembled table and the JSON artifacts
@@ -19,11 +19,10 @@
 
 use spur_bench::{has_flag, jobs_from_args, obs_from_args, scale_from_args};
 use spur_check::Lockstep;
-use spur_core::experiments::mp::{mp_model, render_mp_model};
 use spur_core::experiments::Scale;
 use spur_core::{DirtyPolicy, SimConfig};
 use spur_harness::{run_jobs_with_progress, Job, RunReport};
-use spur_mp::{mp_job, mp_key, render_mp, MpRow, MpScheduler};
+use spur_mp::{mp_job, mp_key, mp_model, render_mp, render_mp_model, MpRow, MpScheduler};
 use spur_scenario::persist_run;
 use spur_trace::workloads::mp_workers;
 use spur_types::MemSize;
@@ -144,20 +143,19 @@ fn main() {
     let report = run_jobs_with_progress(build_jobs(scale, &obs), workers, obs.progress);
     persist_run("reproduce_mp", &scale, &report, obs.trace_out.as_deref());
 
-    match assemble(&report, &scale) {
-        Ok(rows) => {
-            println!("{}", render_mp(&rows));
-            println!("REF's daemon flush bill grows with the processor count (every cache");
-            println!("holds copies the daemon must destroy) while MISS stays flat — the");
-            println!("paper's §4.1 argument, measured.");
-        }
+    let rows = match assemble(&report, &scale) {
+        Ok(rows) => rows,
         Err(e) => {
             eprintln!("multiprocessor sweep failed: {e}");
             std::process::exit(1);
         }
-    }
+    };
+    println!("{}", render_mp(&rows));
+    println!("REF's daemon flush bill grows with the processor count (every cache");
+    println!("holds copies the daemon must destroy) while MISS stays flat — the");
+    println!("paper's §4.1 argument, measured.");
 
-    match mp_model(&scale, cpu_counts(&scale)) {
+    match mp_model(&rows, cpu_counts(&scale)) {
         Ok(rows) => {
             println!();
             println!("{}", render_mp_model(&rows));

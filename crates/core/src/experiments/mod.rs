@@ -18,7 +18,6 @@
 pub mod ablation;
 pub mod crossover;
 pub mod events;
-pub mod mp;
 pub mod overhead;
 pub mod pageout;
 pub mod refbit;
@@ -30,7 +29,6 @@ pub use ablation::{
 };
 pub use crossover::{measure_crossover_obs, CrossoverRow};
 pub use events::{measure_events, EventRow};
-pub use mp::{mp_model, render_mp_model, MpModelRow, MP_MODEL_DAEMON_PERIOD};
 pub use overhead::{model_vs_measured, table_3_4, OverheadRow};
 pub use pageout::{measure_host, PageoutRow};
 pub use refbit::{measure_refbit, RefbitRow};

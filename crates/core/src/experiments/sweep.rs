@@ -6,8 +6,9 @@
 //! * [`measure_tlb_point`] — the conventional baseline's sensitivity to
 //!   TLB reach, with and without context-switch flushes.
 //!
-//! The `sweep_memory` and `sweep_tlb` binaries run the points as
-//! harness jobs.
+//! The `sweep_memory` binary runs the memory points as harness jobs;
+//! the TLB points are the `tlb` scenario kind's cells, committed as
+//! `scenarios/sweep_tlb.json`.
 
 use spur_trace::workloads::Workload;
 use spur_types::{MemSize, Result};

@@ -1244,7 +1244,7 @@ impl SpurSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spur_trace::workloads::{slc, workload1};
+    use spur_trace::workloads::{mp_workers, slc, workload1};
 
     fn sim(mem: MemSize, dirty: DirtyPolicy, ref_policy: RefPolicy) -> SpurSystem {
         SpurSystem::new(SimConfig {
@@ -1510,5 +1510,36 @@ mod tests {
         assert!(ev.n_wmiss <= ev.misses);
         // Zero-fill pages are a subset of page faults.
         assert!(ev.n_zfod <= s.vm().stats().page_faults);
+    }
+
+    #[test]
+    fn multiprocessor_runs_uphold_invariants() {
+        let workload = mp_workers(4, 128);
+        let mut sim = SpurSystem::new(SimConfig {
+            mem: MemSize::MB8,
+            cpus: 4,
+            ..SimConfig::default()
+        })
+        .unwrap();
+        sim.load_workload(&workload).unwrap();
+        sim.run(&mut workload.generator(3), 400_000).unwrap();
+        sim.check_invariants().unwrap();
+        // Sharing must actually generate coherence traffic.
+        assert!(
+            sim.counters()
+                .total(spur_cache::counters::CounterEvent::Invalidation)
+                > 0,
+            "shared writes must invalidate peer copies"
+        );
+    }
+
+    #[test]
+    fn too_many_cpus_is_rejected() {
+        let err = SpurSystem::new(SimConfig {
+            cpus: 13,
+            ..SimConfig::default()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("12"));
     }
 }

@@ -1,14 +1,22 @@
-//! The measured multiprocessor experiment.
+//! The measured multiprocessor experiment, and the analytic model it
+//! replaced.
 //!
 //! Section 4.1's argument — a daemon maintaining true reference bits
 //! "must flush the page from all the caches", so the `REF` policy's
 //! maintenance bill grows with the processor count while `MISS`'s stays
-//! flat — could only be *argued* on the uniprocessor prototype, and was
-//! only *extrapolated* by `spur_core::experiments::mp`'s analytic
-//! model. This module measures it: `mp_workers(cpus, shared_pages)`
-//! sharded across a real [`MpSystem`], one private cache per CPU,
-//! Berkeley ownership on the shared region, sweeping policy × CPU
-//! count × sharing degree.
+//! flat — could only be *argued* on the uniprocessor prototype. This
+//! module measures it: `mp_workers(cpus, shared_pages)` sharded across
+//! a real [`MpSystem`], one private cache per CPU, Berkeley ownership
+//! on the shared region, sweeping policy × CPU count × sharing degree.
+//!
+//! The pre-measurement analytic model ([`mp_model`]) stays as a
+//! cross-check. It takes the measured 1-CPU rows' daemon flush damage
+//! per page flush `d₁` and extrapolates to `n` CPUs as
+//! `d(n) = d₁ · ((1 − s) + s · n)`, where `s` is the workload's shared
+//! reference fraction: a flushed private page still costs one cache's
+//! worth of blocks, while a flushed shared page costs up to every
+//! cache's. `MISS` performs no daemon flushes, so its predicted bill
+//! is zero at every CPU count.
 
 use spur_cache::counters::CounterEvent;
 use spur_core::experiments::Scale;
@@ -23,10 +31,15 @@ use crate::system::{MpParams, MpSystem};
 /// References between periodic daemon clear passes in the measured
 /// sweep. `mp_workers` fits entirely in 8 MB, so without a periodic
 /// pass the pressure-driven daemon never runs and `REF`'s flush bill
-/// would be invisible. Shared with the analytic model's baseline in
-/// `spur_core::experiments::mp` so the cross-check compares like with
-/// like.
-pub const MP_DAEMON_PERIOD: u64 = spur_core::experiments::mp::MP_MODEL_DAEMON_PERIOD;
+/// would be invisible.
+pub const MP_DAEMON_PERIOD: u64 = 100_000;
+
+/// The shared-reference fraction of the `mp_workers` workload
+/// (`BehaviorSpec::shared_frac`); the model's sharing knob.
+const SHARED_FRAC: f64 = 0.20;
+
+/// The sharing degree of the 1-CPU cells the model extrapolates from.
+const MP_MODEL_SHARED_PAGES: u64 = 256;
 
 /// One measured multiprocessor data point.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,27 +174,6 @@ pub fn mp_job(
     })
 }
 
-/// Sweeps policy × CPU count × sharing degree, serially, in row order.
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-pub fn mp_sweep(
-    scale: &Scale,
-    cpu_counts: &[usize],
-    sharing: &[u64],
-) -> Result<Vec<MpRow>, String> {
-    let mut rows = Vec::new();
-    for &shared_pages in sharing {
-        for &cpus in cpu_counts {
-            for policy in [RefPolicy::Miss, RefPolicy::Ref] {
-                rows.push(measure_mp(cpus, policy, shared_pages, scale)?);
-            }
-        }
-    }
-    Ok(rows)
-}
-
 /// Renders a sweep as the standard table.
 pub fn render_mp(rows: &[MpRow]) -> String {
     let mut t = spur_core::report::Table::new(
@@ -209,6 +201,81 @@ pub fn render_mp(rows: &[MpRow]) -> String {
             r.invalidations.to_string(),
             r.owner_supplies.to_string(),
             format!("{:.1}", r.elapsed_secs),
+        ]);
+    }
+    t.render()
+}
+
+/// One extrapolated multiprocessor data point.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MpModelRow {
+    /// Number of processors the row extrapolates to.
+    pub cpus: usize,
+    /// Reference-bit policy.
+    pub policy: RefPolicy,
+    /// Measured uniprocessor daemon flush actions.
+    pub base_page_flushes: u64,
+    /// Predicted cache blocks destroyed per daemon flush at this CPU
+    /// count.
+    pub flush_writebacks_per_flush: f64,
+}
+
+/// Extrapolates each policy's measured (1 CPU, 256 shared pages) row
+/// in `rows` to every CPU count in `cpu_counts`, MISS first. A 1-CPU
+/// node is counter-identical to the uniprocessor `SpurSystem`
+/// (`tests/uniprocessor_parity.rs`), so these rows are the model's
+/// uniprocessor baseline.
+///
+/// # Errors
+///
+/// Names the baseline cell when `rows` lacks it.
+pub fn mp_model(rows: &[MpRow], cpu_counts: &[usize]) -> Result<Vec<MpModelRow>, String> {
+    let mut model = Vec::new();
+    for policy in [RefPolicy::Miss, RefPolicy::Ref] {
+        let base = rows
+            .iter()
+            .find(|r| r.cpus == 1 && r.shared_pages == MP_MODEL_SHARED_PAGES && r.policy == policy)
+            .ok_or_else(|| {
+                format!(
+                    "the model needs the measured {} cell",
+                    mp_key(1, MP_MODEL_SHARED_PAGES, policy)
+                )
+            })?;
+        let d1 = if base.page_flushes > 0 {
+            base.flush_writebacks as f64 / base.page_flushes as f64
+        } else {
+            0.0
+        };
+        for &cpus in cpu_counts {
+            model.push(MpModelRow {
+                cpus,
+                policy,
+                base_page_flushes: base.page_flushes,
+                flush_writebacks_per_flush: d1 * ((1.0 - SHARED_FRAC) + SHARED_FRAC * cpus as f64),
+            });
+        }
+    }
+    Ok(model)
+}
+
+/// Renders the model table. The title says "extrapolated" because it
+/// is: the measured table is [`render_mp`]'s.
+pub fn render_mp_model(rows: &[MpModelRow]) -> String {
+    let mut t = spur_core::report::Table::new(
+        "Multiprocessor reference-bit maintenance (ANALYTIC MODEL, extrapolated from 1 CPU)",
+    );
+    t.headers(&[
+        "CPUs",
+        "Policy",
+        "1-CPU daemon flushes",
+        "Predicted writebacks/flush",
+    ]);
+    for r in rows {
+        t.row(vec![
+            r.cpus.to_string(),
+            r.policy.to_string(),
+            r.base_page_flushes.to_string(),
+            format!("{:.2}", r.flush_writebacks_per_flush),
         ]);
     }
     t.render()
@@ -276,22 +343,53 @@ mod tests {
         assert_eq!(miss4.flush_writebacks, 0, "MISS stays flat");
     }
 
+    /// The model's baseline: the measured (1 CPU, 256 pages) rows.
+    fn baseline(scale: &Scale) -> Vec<MpRow> {
+        [RefPolicy::Miss, RefPolicy::Ref]
+            .into_iter()
+            .map(|policy| measure_mp(1, policy, MP_MODEL_SHARED_PAGES, scale).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn model_predicts_growth_for_ref_and_flat_zero_for_miss() {
+        let rows = mp_model(&baseline(&tiny()), &[1, 4, 8]).unwrap();
+        let ref_rows: Vec<_> = rows.iter().filter(|r| r.policy == RefPolicy::Ref).collect();
+        let miss_rows: Vec<_> = rows
+            .iter()
+            .filter(|r| r.policy == RefPolicy::Miss)
+            .collect();
+        assert!(
+            ref_rows[0].base_page_flushes > 0,
+            "REF exercises the daemon"
+        );
+        assert!(
+            ref_rows[2].flush_writebacks_per_flush > ref_rows[0].flush_writebacks_per_flush,
+            "predicted REF bill grows with CPUs"
+        );
+        for r in miss_rows {
+            assert_eq!(
+                r.flush_writebacks_per_flush, 0.0,
+                "MISS never daemon-flushes, so the model predicts zero"
+            );
+        }
+    }
+
     #[test]
     fn measured_growth_agrees_with_the_analytic_model() {
-        // The analytic extrapolation kept in spur-core is now a
-        // cross-check: both must predict the same *direction* for the
-        // total REF flush bill as CPUs grow. (The model's total at n
-        // CPUs is its fixed baseline flush count times the predicted
-        // per-flush damage, so growth in per-flush damage is growth in
-        // the bill.)
-        use spur_core::experiments::mp::{mp_model, MpModelRow};
+        // The analytic extrapolation is a cross-check: both must
+        // predict the same *direction* for the total REF flush bill as
+        // CPUs grow. (The model's total at n CPUs is its fixed baseline
+        // flush count times the predicted per-flush damage, so growth
+        // in per-flush damage is growth in the bill.)
         let scale = tiny();
-        let rows = mp_model(&scale, &[1, 4]).unwrap();
+        let base = baseline(&scale);
+        let rows = mp_model(&base, &[1, 4]).unwrap();
         let model_ref: Vec<_> = rows.iter().filter(|r| r.policy == RefPolicy::Ref).collect();
         assert_eq!(model_ref.len(), 2);
         let model_bill = |r: &MpModelRow| r.base_page_flushes as f64 * r.flush_writebacks_per_flush;
         let model_grows = model_bill(model_ref[1]) > model_bill(model_ref[0]);
-        let ref1 = measure_mp(1, RefPolicy::Ref, 256, &scale).unwrap();
+        let ref1 = &base[1];
         let ref4 = measure_mp(4, RefPolicy::Ref, 256, &scale).unwrap();
         let measured_grows = ref4.flush_writebacks > ref1.flush_writebacks;
         assert!(model_grows, "the model must predict growth");

@@ -18,8 +18,9 @@
 //!   owner-supplies-data) over a shared Sprite-like VM, fed by the
 //!   scheduler.
 //! * [`experiment`] — the measured policy × CPU count × sharing-degree
-//!   sweep behind `reproduce_mp`, replacing the analytic extrapolation
-//!   in `spur_core::experiments::mp` (which is kept as a cross-check).
+//!   cells behind `reproduce_mp` and the `mp` scenario kind, plus the
+//!   pre-measurement analytic model, now a pure function of the
+//!   measured 1-CPU rows and printed as a cross-check.
 //!
 //! Because [`MpScheduler`] is just an `Iterator<Item = TraceRef>`, the
 //! spur-check `Lockstep` driver verifies the multiprocessor system
@@ -30,6 +31,8 @@ pub mod experiment;
 pub mod sched;
 pub mod system;
 
-pub use experiment::{measure_mp, mp_job, mp_key, mp_sweep, render_mp, MpRow};
+pub use experiment::{
+    measure_mp, mp_job, mp_key, mp_model, render_mp, render_mp_model, MpModelRow, MpRow,
+};
 pub use sched::{shard_seed, MpScheduler, DEFAULT_EPOCH};
 pub use system::{MpParams, MpSystem};

@@ -3,11 +3,11 @@
 //! A [`Cell`] is the one description of a runnable experiment cell,
 //! whether it came from a scenario matrix or a `POST /v1/jobs` body.
 //! [`Cell::job`] builds it from the same measure functions and
-//! `spur_core::jobs` builders the legacy binaries call, with the same
-//! keys and the same artifact encodings — so a cell run through a
+//! `spur_core::jobs` builders the replaced binaries called, with the
+//! same keys and the same artifact encodings — so a cell run through a
 //! scenario or the serving API writes the byte-identical artifact the
-//! binary wrote. The parity tests in `tests/ablation_parity.rs` and
-//! `tests/cell_parity.rs` certify this claim per key, per byte.
+//! binary wrote. The parity tests in `tests/*_parity.rs` certify this
+//! claim per key, per byte.
 
 use std::sync::Arc;
 
@@ -22,6 +22,7 @@ use spur_core::experiments::crossover::{measure_crossover_obs, CrossoverRow};
 use spur_core::experiments::events::EventRow;
 use spur_core::experiments::pageout::{measure_host, PageoutRow};
 use spur_core::experiments::refbit::RefbitRow;
+use spur_core::experiments::sweep::{measure_tlb_point, TlbSweepRow};
 use spur_core::experiments::Scale;
 use spur_core::jobs::{attach_obs, events_job_for, refbit_job_for};
 use spur_core::obs::ObsParams;
@@ -64,6 +65,8 @@ pub enum CellValue {
     Mp(MpRow),
     /// A `pageout` cell.
     Pageout(PageoutRow),
+    /// A `tlb` cell.
+    Tlb(TlbSweepRow),
 }
 
 /// Paging outcome of one inline `SpurSystem` run (the legacy
@@ -286,6 +289,7 @@ impl Cell {
             Kind::Refbit => refbit_key(&name(), self.mem().megabytes(), self.policy()),
             Kind::Mp => mp_key(self.cpus(), self.u64_at("shared_pages"), self.policy()),
             Kind::Pageout => pageout_key(self.u64_at("host") as usize, self.host().name),
+            Kind::Tlb => tlb_key(self.u64_at("entries") as usize, self.flush_on_switch()),
         }
     }
 
@@ -299,6 +303,10 @@ impl Cell {
 
     fn soft_faults(&self) -> bool {
         matches!(self.coord("soft_faults"), Some(Json::Bool(true)))
+    }
+
+    fn flush_on_switch(&self) -> bool {
+        matches!(self.coord("flush_on_switch"), Some(Json::Bool(true)))
     }
 }
 
@@ -379,6 +387,13 @@ pub fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
 /// uptimes).
 pub fn pageout_key(index: usize, host: &str) -> String {
     format!("table_3_5/{index}/{host}")
+}
+
+/// The `tlb` kind's cell key (identical to the retired `sweep_tlb`
+/// binary's).
+pub fn tlb_key(entries: usize, flush_on_switch: bool) -> String {
+    let mode = if flush_on_switch { "flush" } else { "tagged" };
+    format!("tlb/{entries:04}/{mode}")
 }
 
 /// The cartesian product of the declared axes, first axis outermost —
@@ -603,6 +618,19 @@ impl Cell {
                     let row = measure_host(&host, &scale).map_err(|e| e.to_string())?;
                     let artifact = row.to_json();
                     Ok(JobOutput::new(CellValue::Pageout(row), artifact))
+                })
+            }
+            Kind::Tlb => {
+                // Uninstrumented: the baseline TLB model has no event
+                // stream.
+                let entries = self.u64_at("entries") as usize;
+                let (flush, source, mem) = (self.flush_on_switch(), self.source(), self.mem());
+                Job::new(key, move || {
+                    let workload = source.workload();
+                    let row = measure_tlb_point(&workload, mem, entries, flush, &scale)
+                        .map_err(|e| e.to_string())?;
+                    let artifact = row.to_json();
+                    Ok(JobOutput::new(CellValue::Tlb(row), artifact))
                 })
             }
         }

@@ -38,6 +38,10 @@ pub const MAX_CELLS: usize = 4096;
 /// Largest `shared_pages` coordinate of an `mp` cell.
 pub const MAX_SHARED_PAGES: u64 = 8192;
 
+/// Largest `entries` coordinate of a `tlb` cell. The baseline TLB is a
+/// linear-scan LRU, so a cell's time grows with its size.
+pub const MAX_TLB_ENTRIES: u64 = 4096;
+
 /// Guardrail on `scale.dev_refs_per_hour`: a `pageout` cell simulates
 /// up to 119 hours of uptime at this rate.
 pub const MAX_DEV_REFS_PER_HOUR: u64 = 1_000_000;
@@ -101,8 +105,8 @@ impl WorkloadSource {
 
 /// Which experiment family a scenario's cells run. Each kind fixes the
 /// matrix axes it accepts and the key scheme its cells use — the same
-/// keys the legacy `ablation_*` binaries minted, so artifacts are
-/// byte-identical across both front ends.
+/// keys the binaries it replaced minted, so their artifacts stay
+/// byte-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// Tag-checked vs tag-blind page flush (axis: `occupancy_pct`).
@@ -132,11 +136,14 @@ pub enum Kind {
     /// Table 3.5 development-host page-outs (axis: `host`, row indices
     /// into `DevHost::table_3_5()`).
     Pageout,
+    /// The conventional TLB baseline's reach (axes: `entries`,
+    /// `flush_on_switch`).
+    Tlb,
 }
 
 impl Kind {
     /// Every kind, in config-documentation order.
-    pub const ALL: [Kind; 11] = [
+    pub const ALL: [Kind; 12] = [
         Kind::Flush,
         Kind::Assoc,
         Kind::CacheScaling,
@@ -148,6 +155,7 @@ impl Kind {
         Kind::Refbit,
         Kind::Mp,
         Kind::Pageout,
+        Kind::Tlb,
     ];
 
     /// The config-file name of the kind.
@@ -164,6 +172,7 @@ impl Kind {
             Kind::Refbit => "refbit",
             Kind::Mp => "mp",
             Kind::Pageout => "pageout",
+            Kind::Tlb => "tlb",
         }
     }
 
@@ -240,8 +249,9 @@ pub struct Scenario {
     pub max_refs: Option<u64>,
     /// Run options.
     pub run: RunOptions,
-    /// Key prefix override (`sensitivity/SLC/5MB` vs the `events`
-    /// kind's default `table_3_3/...`).
+    /// Key prefix override of an `events` scenario
+    /// (`sensitivity/SLC/5MB` vs the default `table_3_3/...`); no other
+    /// kind accepts one.
     pub key_prefix: Option<String>,
     /// Legacy stdout header: when set, `--legacy-stdout` runs print
     /// the classic `print_header` banner with this title, byte-for-byte
@@ -544,6 +554,7 @@ fn allowed_axes(kind: Kind) -> &'static [&'static str] {
         Kind::Refbit => &["workload", "mem_mb", "ref"],
         Kind::Mp => &["ref", "cpus", "shared_pages"],
         Kind::Pageout => &["host"],
+        Kind::Tlb => &["entries", "flush_on_switch"],
     }
 }
 
@@ -637,7 +648,7 @@ pub fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<
                 .map_err(|e| format!("{path}: {e}"))?;
             Ok(Json::Str(policy.to_string()))
         }
-        "soft_faults" => Ok(Json::Bool(as_bool(v, path)?)),
+        "soft_faults" | "flush_on_switch" => Ok(Json::Bool(as_bool(v, path)?)),
         "mem_mb" => {
             let mb = as_u64(v, path)?;
             if mb == 0 || mb > MAX_MEM_MB {
@@ -678,6 +689,15 @@ pub fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<
                 ));
             }
             Ok(Json::UInt(index))
+        }
+        "entries" => {
+            let entries = as_u64(v, path)?;
+            if entries == 0 || entries > MAX_TLB_ENTRIES {
+                return Err(format!(
+                    "{path}: must be in 1..={MAX_TLB_ENTRIES}, got {entries}"
+                ));
+            }
+            Ok(Json::UInt(entries))
         }
         _ => unreachable!("axis {axis} admitted for kind {kind:?} but not parsed"),
     }
@@ -814,6 +834,11 @@ fn check_kind_shape(s: &Scenario) -> Result<(), String> {
             "run.lockstep: only supported for experiment \"sim\", not {kind:?}"
         ));
     }
+    if s.key_prefix.is_some() && s.kind != Kind::Events {
+        return Err(format!(
+            "key_prefix: not accepted for experiment {kind:?} (only \"events\" reads it)"
+        ));
+    }
     match s.kind {
         Kind::Flush => {
             need_axis("occupancy_pct")?;
@@ -884,6 +909,12 @@ fn check_kind_shape(s: &Scenario) -> Result<(), String> {
                      uptime times scale.dev_refs_per_hour)"
                 ));
             }
+        }
+        Kind::Tlb => {
+            need_axis("entries")?;
+            need_axis("flush_on_switch")?;
+            need_workload()?;
+            need_mem()?;
         }
     }
     // Trace workloads only make sense where a single reference stream
@@ -1091,5 +1122,80 @@ mod tests {
             "matrix":{"cache_kb":[128]}}"#;
         let err = Scenario::parse_str(cfg).unwrap_err();
         assert!(err.contains("workload.trace"), "{err}");
+    }
+
+    #[test]
+    fn tlb_rejects_bad_entries_missing_axes_and_scenario_level_gaps() {
+        let tlb = |head: &str, matrix: &str| {
+            format!(
+                r#"{{"schema_version":1,"name":"t","experiment":"tlb"{head},
+                    "matrix":{{{matrix}}}}}"#
+            )
+        };
+        let full = r#","workload":"WORKLOAD1","mem_mb":8"#;
+        let both = r#""entries":[16,4096],"flush_on_switch":[false,true]"#;
+        let s = Scenario::parse_str(&tlb(full, both)).unwrap();
+        assert_eq!(s.kind, Kind::Tlb);
+        for (cfg, needle) in [
+            (
+                tlb(full, r#""entries":[0],"flush_on_switch":[false]"#),
+                "matrix.entries[0]: must be in 1..=4096, got 0",
+            ),
+            (
+                tlb(full, r#""entries":[16,4097],"flush_on_switch":[false]"#),
+                "matrix.entries[1]: must be in 1..=4096, got 4097",
+            ),
+            (
+                tlb(full, r#""entries":[16],"flush_on_switch":["yes"]"#),
+                "matrix.flush_on_switch[0]: must be a boolean",
+            ),
+            (
+                tlb(full, r#""entries":[16]"#),
+                "matrix.flush_on_switch: required",
+            ),
+            (
+                tlb(full, r#""flush_on_switch":[true]"#),
+                "matrix.entries: required",
+            ),
+            (
+                tlb(r#","mem_mb":8"#, both),
+                "workload: required for experiment \"tlb\"",
+            ),
+            (
+                tlb(r#","workload":"SLC""#, both),
+                "mem_mb: required for experiment \"tlb\"",
+            ),
+            (
+                tlb(
+                    r#","workload":{"trace":"t.spurtrace","regions":"SLC"},"mem_mb":8"#,
+                    both,
+                ),
+                "workload.trace: recorded traces are only supported",
+            ),
+            (
+                tlb(&format!(r#"{full},"key_prefix":"typo""#), both),
+                "key_prefix: not accepted for experiment \"tlb\"",
+            ),
+        ] {
+            let err = Scenario::parse_str(&cfg).unwrap_err();
+            assert!(err.starts_with(needle), "{err} should start with {needle}");
+        }
+    }
+
+    #[test]
+    fn key_prefix_is_rejected_on_every_kind_but_events() {
+        for cfg in [
+            r#"{"schema_version":1,"name":"t","experiment":"refbit","key_prefix":"typo",
+                "matrix":{"workload":["SLC"],"mem_mb":[5],"ref":["MISS"]}}"#,
+            r#"{"schema_version":1,"name":"t","experiment":"flush","key_prefix":"typo",
+                "matrix":{"occupancy_pct":[10]}}"#,
+        ] {
+            let err = Scenario::parse_str(cfg).unwrap_err();
+            assert!(err.starts_with("key_prefix: not accepted"), "{err}");
+        }
+        let cfg = r#"{"schema_version":1,"name":"t","experiment":"events",
+            "key_prefix":"sensitivity","matrix":{"workload":["SLC"],"mem_mb":[5]}}"#;
+        let s = Scenario::parse_str(cfg).unwrap();
+        assert_eq!(s.key_prefix.as_deref(), Some("sensitivity"));
     }
 }

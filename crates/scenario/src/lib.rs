@@ -23,10 +23,9 @@
 //!   relations ("FAULT dirty faults ≥ MIN at every memory size"),
 //!   monotonicity along an axis.
 //! - [`run`] — the engine: resolve scale, expand, run, persist,
-//!   evaluate; plus the legacy driver the folded-in `ablation_*`
-//!   binaries delegate to.
-//! - [`render`] — byte-exact reproductions of the legacy binaries'
-//!   stdout tables.
+//!   evaluate; plus the `--legacy-stdout` driver.
+//! - [`render`] — byte-exact reproductions of the stdout tables of the
+//!   binaries the committed configs replaced.
 
 pub mod asserts;
 pub mod cells;

@@ -26,7 +26,7 @@ run flags:
   --scale quick|default|full   override the scenario's scale preset
   --jobs N                     worker threads (default: all cores)
   --no-obs                     disable per-simulation observability
-  --epoch N                    counter-series epoch override (references)
+  --epoch N                    counter-series epoch override (references, N > 0)
   --trace-out DIR              export Chrome traces under DIR
   --progress                   stderr heartbeat while the pool runs
   --legacy-stdout              reproduce the folded-in binary's stdout tables
@@ -159,8 +159,8 @@ fn run(args: &[String]) -> ExitCode {
                 _ => return usage_error("--jobs: expected a positive integer"),
             },
             "--epoch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.epoch = Some(n),
-                None => return usage_error("--epoch: expected an integer"),
+                Some(n) if n > 0 => opts.epoch = Some(n),
+                _ => return usage_error("--epoch: expected a positive integer"),
             },
             "--trace-out" => match it.next() {
                 Some(dir) => opts.trace_out = Some(PathBuf::from(dir)),

@@ -1,16 +1,17 @@
 //! Legacy stdout rendering: what the folded-in binaries printed,
 //! reproduced from a scenario run's report.
 //!
-//! The `ablation_*` binaries stay alive as thin wrappers that parse
-//! their classic flags and delegate here; the single-table binaries
-//! (`table_3_3`, `table_3_4`, `model_excess_faults`, `table_3_5`,
-//! `table_4_1`) are replaced outright by
-//! `spur-scenario run scenarios/table_*.json --legacy-stdout`. The
-//! parity tests diff this output against an inline reconstruction of
-//! the original code — so "the folded binaries still print the same
-//! thing" is a tested claim, not a code-review hope. `reproduce_all`
-//! assembles its tables from the same row collectors
-//! ([`event_rows`], [`pageout_rows`], [`refbit_rows`]).
+//! Every kind renders. The binaries a committed config replaced — the
+//! seven `ablation_*` binaries, the single-table binaries (`table_3_3`,
+//! `table_3_4`, `model_excess_faults`, `table_3_5`, `table_4_1`),
+//! `sweep_tlb` and `mp_refbit` — are gone:
+//! `spur-scenario run scenarios/<name>.json --legacy-stdout` prints
+//! what they printed. The parity tests diff this output against an
+//! inline reconstruction of the original code — so "the folded
+//! binaries still print the same thing" is a tested claim, not a
+//! code-review hope. `reproduce_all` assembles its tables from the
+//! same row collectors ([`event_rows`], [`pageout_rows`],
+//! [`refbit_rows`]).
 
 use spur_core::experiments::ablation::{
     handler_tuning, render_cache_scaling, render_handler_tuning, tdc_sensitivity,
@@ -22,16 +23,18 @@ use spur_core::experiments::overhead::{
 };
 use spur_core::experiments::pageout::{render_table_3_5, PageoutRow};
 use spur_core::experiments::refbit::{render_table_4_1, RefbitRow};
+use spur_core::experiments::sweep::render_tlb_sweep;
 use spur_core::experiments::Scale;
 use spur_core::report::Table;
 use spur_harness::{Json, RunReport};
+use spur_mp::{mp_key, mp_model, render_mp, render_mp_model};
 use spur_trace::workloads::DevHost;
 use spur_types::CostParams;
 use spur_vm::policy::RefPolicy;
 
 use crate::cells::{
     assoc_key, cache_scaling_key, crossover_key, events_key, flush_key, pageout_key, refbit_key,
-    sim_key, soft_faults_key, watermarks_key, CellValue,
+    sim_key, soft_faults_key, tlb_key, watermarks_key, CellValue,
 };
 use crate::config::{Kind, Scenario};
 
@@ -56,7 +59,8 @@ pub fn error_prefix(kind: Kind) -> &'static str {
         | Kind::Events
         | Kind::Refbit
         | Kind::Mp
-        | Kind::Pageout => "experiment failed",
+        | Kind::Pageout
+        | Kind::Tlb => "experiment failed",
         Kind::SoftFaults | Kind::Watermarks | Kind::Sim => "run failed",
     }
 }
@@ -85,6 +89,21 @@ fn axis_strs(scenario: &Scenario, name: &str) -> Vec<String> {
                 .iter()
                 .filter_map(|v| match v {
                     Json::Str(s) => Some(s.clone()),
+                    _ => None,
+                })
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+fn axis_bools(scenario: &Scenario, name: &str) -> Vec<bool> {
+    scenario
+        .axis(name)
+        .map(|a| {
+            a.values
+                .iter()
+                .filter_map(|v| match v {
+                    Json::Bool(b) => Some(*b),
                     _ => None,
                 })
                 .collect()
@@ -375,18 +394,7 @@ pub fn render_legacy(scenario: &Scenario, report: &RunReport<CellValue>) -> Resu
                 "Soft-faults taken",
                 "Elapsed(s)",
             ]);
-            let windows: Vec<bool> = scenario
-                .axis("soft_faults")
-                .map(|a| {
-                    a.values
-                        .iter()
-                        .filter_map(|v| match v {
-                            Json::Bool(b) => Some(*b),
-                            _ => None,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
+            let windows = axis_bools(scenario, "soft_faults");
             for policy in ref_axis(scenario) {
                 for &enabled in &windows {
                     let row =
@@ -466,10 +474,50 @@ pub fn render_legacy(scenario: &Scenario, report: &RunReport<CellValue>) -> Resu
             );
         }
         Kind::Mp => {
-            return Err(format!(
-                "experiment {:?} has no legacy stdout",
-                scenario.kind.as_str()
-            ))
+            // `mp_refbit`: the measured table, then the analytic model
+            // extrapolated from the measured 1-CPU rows.
+            let mut rows = Vec::new();
+            for shared_pages in axis_u64s(scenario, "shared_pages") {
+                for cpus in axis_u64s(scenario, "cpus") {
+                    for policy in ref_axis(scenario) {
+                        let key = mp_key(cpus as usize, shared_pages, policy);
+                        rows.push(cell_as!(report, &key, CellValue::Mp)?.clone());
+                    }
+                }
+            }
+            let cpu_counts: Vec<usize> = axis_u64s(scenario, "cpus")
+                .into_iter()
+                .map(|n| n as usize)
+                .collect();
+            let model = mp_model(&rows, &cpu_counts)?;
+            out.push_str(&render_mp(&rows));
+            out.push('\n');
+            out.push_str(
+                "REF's daemon destroys cached blocks in EVERY cache per R-bit clear,\n\
+                 so its flush bill scales with the processor count while MISS's\n\
+                 maintenance cost stays flat — the paper's multiprocessor argument,\n\
+                 measured above on a real N-cache node with Berkeley ownership.\n",
+            );
+            out.push('\n');
+            out.push_str(&render_mp_model(&model));
+            out.push('\n');
+            out.push_str("(cross-check: the pre-measurement analytic model, kept for contrast)\n");
+        }
+        Kind::Tlb => {
+            let mut rows = Vec::new();
+            for entries in axis_u64s(scenario, "entries") {
+                for flush in axis_bools(scenario, "flush_on_switch") {
+                    let key = tlb_key(entries as usize, flush);
+                    rows.push(cell_as!(report, &key, CellValue::Tlb)?.clone());
+                }
+            }
+            out.push_str(&render_tlb_sweep(&rows));
+            out.push('\n');
+            out.push_str(
+                "SPUR's in-cache translation is, in effect, a 4096-entry TLB that\n\
+                 costs zero dedicated hardware — the original motivation for the\n\
+                 design (Wood et al., ISCA 1986).\n",
+            );
         }
     }
     Ok(out)

@@ -185,9 +185,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<Scenari
 /// first, then the run (artifacts + stderr epilogue), then the legacy
 /// stdout tables, byte-for-byte. Returns the process exit code.
 ///
-/// Assertion failures exit non-zero *after* the tables print, so a
-/// wrapper binary stays pipe-compatible with its legacy stdout even
-/// when a scenario adds expectations the old binary never checked.
+/// Assertion failures exit non-zero *after* the tables print, so the
+/// legacy stdout stays complete even when a scenario adds expectations
+/// the old binary never checked.
 pub fn run_legacy(scenario: &Scenario, opts: &RunnerOptions) -> i32 {
     let scale = scenario.resolve_scale(opts.scale);
     if let Some(banner) = crate::render::legacy_banner(scenario, &scale) {

@@ -1,5 +1,5 @@
-//! Byte-parity between the scenario engine and the legacy `ablation_*`
-//! binaries it folded in.
+//! Byte-parity between the scenario engine and the deleted `ablation_*`
+//! binaries it replaced.
 //!
 //! Each test reconstructs the *original* binary's job construction and
 //! stdout assembly inline (copied from the pre-fold code, legacy

@@ -10,8 +10,7 @@
 //!
 //! Workers run each queued cell's [`Cell::job`], the call the CLI
 //! runner makes, so a served scenario cell's artifact is
-//! byte-identical to the same cell run by the CLI or a folded-in
-//! `ablation_*` binary.
+//! byte-identical to the same cell run by the CLI.
 //!
 //! When the last cell finishes, `GET /v1/scenarios/{id}` evaluates the
 //! scenario's expected-shape assertions against the produced artifact

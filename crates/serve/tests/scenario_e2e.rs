@@ -203,6 +203,56 @@ fn malformed_scenarios_get_path_qualified_400s() {
                 "max_refs": 1000, "matrix": {"host": [0]}}"#,
             "max_refs: not accepted for experiment",
         ),
+        // `key_prefix` on a kind that ignores it would run under the
+        // default keys.
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "refbit",
+                "key_prefix": "typo",
+                "matrix": {"workload": ["SLC"], "mem_mb": [5], "ref": ["MISS"]}}"#,
+            "key_prefix: not accepted for experiment",
+        ),
+        // `tlb`: `Tlb::new(0)` panics, and a cell's time grows with its
+        // entries.
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": "SLC", "mem_mb": 8,
+                "matrix": {"entries": [0], "flush_on_switch": [false]}}"#,
+            "matrix.entries[0]: must be in 1..=4096, got 0",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": "SLC", "mem_mb": 8,
+                "matrix": {"entries": [1000000000], "flush_on_switch": [false]}}"#,
+            "matrix.entries[0]: must be in 1..=4096, got 1000000000",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": "SLC", "mem_mb": 8, "matrix": {"entries": [16]}}"#,
+            "matrix.flush_on_switch: required for experiment",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "mem_mb": 8, "matrix": {"entries": [16], "flush_on_switch": [false]}}"#,
+            "workload: required for experiment",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": "SLC",
+                "matrix": {"entries": [16], "flush_on_switch": [false]}}"#,
+            "mem_mb: required for experiment",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": {"trace": "t.spurtrace", "regions": "SLC"}, "mem_mb": 8,
+                "matrix": {"entries": [16], "flush_on_switch": [false]}}"#,
+            "workload.trace",
+        ),
+        (
+            r#"{"schema_version": 1, "name": "x", "experiment": "tlb",
+                "workload": "SLC", "mem_mb": 8, "key_prefix": "typo",
+                "matrix": {"entries": [16], "flush_on_switch": [false]}}"#,
+            "key_prefix: not accepted for experiment",
+        ),
     ] {
         let resp = post_json(&addr, "/v1/scenarios", body, TIMEOUT).unwrap();
         assert_eq!(resp.status, 400, "{body:?} should be rejected");
@@ -412,6 +462,74 @@ fn served_pageout_cells_match_the_cli_runner_byte_for_byte() {
     let cells = arr_field(&accepted, "cells");
     let keys: Vec<String> = cells.iter().map(|c| str_field(c, "key")).collect();
     assert_eq!(keys, ["table_3_5/2/mace", "table_3_5/5/murder"]);
+    for cell in cells {
+        let key = str_field(cell, "key");
+        let served = get(
+            &addr,
+            &format!("/v1/jobs/{}/result", uint_field(cell, "id")),
+            TIMEOUT,
+        )
+        .unwrap();
+        assert_eq!(served.status, 200);
+        let direct = cli.report.jobs().iter().find(|j| j.key == key).unwrap();
+        assert_eq!(
+            served.text(),
+            job_artifact_json(direct).encode_pretty(),
+            "served cell {key} must match the CLI runner byte-for-byte"
+        );
+    }
+
+    server.shutdown();
+}
+
+#[test]
+fn served_tlb_cells_match_the_cli_runner_byte_for_byte() {
+    const TLB: &str = r#"{
+      "schema_version": 1,
+      "name": "served_tlb",
+      "experiment": "tlb",
+      "workload": "WORKLOAD1",
+      "mem_mb": 8,
+      "scale": {"refs": 20000},
+      "matrix": { "entries": [16, 64], "flush_on_switch": [false, true] },
+      "assertions": [
+        {
+          "check": "monotonic",
+          "name": "more_entries_never_miss_more",
+          "metric": "data.tlb_misses",
+          "axis": "entries",
+          "direction": "nonincreasing"
+        }
+      ]
+    }"#;
+    let server = Server::start(test_config()).unwrap();
+    let addr = server.addr().to_string();
+    let accepted = submit_scenario(&addr, TLB);
+    let result = await_scenario(&addr, uint_field(&accepted, "id"));
+    assert_eq!(get_field(&result, "passed"), Some(&Json::Bool(true)));
+
+    let scenario = Scenario::parse_str(TLB).unwrap();
+    let cli = run_scenario(
+        &scenario,
+        &RunnerOptions {
+            workers: 1,
+            persist: false,
+            ..RunnerOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(cli.passed());
+    let cells = arr_field(&accepted, "cells");
+    let keys: Vec<String> = cells.iter().map(|c| str_field(c, "key")).collect();
+    assert_eq!(
+        keys,
+        [
+            "tlb/0016/tagged",
+            "tlb/0016/flush",
+            "tlb/0064/tagged",
+            "tlb/0064/flush"
+        ]
+    );
     for cell in cells {
         let key = str_field(cell, "key");
         let served = get(
