@@ -76,9 +76,7 @@ pub use api::{parse_job_spec, JobSpec};
 pub use cache::{CachedResult, ResultsCache};
 pub use client::{get, http_request, http_request_headers, post_json, HttpResponse};
 pub use metrics::{PhaseSample, ServeMetrics};
-pub use queue::{
-    retry_after_secs, Admission, BoundedQueue, FairPushError, FairQueue, Priority, PushError,
-};
+pub use queue::{retry_after_secs, Admission, FairPushError, FairQueue, Priority};
 pub use ring::HashRing;
 pub use scenario::MAX_SCENARIO_CELLS;
 pub use server::{ChaosConfig, DrainSummary, ServeConfig, Server};

@@ -1,149 +1,26 @@
-//! The bounded job queues: backpressure by refusal, drain by contract.
+//! The bounded job queue: backpressure by refusal, drain by contract.
 //!
 //! A long-lived service must not buffer unboundedly — when producers
 //! outrun the worker pool the queue fills, and the only honest answers
 //! are "not now" (HTTP 429 upstream) or "not anymore" (draining).
-//! [`BoundedQueue::try_push`] never blocks; [`BoundedQueue::pop`]
-//! blocks until an item arrives or the queue is draining *and* empty,
-//! which is exactly the worker-exit condition a graceful shutdown
-//! needs: every accepted job still runs, no new job sneaks in.
+//! [`FairQueue::try_push_many`] never blocks and admits a batch
+//! all-or-nothing (a single submission is a batch of one);
+//! [`FairQueue::pop`] blocks until an item arrives or the queue is
+//! draining *and* the shard is empty, which is exactly the worker-exit
+//! condition a graceful shutdown needs: every accepted job still runs,
+//! no new job sneaks in.
 //!
-//! [`FairQueue`] is the sharded successor the serve pipeline routes
-//! into: the same bound/drain contract, but items carry a shard (from
-//! consistent-hashing the job identity), a client id, a [`Priority`],
-//! and a deficit-round-robin cost. Inside each shard every client gets
-//! a *lane*; workers pinned to a shard pull via DRR across lanes, so a
-//! greedy client queues behind its own backlog instead of everyone
-//! else's. An optional per-client quota refuses a single client's
-//! excess with [`FairPushError::ClientQuota`] — a 429 that names the
-//! offender — while the global bound still caps the whole queue.
+//! Items carry a shard (from consistent-hashing the job identity), a
+//! client id, a [`Priority`], and a deficit-round-robin cost. Inside
+//! each shard every client gets a *lane*; workers pinned to a shard
+//! pull via DRR across lanes, so a greedy client queues behind its own
+//! backlog instead of everyone else's. An optional per-client quota
+//! refuses a single client's excess with [`FairPushError::ClientQuota`]
+//! — a 429 that names the offender — while the global bound still caps
+//! the whole queue.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
-
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue is at its bound; the item comes back to the caller.
-    Full(T),
-    /// The queue is draining and accepts nothing new.
-    Draining(T),
-}
-
-struct State<T> {
-    items: VecDeque<T>,
-    draining: bool,
-}
-
-/// A fixed-capacity MPMC queue with explicit drain semantics.
-pub struct BoundedQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
-    bound: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `bound` items (`bound` is
-    /// clamped to at least 1 — a zero-capacity queue could never
-    /// accept work).
-    pub fn new(bound: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                draining: false,
-            }),
-            available: Condvar::new(),
-            bound: bound.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The configured capacity.
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
-    /// Items currently queued.
-    pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue has stopped accepting new items.
-    pub fn is_draining(&self) -> bool {
-        self.lock().draining
-    }
-
-    /// Enqueues without blocking. Returns the depth after the push, or
-    /// hands the item back if the queue is full or draining.
-    pub fn try_push(&self, item: T) -> Result<usize, PushError<T>> {
-        let mut state = self.lock();
-        if state.draining {
-            return Err(PushError::Draining(item));
-        }
-        if state.items.len() >= self.bound {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        let depth = state.items.len();
-        drop(state);
-        self.available.notify_one();
-        Ok(depth)
-    }
-
-    /// Enqueues a batch atomically: either every item is admitted (in
-    /// order) or none is and the whole batch comes back. This is how a
-    /// scenario submission claims slots for its entire matrix — a
-    /// half-admitted matrix could never produce a complete result.
-    /// Returns the depth after the push.
-    pub fn try_push_many(&self, items: Vec<T>) -> Result<usize, PushError<Vec<T>>> {
-        let mut state = self.lock();
-        if state.draining {
-            return Err(PushError::Draining(items));
-        }
-        if state.items.len() + items.len() > self.bound {
-            return Err(PushError::Full(items));
-        }
-        let n = items.len();
-        state.items.extend(items);
-        let depth = state.items.len();
-        drop(state);
-        for _ in 0..n {
-            self.available.notify_one();
-        }
-        Ok(depth)
-    }
-
-    /// Dequeues, blocking until an item is available. Returns `None`
-    /// once the queue is draining and empty — the signal for a worker
-    /// to exit.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                return Some(item);
-            }
-            if state.draining {
-                return None;
-            }
-            state = self
-                .available
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Stops accepting new items and wakes every blocked [`pop`] so
-    /// workers can finish the backlog and exit.
-    ///
-    /// [`pop`]: BoundedQueue::pop
-    pub fn drain(&self) {
-        self.lock().draining = true;
-        self.available.notify_all();
-    }
-}
 
 /// How urgently a submission wants to run, *within its own client's
 /// lane*. Fairness across clients dominates: a high-priority job from
@@ -397,42 +274,14 @@ impl<T> FairQueue<T> {
         cost.clamp(1, self.quantum.saturating_mul(MAX_COST_QUANTA))
     }
 
-    /// Enqueues without blocking. Returns the total depth after the
-    /// push, or hands the admission back with the refusal reason.
-    pub fn try_push(&self, adm: Admission<T>) -> Result<usize, FairPushError<Admission<T>>> {
-        let shard_idx = adm.shard % self.shard_count();
-        let mut state = self.lock();
-        if state.draining {
-            return Err(FairPushError::Draining(adm));
-        }
-        if state.total >= self.bound {
-            return Err(FairPushError::Full(adm));
-        }
-        let queued = state.per_client.get(&adm.client).copied().unwrap_or(0);
-        if self.client_quota > 0 && queued >= self.client_quota {
-            return Err(FairPushError::ClientQuota { item: adm, queued });
-        }
-        let cost = self.clamp_cost(adm.cost);
-        *state.per_client.entry(adm.client.clone()).or_insert(0) += 1;
-        state.total += 1;
-        let shard = &mut state.shards[shard_idx];
-        shard.depth += 1;
-        shard.lane_mut(&adm.client).by_priority[adm.priority.lane()].push_back(Entry {
-            item: adm.item,
-            cost,
-        });
-        let depth = state.total;
-        drop(state);
-        self.available[shard_idx].notify_one();
-        Ok(depth)
-    }
-
-    /// Enqueues a batch atomically: either every admission lands (in
-    /// order, possibly across different shards) or none does and the
-    /// whole batch comes back — the scenario matrix's all-or-nothing
-    /// contract, preserved across sharding. Quotas are checked against
-    /// the batch's own tallies too: a 10-cell scenario from a client
-    /// with 4 quota slots left is refused whole.
+    /// Enqueues a batch without blocking and atomically: either every
+    /// admission lands (in order, possibly across different shards)
+    /// and the total depth after the push comes back, or none does and
+    /// the whole batch comes back with the refusal reason — the
+    /// scenario matrix's all-or-nothing contract, preserved across
+    /// sharding. Quotas are checked against the batch's own tallies
+    /// too: a 10-cell scenario from a client with 4 quota slots left is
+    /// refused whole. A single submission is a batch of one.
     pub fn try_push_many(
         &self,
         admissions: Vec<Admission<T>>,
@@ -548,70 +397,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn push_til_full_then_shed() {
-        let q = BoundedQueue::new(2);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Ok(2));
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.try_push(4), Ok(2));
-    }
-
-    #[test]
-    fn drain_refuses_new_work_and_releases_poppers() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        q.try_push(7).unwrap();
-        q.drain();
-        assert_eq!(q.try_push(8), Err(PushError::Draining(8)));
-        // The backlog still drains...
-        assert_eq!(q.pop(), Some(7));
-        // ...and an empty draining queue releases immediately.
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_pop_wakes_on_drain() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(4));
-        let waiter = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop())
-        };
-        // Give the waiter time to block, then drain: it must return None.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.drain();
-        assert_eq!(waiter.join().unwrap(), None);
-    }
-
-    #[test]
-    fn batch_push_is_all_or_nothing() {
-        let q = BoundedQueue::new(3);
-        q.try_push(1).unwrap();
-        // Three more would overflow: the whole batch bounces back.
-        assert_eq!(
-            q.try_push_many(vec![2, 3, 4]),
-            Err(PushError::Full(vec![2, 3, 4]))
-        );
-        assert_eq!(q.depth(), 1);
-        // Two fit exactly, in order.
-        assert_eq!(q.try_push_many(vec![2, 3]), Ok(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        // Draining refuses batches wholesale.
-        q.drain();
-        assert_eq!(q.try_push_many(vec![9]), Err(PushError::Draining(vec![9])));
-    }
-
-    #[test]
-    fn zero_bound_is_clamped() {
-        let q = BoundedQueue::new(0);
-        assert_eq!(q.bound(), 1);
-        assert_eq!(q.try_push(1), Ok(1));
-        assert_eq!(q.try_push(2), Err(PushError::Full(2)));
-    }
-
     fn adm(client: &str, item: u32) -> Admission<u32> {
         Admission {
             shard: 0,
@@ -622,11 +407,32 @@ mod tests {
         }
     }
 
+    /// The one push method, with a batch of one.
+    fn push(
+        q: &FairQueue<u32>,
+        adm: Admission<u32>,
+    ) -> Result<usize, FairPushError<Vec<Admission<u32>>>> {
+        q.try_push_many(vec![adm])
+    }
+
+    #[test]
+    fn zero_bound_is_clamped() {
+        // Zero shards, a zero bound and a zero quantum each clamp to 1:
+        // the queue still accepts one item, and its lane earns the
+        // credit to pop it.
+        let q = FairQueue::new(0, 0, 0, 0);
+        assert_eq!(q.bound(), 1);
+        assert_eq!(q.shard_count(), 1);
+        assert_eq!(push(&q, adm("a", 1)), Ok(1));
+        assert!(matches!(push(&q, adm("a", 2)), Err(FairPushError::Full(_))));
+        assert_eq!(q.pop(0), Some(1));
+    }
+
     #[test]
     fn fair_single_client_is_fifo() {
         let q = FairQueue::new(1, 8, 0, 100);
         for i in 0..4 {
-            q.try_push(adm("a", i)).unwrap();
+            push(&q, adm("a", i)).unwrap();
         }
         assert_eq!(q.depth(), 4);
         for i in 0..4 {
@@ -639,20 +445,29 @@ mod tests {
     #[test]
     fn priority_orders_within_a_client_lane() {
         let q = FairQueue::new(1, 8, 0, 100);
-        q.try_push(Admission {
-            priority: Priority::Low,
-            ..adm("a", 1)
-        })
+        push(
+            &q,
+            Admission {
+                priority: Priority::Low,
+                ..adm("a", 1)
+            },
+        )
         .unwrap();
-        q.try_push(Admission {
-            priority: Priority::Normal,
-            ..adm("a", 2)
-        })
+        push(
+            &q,
+            Admission {
+                priority: Priority::Normal,
+                ..adm("a", 2)
+            },
+        )
         .unwrap();
-        q.try_push(Admission {
-            priority: Priority::High,
-            ..adm("a", 3)
-        })
+        push(
+            &q,
+            Admission {
+                priority: Priority::High,
+                ..adm("a", 3)
+            },
+        )
         .unwrap();
         assert_eq!(q.pop(0), Some(3));
         assert_eq!(q.pop(0), Some(2));
@@ -664,10 +479,10 @@ mod tests {
         let q = FairQueue::new(1, 32, 0, 100);
         // Greedy floods 10 items before polite submits 2; equal costs.
         for i in 0..10 {
-            q.try_push(adm("greedy", i)).unwrap();
+            push(&q, adm("greedy", i)).unwrap();
         }
-        q.try_push(adm("polite", 100)).unwrap();
-        q.try_push(adm("polite", 101)).unwrap();
+        push(&q, adm("polite", 100)).unwrap();
+        push(&q, adm("polite", 101)).unwrap();
         let order: Vec<u32> = (0..12).map(|_| q.pop(0).unwrap()).collect();
         // Round-robin at equal cost: polite's items surface within the
         // first few pops instead of queuing behind greedy's backlog.
@@ -684,17 +499,23 @@ mod tests {
         // of one. Greedy gets one serving per ~3 rotations while
         // polite drains every rotation.
         for i in 0..3 {
-            q.try_push(Admission {
-                cost: 300,
-                ..adm("greedy", i)
-            })
+            push(
+                &q,
+                Admission {
+                    cost: 300,
+                    ..adm("greedy", i)
+                },
+            )
             .unwrap();
         }
         for i in 0..3 {
-            q.try_push(Admission {
-                cost: 10,
-                ..adm("polite", 100 + i)
-            })
+            push(
+                &q,
+                Admission {
+                    cost: 10,
+                    ..adm("polite", 100 + i)
+                },
+            )
             .unwrap();
         }
         let order: Vec<u32> = (0..6).map(|_| q.pop(0).unwrap()).collect();
@@ -709,38 +530,38 @@ mod tests {
     #[test]
     fn client_quota_refuses_only_the_offender() {
         let q = FairQueue::new(1, 8, 2, 100);
-        q.try_push(adm("greedy", 1)).unwrap();
-        q.try_push(adm("greedy", 2)).unwrap();
-        match q.try_push(adm("greedy", 3)) {
+        push(&q, adm("greedy", 1)).unwrap();
+        push(&q, adm("greedy", 2)).unwrap();
+        match push(&q, adm("greedy", 3)) {
             Err(FairPushError::ClientQuota { queued, .. }) => assert_eq!(queued, 2),
             other => panic!("expected ClientQuota, got {other:?}"),
         }
         // The queue itself has room: another client sails through.
-        q.try_push(adm("polite", 4)).unwrap();
+        push(&q, adm("polite", 4)).unwrap();
         assert_eq!(q.depth(), 3);
         assert_eq!(q.client_depth("greedy"), 2);
         assert_eq!(q.client_depth("polite"), 1);
         // Draining the offender frees its quota.
         q.pop(0);
-        q.try_push(adm("greedy", 5)).unwrap();
+        push(&q, adm("greedy", 5)).unwrap();
     }
 
     #[test]
     fn fair_global_bound_and_drain() {
         let q = FairQueue::new(2, 2, 0, 100);
-        q.try_push(adm("a", 1)).unwrap();
-        q.try_push(Admission {
-            shard: 1,
-            ..adm("b", 2)
-        })
+        push(&q, adm("a", 1)).unwrap();
+        push(
+            &q,
+            Admission {
+                shard: 1,
+                ..adm("b", 2)
+            },
+        )
         .unwrap();
-        assert!(matches!(
-            q.try_push(adm("c", 3)),
-            Err(FairPushError::Full(_))
-        ));
+        assert!(matches!(push(&q, adm("c", 3)), Err(FairPushError::Full(_))));
         q.drain();
         assert!(matches!(
-            q.try_push(adm("c", 3)),
+            push(&q, adm("c", 3)),
             Err(FairPushError::Draining(_))
         ));
         // Backlogs still drain per shard, then pinned pops release.
@@ -753,7 +574,7 @@ mod tests {
     #[test]
     fn fair_batch_push_is_all_or_nothing_across_shards() {
         let q = FairQueue::new(2, 3, 0, 100);
-        q.try_push(adm("a", 1)).unwrap();
+        push(&q, adm("a", 1)).unwrap();
         let batch = vec![
             Admission {
                 shard: 0,
@@ -791,8 +612,8 @@ mod tests {
     #[test]
     fn fair_batch_quota_counts_the_whole_batch() {
         let q = FairQueue::new(1, 16, 3, 100);
-        q.try_push(adm("a", 1)).unwrap();
-        q.try_push(adm("a", 2)).unwrap();
+        push(&q, adm("a", 1)).unwrap();
+        push(&q, adm("a", 2)).unwrap();
         // Two more would put "a" at 4 > quota 3: refused whole.
         let batch = vec![adm("a", 3), adm("a", 4)];
         assert!(matches!(
@@ -810,10 +631,13 @@ mod tests {
             std::thread::spawn(move || q.pop(1))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_push(Admission {
-            shard: 1,
-            ..adm("a", 7)
-        })
+        push(
+            &q,
+            Admission {
+                shard: 1,
+                ..adm("a", 7)
+            },
+        )
         .unwrap();
         assert_eq!(waiter.join().unwrap(), Some(7));
 
@@ -831,10 +655,13 @@ mod tests {
         let q = FairQueue::new(1, 4, 0, 10);
         // Cost astronomically above quantum * MAX_COST_QUANTA: without
         // the clamp the DRR scan would spin for u64::MAX/10 rotations.
-        q.try_push(Admission {
-            cost: u64::MAX,
-            ..adm("a", 1)
-        })
+        push(
+            &q,
+            Admission {
+                cost: u64::MAX,
+                ..adm("a", 1)
+            },
+        )
         .unwrap();
         assert_eq!(q.pop(0), Some(1));
     }

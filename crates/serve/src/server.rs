@@ -18,7 +18,11 @@
 //! when it lands), and finally the shard's per-client
 //! deficit-round-robin lane. Every stage is a span phase (`route`,
 //! `cache_lookup`, `coalesce_wait`), so `/v1/jobs/{id}/trace` still
-//! reconciles with root wall time.
+//! reconciles with root wall time. A scenario's cells skip route,
+//! cache lookup and coalescing, but both endpoints enter the queue
+//! through one admission step (`admit`): a `/v1/jobs` leader is a
+//! batch of one, a scenario matrix a batch of its cells, and a refused
+//! batch leaves nothing behind.
 //!
 //! Every accepted submission carries a [`SpanContext`] from the moment
 //! its socket was read: the acceptor opens the trace and its `accept`
@@ -228,6 +232,22 @@ struct JobRecord {
     /// Queue-admission timestamp on the span clock — the queue's own
     /// record of when `queue_wait` began, which the span must match.
     admitted_us: u64,
+}
+
+impl JobRecord {
+    /// A job admitted at `admitted_us` that has not run yet.
+    fn queued(key: String, trace_id: u64, experiment: &'static str, admitted_us: u64) -> Self {
+        JobRecord {
+            key,
+            state: JobState::Queued,
+            artifact: None,
+            error: None,
+            wall_ms: None,
+            trace_id,
+            experiment,
+            admitted_us,
+        }
+    }
 }
 
 /// A queued submission holds its compiled [`Cell`], not a built job:
@@ -621,6 +641,17 @@ fn worker_loop(shared: &Shared, shard: usize) {
         persist(shared, queued.id, completed);
         shared.spans.end_span(serialize_span, None);
 
+        // Settles a record with this run's outcome: the leader's own, or
+        // the leader's bytes fanned out to a coalesced follower.
+        let settle = |id: u64| {
+            if let Some(record) = lock_unpoisoned(&shared.jobs).get_mut(&id) {
+                record.state = if ok { JobState::Done } else { JobState::Failed };
+                record.artifact = Some(artifact.clone());
+                record.error = error.clone();
+                record.wall_ms = Some(wall_ms);
+            }
+        };
+
         if let Some(sim) = sim_trace {
             let mut ring = lock_unpoisoned(&shared.sim_traces);
             ring.push_back((queued.id, sim));
@@ -677,12 +708,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
                     .unwrap_or_default()
             };
             for follower in followers {
-                if let Some(record) = lock_unpoisoned(&shared.jobs).get_mut(&follower.id) {
-                    record.state = if ok { JobState::Done } else { JobState::Failed };
-                    record.artifact = Some(artifact.clone());
-                    record.error = error.clone();
-                    record.wall_ms = Some(wall_ms);
-                }
+                settle(follower.id);
                 shared
                     .spans
                     .end_span(follower.coalesce_span, Some(finished_us));
@@ -698,12 +724,7 @@ fn worker_loop(shared: &Shared, shard: usize) {
             }
         }
 
-        if let Some(record) = lock_unpoisoned(&shared.jobs).get_mut(&queued.id) {
-            record.state = if ok { JobState::Done } else { JobState::Failed };
-            record.artifact = Some(artifact.clone());
-            record.error = error.clone();
-            record.wall_ms = Some(wall_ms);
-        }
+        settle(queued.id);
 
         // Seal the trace and derive every latency metric from it.
         if let Some(trace) = shared.spans.finish(queued.trace.trace) {
@@ -961,12 +982,6 @@ fn shard_of(shared: &Shared, identity: &str) -> usize {
     (crate::ring::hash64(identity.as_bytes()) % shared.queue.shard_count() as u64) as usize
 }
 
-/// The queue-backlog Retry-After: how long until the whole queue
-/// plausibly drains at the observed completion rate.
-fn dynamic_retry_after(shared: &Shared, depth: usize) -> u64 {
-    retry_after_secs(depth, drain_rate(shared))
-}
-
 /// Observed worker completions per second over the sliding window
 /// (clipped to uptime, so a young server isn't under-credited).
 fn drain_rate(shared: &Shared) -> f64 {
@@ -1124,24 +1139,28 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
         }
     }
 
-    let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-
-    // Open the request's trace retroactively from the accept instant;
-    // the accept and parse phases are already over, so they close with
-    // explicit timestamps.
-    let root = shared.spans.begin_trace("job", Some(accepted_us));
-    shared.spans.annotate(root, "job_id", id.to_string());
-    shared.spans.annotate(root, "key", key.clone());
-    shared.spans.annotate(root, "client", client.clone());
-    let accept = shared
-        .spans
-        .begin_span(root, "accept", Some(accepted_us), 0);
-    shared.spans.end_span(accept, Some(read_done_us));
-    let parse_span = shared
-        .spans
-        .begin_span(root, "parse", Some(read_done_us), 0);
-    let parsed_us = shared.spans.now_us();
-    shared.spans.end_span(parse_span, Some(parsed_us));
+    let (id, root, parsed_us) = open_trace(
+        shared,
+        &key,
+        ("client", client.clone()),
+        accepted_us,
+        read_done_us,
+    );
+    // Every 202 names the job, its key and its trace around the
+    // outcome's own fields.
+    let accepted = |outcome: Vec<(&str, Json)>| Routed {
+        response: Response::json(
+            202,
+            Json::object(
+                [("id", Json::UInt(id)), ("key", Json::Str(key.clone()))]
+                    .into_iter()
+                    .chain(outcome)
+                    .chain([("trace_id", Json::UInt(root.trace))]),
+            )
+            .encode(),
+        ),
+        submitted: Some(root),
+    };
 
     // Route: pick the worker shard from the identity hash.
     let shard = shard_of(shared, &identity);
@@ -1172,14 +1191,10 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
         lock_unpoisoned(&shared.jobs).insert(
             id,
             JobRecord {
-                key: key.clone(),
                 state: JobState::Done,
                 artifact: Some(hit.artifact),
-                error: None,
                 wall_ms: Some(hit.wall_ms),
-                trace_id: root.trace,
-                experiment,
-                admitted_us: looked_us,
+                ..JobRecord::queued(key.clone(), root.trace, experiment, looked_us)
             },
         );
         // The trace seals here: a cache hit's lifecycle ends at the
@@ -1192,20 +1207,10 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
                 slo.record_job(shared.spans.now_us(), e2e_us, true);
             }
         }
-        return Routed {
-            response: Response::json(
-                202,
-                Json::object([
-                    ("id", Json::UInt(id)),
-                    ("key", Json::Str(key)),
-                    ("status", Json::Str("done".into())),
-                    ("cached", Json::Bool(true)),
-                    ("trace_id", Json::UInt(root.trace)),
-                ])
-                .encode(),
-            ),
-            submitted: Some(root),
-        };
+        return accepted(vec![
+            ("status", Json::Str("done".into())),
+            ("cached", Json::Bool(true)),
+        ]);
     }
     shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
@@ -1225,16 +1230,7 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
         // must find this record to resolve.
         lock_unpoisoned(&shared.jobs).insert(
             id,
-            JobRecord {
-                key: key.clone(),
-                state: JobState::Queued,
-                artifact: None,
-                error: None,
-                wall_ms: None,
-                trace_id: root.trace,
-                experiment,
-                admitted_us: looked_us,
-            },
+            JobRecord::queued(key.clone(), root.trace, experiment, looked_us),
         );
         inflight.followers.push(Follower {
             id,
@@ -1250,148 +1246,64 @@ fn submit(shared: &Shared, request: &Request, accepted_us: u64, conn_client: &st
             .metrics
             .jobs_submitted
             .fetch_add(1, Ordering::Relaxed);
-        return Routed {
-            response: Response::json(
-                202,
-                Json::object([
-                    ("id", Json::UInt(id)),
-                    ("key", Json::Str(key)),
-                    ("status", Json::Str("queued".into())),
-                    ("coalesced", Json::Bool(true)),
-                    ("leader_id", Json::UInt(leader_id)),
-                    ("trace_id", Json::UInt(root.trace)),
-                ])
-                .encode(),
-            ),
-            submitted: Some(root),
-        };
+        return accepted(vec![
+            ("status", Json::Str("queued".into())),
+            ("coalesced", Json::Bool(true)),
+            ("leader_id", Json::UInt(leader_id)),
+        ]);
     }
 
-    // Leader path: this submission runs the simulation.
+    // Leader path: this submission runs the simulation, admitted as a
+    // batch of one while the dedup lock is held.
     let looked_us = shared.spans.now_us();
     shared.spans.annotate(cache_span, "outcome", "miss");
     shared.spans.end_span(cache_span, Some(looked_us));
-    let queue_span = shared
-        .spans
-        .begin_span(root, "queue_wait", Some(looked_us), 0);
-    lock_unpoisoned(&shared.jobs).insert(
-        id,
-        JobRecord {
-            key: key.clone(),
-            state: JobState::Queued,
-            artifact: None,
-            error: None,
-            wall_ms: None,
-            trace_id: root.trace,
-            experiment,
-            admitted_us: looked_us,
-        },
-    );
     let admission = Admission {
         shard,
         client: client.clone(),
         priority: spec.priority(),
         cost: spec.cost(),
-        item: QueuedJob {
+        item: queue_entry(
+            shared,
             id,
-            cell: spec.into_cell(),
-            trace: root,
-            queue_span,
+            root,
+            looked_us,
+            spec.into_cell(),
             experiment,
-            identity: Some(identity.clone()),
-        },
+            Some(identity.clone()),
+        ),
     };
-    match shared.queue.try_push(admission) {
-        Ok(depth) => {
-            // Register the in-flight leader while still holding the
-            // dedup lock, so no identical submission can slip past
-            // both the cache and this map.
-            dedup.inflight.insert(
-                identity,
-                Inflight {
-                    leader_id: id,
-                    followers: Vec::new(),
-                },
-            );
-            drop(dedup);
-            shared
-                .metrics
-                .jobs_submitted
-                .fetch_add(1, Ordering::Relaxed);
-            shared
-                .spans
-                .annotate(queue_span, "depth_at_admit", depth.to_string());
-            Routed {
-                response: Response::json(
-                    202,
-                    Json::object([
-                        ("id", Json::UInt(id)),
-                        ("key", Json::Str(key)),
-                        ("status", Json::Str("queued".into())),
-                        ("queue_depth", Json::UInt(depth as u64)),
-                        ("trace_id", Json::UInt(root.trace)),
-                    ])
-                    .encode(),
-                ),
-                submitted: Some(root),
-            }
-        }
-        Err(FairPushError::Full(_)) => {
-            drop(dedup);
-            lock_unpoisoned(&shared.jobs).remove(&id);
-            shared.spans.abandon(root.trace);
-            shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            let retry = dynamic_retry_after(shared, shared.queue.depth());
-            Response::json(
-                429,
-                Json::object([
-                    ("error", Json::Str("queue full".into())),
-                    ("queue_bound", Json::UInt(shared.queue.bound() as u64)),
-                    ("retry_after", Json::UInt(retry)),
-                ])
-                .encode(),
-            )
-            .with_header("retry-after", retry.to_string())
-            .into()
-        }
-        Err(FairPushError::ClientQuota { queued, .. }) => {
-            drop(dedup);
-            lock_unpoisoned(&shared.jobs).remove(&id);
-            shared.spans.abandon(root.trace);
-            shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .quota_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            // The offender's Retry-After is about *its own* backlog
-            // draining, not the whole queue's.
-            let retry = retry_after_secs(queued, drain_rate(shared));
-            Response::json(
-                429,
-                Json::object([
-                    ("error", Json::Str("client over quota".into())),
-                    ("client", Json::Str(client)),
-                    ("quota", Json::UInt(shared.queue.client_quota() as u64)),
-                    ("queued", Json::UInt(queued as u64)),
-                    ("retry_after", Json::UInt(retry)),
-                ])
-                .encode(),
-            )
-            .with_header("retry-after", retry.to_string())
-            .into()
-        }
-        Err(FairPushError::Draining(_)) => {
-            drop(dedup);
-            lock_unpoisoned(&shared.jobs).remove(&id);
-            shared.spans.abandon(root.trace);
-            error_response(503, "draining").into()
-        }
-    }
+    let queue_span = admission.item.queue_span;
+    let depth = match admit(shared, &client, vec![admission], false) {
+        Ok(depth) => depth,
+        Err(refusal) => return refusal.into(),
+    };
+    // Register the in-flight leader while still holding the dedup lock,
+    // so no identical submission can slip past both the cache and this
+    // map.
+    dedup.inflight.insert(
+        identity,
+        Inflight {
+            leader_id: id,
+            followers: Vec::new(),
+        },
+    );
+    drop(dedup);
+    shared
+        .spans
+        .annotate(queue_span, "depth_at_admit", depth.to_string());
+    accepted(vec![
+        ("status", Json::Str("queued".into())),
+        ("queue_depth", Json::UInt(depth as u64)),
+    ])
 }
 
 /// `POST /v1/scenarios`: validate a scenario document, expand its
 /// matrix, and admit every cell to the queue atomically — a 202 means
-/// the whole matrix is queued; a 429 means none of it is.
+/// the whole matrix is queued; a 429 means none of it is. Cells skip
+/// route, cache lookup and coalescing, but every one gets its own job
+/// id, record and span trace through the same admission step as a
+/// `POST /v1/jobs` leader.
 fn submit_scenario(
     shared: &Shared,
     request: &Request,
@@ -1407,163 +1319,195 @@ fn submit_scenario(
     let scenario_id = shared.next_scenario_id.fetch_add(1, Ordering::Relaxed) + 1;
     let body_hash = crate::ring::hash64(&request.body);
 
-    // Give every cell the full per-job treatment — its own id, record,
-    // and span trace — before asking the queue for room, so a rejected
-    // batch can be unwound completely.
-    let mut batch = Vec::with_capacity(submission.cells.len());
-    let mut admitted = Vec::with_capacity(submission.cells.len());
-    {
-        let mut jobs = lock_unpoisoned(&shared.jobs);
-        for cell in &submission.cells {
-            let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-            let root = shared.spans.begin_trace("job", Some(accepted_us));
-            shared.spans.annotate(root, "job_id", id.to_string());
-            shared.spans.annotate(root, "key", cell.key.clone());
-            shared
-                .spans
-                .annotate(root, "scenario_id", scenario_id.to_string());
-            let accept = shared
-                .spans
-                .begin_span(root, "accept", Some(accepted_us), 0);
-            shared.spans.end_span(accept, Some(read_done_us));
-            let parse_span = shared
-                .spans
-                .begin_span(root, "parse", Some(read_done_us), 0);
-            let parsed_us = shared.spans.now_us();
-            shared.spans.end_span(parse_span, Some(parsed_us));
-            let queue_span = shared
-                .spans
-                .begin_span(root, "queue_wait", Some(parsed_us), 0);
-            jobs.insert(
-                id,
-                JobRecord {
-                    key: cell.key.clone(),
-                    state: JobState::Queued,
-                    artifact: None,
-                    error: None,
-                    wall_ms: None,
-                    trace_id: root.trace,
-                    experiment: "scenario",
-                    admitted_us: parsed_us,
-                },
+    // Scenario cells never coalesce or cache (identity: None) — a
+    // matrix run is explicitly "run it now". They still shard
+    // deterministically by submission + cell key so one matrix spreads
+    // across the pool.
+    let batch: Vec<Admission<QueuedJob>> = submission
+        .cells
+        .iter()
+        .map(|cell| {
+            let (id, root, parsed_us) = open_trace(
+                shared,
+                &cell.key,
+                ("scenario_id", scenario_id.to_string()),
+                accepted_us,
+                read_done_us,
             );
-            // Scenario cells never coalesce or cache (identity: None)
-            // — a matrix run is explicitly "run it now". They still
-            // shard deterministically by submission + cell key so one
-            // matrix spreads across the pool.
             let shard_key = format!("scenario:{body_hash:016x}/{}", cell.key);
-            batch.push(Admission {
+            Admission {
                 shard: shard_of(shared, &shard_key),
                 client: client.clone(),
                 priority: Priority::Normal,
                 cost: SCENARIO_CELL_COST,
-                item: QueuedJob {
-                    id,
-                    cell: cell.clone(),
-                    trace: root,
-                    queue_span,
-                    experiment: "scenario",
-                    identity: None,
-                },
-            });
-            admitted.push((id, cell.key.clone(), root.trace));
-        }
-    }
+                item: queue_entry(shared, id, root, parsed_us, cell.clone(), "scenario", None),
+            }
+        })
+        .collect();
+    let ids: Vec<u64> = batch.iter().map(|adm| adm.item.id).collect();
+    let depth = match admit(shared, &client, batch, true) {
+        Ok(depth) => depth,
+        Err(refusal) => return refusal.into(),
+    };
+    let cells: Vec<Json> = ids
+        .iter()
+        .zip(&submission.cells)
+        .map(|(id, cell)| {
+            Json::object([
+                ("id", Json::UInt(*id)),
+                ("key", Json::Str(cell.key.clone())),
+            ])
+        })
+        .collect();
+    let name = submission.scenario.name.clone();
+    lock_unpoisoned(&shared.scenarios).insert(
+        scenario_id,
+        Arc::new(ScenarioRecord {
+            scenario: submission.scenario,
+            cells: ids.into_iter().zip(submission.cells).collect(),
+        }),
+    );
+    Response::json(
+        202,
+        Json::object([
+            ("id", Json::UInt(scenario_id)),
+            ("name", Json::Str(name)),
+            ("status", Json::Str("queued".into())),
+            ("cells", Json::Arr(cells)),
+            ("queue_depth", Json::UInt(depth as u64)),
+        ])
+        .encode(),
+    )
+    .into()
+}
 
-    match shared.queue.try_push_many(batch) {
+/// Allocates a cell's job id and opens its trace retroactively from
+/// the accept instant, annotated with the id, the key and `tag`. The
+/// accept and parse phases are already over, so they close with
+/// explicit timestamps. Returns the id, the root span and the instant
+/// parsing ended.
+fn open_trace(
+    shared: &Shared,
+    key: &str,
+    tag: (&str, String),
+    accepted_us: u64,
+    read_done_us: u64,
+) -> (u64, SpanContext, u64) {
+    let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
+    let root = shared.spans.begin_trace("job", Some(accepted_us));
+    shared.spans.annotate(root, "job_id", id.to_string());
+    shared.spans.annotate(root, "key", key);
+    shared.spans.annotate(root, tag.0, tag.1);
+    let accept = shared
+        .spans
+        .begin_span(root, "accept", Some(accepted_us), 0);
+    shared.spans.end_span(accept, Some(read_done_us));
+    let parse_span = shared
+        .spans
+        .begin_span(root, "parse", Some(read_done_us), 0);
+    let parsed_us = shared.spans.now_us();
+    shared.spans.end_span(parse_span, Some(parsed_us));
+    (id, root, parsed_us)
+}
+
+/// Opens a cell's `queue_wait` phase at `admitted_us` and records the
+/// job as queued, ready for [`admit`] to push or unwind.
+fn queue_entry(
+    shared: &Shared,
+    id: u64,
+    root: SpanContext,
+    admitted_us: u64,
+    cell: Cell,
+    experiment: &'static str,
+    identity: Option<String>,
+) -> QueuedJob {
+    let queue_span = shared
+        .spans
+        .begin_span(root, "queue_wait", Some(admitted_us), 0);
+    lock_unpoisoned(&shared.jobs).insert(
+        id,
+        JobRecord::queued(cell.key.clone(), root.trace, experiment, admitted_us),
+    );
+    QueuedJob {
+        id,
+        cell,
+        trace: root,
+        queue_span,
+        experiment,
+        identity,
+    }
+}
+
+/// The admission step both POST endpoints share: pushes a batch of
+/// queue entries all-or-nothing (a `POST /v1/jobs` leader is a batch
+/// of one) and returns the queue depth after the push. A refused
+/// batch is unwound — no record or trace of its cells survives — and
+/// comes back as its 429 or 503. `report_cells` adds the batch size to
+/// a 429 body, as scenario refusals report it.
+fn admit(
+    shared: &Shared,
+    client: &str,
+    batch: Vec<Admission<QueuedJob>>,
+    report_cells: bool,
+) -> Result<usize, Response> {
+    let n = batch.len() as u64;
+    let refused = match shared.queue.try_push_many(batch) {
         Ok(depth) => {
             shared
                 .metrics
                 .jobs_submitted
-                .fetch_add(admitted.len() as u64, Ordering::Relaxed);
-            let name = submission.scenario.name.clone();
-            lock_unpoisoned(&shared.scenarios).insert(
-                scenario_id,
-                Arc::new(ScenarioRecord {
-                    scenario: submission.scenario,
-                    cells: admitted
-                        .iter()
-                        .map(|(id, _, _)| *id)
-                        .zip(submission.cells)
-                        .collect(),
-                }),
-            );
-            let cells: Vec<Json> = admitted
-                .iter()
-                .map(|(id, key, _)| {
-                    Json::object([("id", Json::UInt(*id)), ("key", Json::Str(key.clone()))])
-                })
-                .collect();
-            Response::json(
-                202,
-                Json::object([
-                    ("id", Json::UInt(scenario_id)),
-                    ("name", Json::Str(name)),
-                    ("status", Json::Str("queued".into())),
-                    ("cells", Json::Arr(cells)),
-                    ("queue_depth", Json::UInt(depth as u64)),
-                ])
-                .encode(),
-            )
-            .into()
+                .fetch_add(n, Ordering::Relaxed);
+            return Ok(depth);
         }
-        Err(refused) => {
-            // Unwind: the matrix never ran, so leave no trace of it.
-            let mut jobs = lock_unpoisoned(&shared.jobs);
-            for (id, _, trace) in &admitted {
-                jobs.remove(id);
-                shared.spans.abandon(*trace);
-            }
-            drop(jobs);
-            match refused {
-                FairPushError::Full(_) => {
-                    shared
-                        .metrics
-                        .jobs_rejected
-                        .fetch_add(admitted.len() as u64, Ordering::Relaxed);
-                    let retry = dynamic_retry_after(shared, shared.queue.depth());
-                    Response::json(
-                        429,
-                        Json::object([
-                            ("error", Json::Str("queue full".into())),
-                            ("cells", Json::UInt(admitted.len() as u64)),
-                            ("queue_bound", Json::UInt(shared.queue.bound() as u64)),
-                            ("retry_after", Json::UInt(retry)),
-                        ])
-                        .encode(),
-                    )
-                    .with_header("retry-after", retry.to_string())
-                    .into()
-                }
-                FairPushError::ClientQuota { queued, .. } => {
-                    shared
-                        .metrics
-                        .jobs_rejected
-                        .fetch_add(admitted.len() as u64, Ordering::Relaxed);
-                    shared
-                        .metrics
-                        .quota_rejected
-                        .fetch_add(admitted.len() as u64, Ordering::Relaxed);
-                    let retry = retry_after_secs(queued, drain_rate(shared));
-                    Response::json(
-                        429,
-                        Json::object([
-                            ("error", Json::Str("client over quota".into())),
-                            ("client", Json::Str(client)),
-                            ("cells", Json::UInt(admitted.len() as u64)),
-                            ("quota", Json::UInt(shared.queue.client_quota() as u64)),
-                            ("queued", Json::UInt(queued as u64)),
-                            ("retry_after", Json::UInt(retry)),
-                        ])
-                        .encode(),
-                    )
-                    .with_header("retry-after", retry.to_string())
-                    .into()
-                }
-                FairPushError::Draining(_) => error_response(503, "draining").into(),
-            }
-        }
+        Err(refused) => refused,
+    };
+    // Unwind: the cells never ran, so leave no trace of them.
+    let (FairPushError::Full(batch)
+    | FairPushError::Draining(batch)
+    | FairPushError::ClientQuota { item: batch, .. }) = &refused;
+    let mut jobs = lock_unpoisoned(&shared.jobs);
+    for adm in batch {
+        jobs.remove(&adm.item.id);
+        shared.spans.abandon(adm.item.trace.trace);
     }
+    drop(jobs);
+
+    let quota_queued = match refused {
+        FairPushError::Draining(_) => return Err(error_response(503, "draining")),
+        FairPushError::Full(_) => None,
+        FairPushError::ClientQuota { queued, .. } => Some(queued),
+    };
+    shared.metrics.jobs_rejected.fetch_add(n, Ordering::Relaxed);
+    let cells = report_cells.then_some(("cells", Json::UInt(n)));
+    let (mut fields, retry) = match quota_queued {
+        None => {
+            let retry = retry_after_secs(shared.queue.depth(), drain_rate(shared));
+            let mut fields = vec![("error", Json::Str("queue full".into()))];
+            fields.extend(cells);
+            fields.push(("queue_bound", Json::UInt(shared.queue.bound() as u64)));
+            (fields, retry)
+        }
+        Some(queued) => {
+            shared
+                .metrics
+                .quota_rejected
+                .fetch_add(n, Ordering::Relaxed);
+            // The offender's Retry-After is about *its own* backlog
+            // draining, not the whole queue's.
+            let retry = retry_after_secs(queued, drain_rate(shared));
+            let mut fields = vec![
+                ("error", Json::Str("client over quota".into())),
+                ("client", Json::Str(client.to_string())),
+            ];
+            fields.extend(cells);
+            fields.push(("quota", Json::UInt(shared.queue.client_quota() as u64)));
+            fields.push(("queued", Json::UInt(queued as u64)));
+            (fields, retry)
+        }
+    };
+    fields.push(("retry_after", Json::UInt(retry)));
+    Err(Response::json(429, Json::object(fields).encode())
+        .with_header("retry-after", retry.to_string()))
 }
 
 /// `GET /v1/scenarios/{id}`: per-cell status while the matrix runs;
