@@ -6,14 +6,20 @@
 //!                [--refbit <policy>] [--refs <N>] [--seed <N>] [--cpus <N>]
 //! ```
 //!
+//! A value that does not parse, or a `--mem` outside 1..=4096 MB (the
+//! limit scenario configs and `POST /v1/jobs` enforce), prints the
+//! usage text and exits 2.
+//!
 //! The paper's tables come from `reproduce_all`, the `table_*`
 //! binaries (2.1, 3.1, 3.2) and `spur-scenario run
 //! scenarios/table_*.json --legacy-stdout` (3.3–3.5, 4.1).
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use spur_core::dirty::DirtyPolicy;
 use spur_core::system::{SimConfig, SpurSystem};
+use spur_scenario::config::MAX_MEM_MB;
 use spur_trace::workloads::{slc, workload1, Workload};
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
@@ -21,7 +27,7 @@ use spur_vm::policy::RefPolicy;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         spur-repro run --workload <slc|workload1|spec-file> [--mem MB]\n              \
+         spur-repro run --workload <slc|workload1|spec-file> [--mem 1..={MAX_MEM_MB}]\n              \
          [--dirty fault|flush|spur|write|min] [--refbit miss|ref|noref]\n              \
          [--refs N] [--seed N] [--cpus N]"
     );
@@ -58,6 +64,12 @@ impl Args {
     }
 }
 
+/// A numeric flag's value: `default` when the flag is absent, `None`
+/// when its value does not parse.
+fn num_flag<T: FromStr>(args: &Args, name: &str, default: T) -> Option<T> {
+    args.flag(name).map_or(Some(default), |v| v.parse().ok())
+}
+
 fn workload_of(name: &str) -> Option<Workload> {
     match name {
         "slc" | "SLC" => Some(slc()),
@@ -81,29 +93,27 @@ fn cmd_run(args: &Args) -> ExitCode {
     let Some(workload) = args.flag("workload").and_then(workload_of) else {
         return usage();
     };
-    let mem = args
-        .flag("mem")
-        .and_then(|v| v.parse::<u32>().ok())
-        .map(MemSize::new)
-        .unwrap_or(MemSize::MB6);
+    // A numeric flag takes its default when absent; a value that does
+    // not parse, or a memory size the scenario configs would refuse,
+    // is a usage error rather than a silent default or a panic.
+    let (Some(mem_mb), Some(refs), Some(seed), Some(cpus)) = (
+        num_flag(args, "mem", 6u64),
+        num_flag(args, "refs", 2_000_000u64),
+        num_flag(args, "seed", 1989u64),
+        num_flag(args, "cpus", 1usize),
+    ) else {
+        return usage();
+    };
+    if !(1..=MAX_MEM_MB).contains(&mem_mb) {
+        return usage();
+    }
+    let mem = MemSize::new(mem_mb as u32);
     let Ok(dirty) = args.flag("dirty").unwrap_or("spur").parse::<DirtyPolicy>() else {
         return usage();
     };
     let Ok(ref_policy) = args.flag("refbit").unwrap_or("miss").parse::<RefPolicy>() else {
         return usage();
     };
-    let refs = args
-        .flag("refs")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(2_000_000);
-    let seed = args
-        .flag("seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1989);
-    let cpus = args
-        .flag("cpus")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(1);
 
     let mut sim = match SpurSystem::new(SimConfig {
         mem,
