@@ -40,3 +40,40 @@ fn epoch_zero_is_a_usage_error() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("Page flush"));
 }
+
+/// Runs `spur-scenario` with exactly `args`.
+fn scenario(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_spur-scenario"))
+        .args(args)
+        .output()
+        .expect("spur-scenario starts")
+}
+
+#[test]
+fn bad_run_flags_print_usage_and_exit_2() {
+    let cases: [(&str, Output); 7] = [
+        ("--scale bogus", run(&["--scale", "bogus"])),
+        ("trailing --scale", run(&["--scale"])),
+        ("--jobs 0", run(&["--jobs", "0"])),
+        ("--jobs x", run(&["--jobs", "x"])),
+        ("trailing --trace-out", run(&["--trace-out"])),
+        ("--frobnicate", run(&["--frobnicate"])),
+        (
+            "no scenario path",
+            scenario(&["run", "--no-persist", "--jobs", "1"]),
+        ),
+    ];
+    for (case, out) in cases {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{case}: {stderr}");
+        assert!(
+            stderr.contains("usage: spur-scenario") && stderr.contains("run flags:"),
+            "{case}: no usage text on stderr: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{case}: printed on stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
