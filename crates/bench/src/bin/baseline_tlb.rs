@@ -3,7 +3,7 @@
 //! awkward R/D bits) vs a conventional TLB + physical cache (free R/D
 //! checks, but translation serialized into every access and TLB refills).
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_core::baseline::{TlbConfig, TlbSystem};
 use spur_core::breakdown::CycleCategory;
 use spur_core::dirty::DirtyPolicy;
@@ -14,9 +14,7 @@ use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(8_000_000);
-    print_header("virtual-address cache vs TLB + physical cache", &scale);
+    let scale = study("virtual-address cache vs TLB + physical cache", 8_000_000);
 
     let mut t = Table::new("Same workload, two machines (cycles in millions)");
     t.headers(&[

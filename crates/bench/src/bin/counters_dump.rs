@@ -1,15 +1,13 @@
 //! Dumps the cache controller's counter banks after a short run — what
 //! the paper's on-machine monitor programs printed.
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_core::system::{SimConfig, SpurSystem};
 use spur_trace::workloads::slc;
 use spur_types::MemSize;
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(2_000_000);
-    print_header("performance-counter dump (SLC @ 6 MB)", &scale);
+    let scale = study("performance-counter dump (SLC @ 6 MB)", 2_000_000);
     let workload = slc();
     let mut sim = SpurSystem::new(SimConfig {
         mem: MemSize::MB6,

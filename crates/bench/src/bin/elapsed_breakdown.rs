@@ -2,7 +2,7 @@
 //! policy — the *why* behind Table 4.1: REF pays in reference-bit
 //! machinery, NOREF pays in paging, MISS pays least overall.
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_core::breakdown::CycleCategory;
 use spur_core::dirty::DirtyPolicy;
 use spur_core::system::{SimConfig, SpurSystem};
@@ -11,8 +11,7 @@ use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn main() {
-    let scale = scale_from_args();
-    print_header("elapsed-time decomposition (WORKLOAD1 @ 5 MB)", &scale);
+    let scale = study("elapsed-time decomposition (WORKLOAD1 @ 5 MB)", u64::MAX);
     let workload = workload1();
     for policy in RefPolicy::ALL {
         let mut sim = SpurSystem::new(SimConfig {

@@ -1,15 +1,16 @@
 //! Diagnostic: attributes necessary and excess dirty-bit faults to page
 //! kinds, for workload tuning. Not a paper artifact.
 
-use spur_bench::scale_from_args;
+use spur_bench::parse_args;
 use spur_core::dirty::DirtyPolicy;
+use spur_core::experiments::Scale;
 use spur_core::system::{SimConfig, SpurSystem};
 use spur_trace::workloads::{slc, workload1};
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = parse_args(&[]).0.scale.unwrap_or_else(Scale::default_scale);
     for w in [slc(), workload1()] {
         for mem in [MemSize::MB5, MemSize::MB8] {
             let mut sim = SpurSystem::new(SimConfig {
@@ -46,7 +47,9 @@ fn main() {
             for ((kind, zf), n) in faults {
                 println!("   fault {kind} zfod={zf}: {n}");
             }
-            for (kind, n) in sim.excess_breakdown() {
+            let mut excess: Vec<_> = sim.excess_breakdown().iter().collect();
+            excess.sort_by_key(|(kind, _)| format!("{kind}"));
+            for (kind, n) in excess {
                 println!("   excess {kind}: {n}");
             }
         }

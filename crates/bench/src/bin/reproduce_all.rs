@@ -3,8 +3,8 @@
 //! The cells are the committed scenario configs'
 //! (`scenarios/table_3_3.json`, `table_3_5.json`, `table_4_1.json`),
 //! expanded into one harness pool, so the whole regeneration
-//! parallelizes across `--jobs N` workers (default: available
-//! parallelism, or `SPUR_JOBS`) while the assembled tables stay
+//! parallelizes across `--jobs N` workers (default: `SPUR_JOBS`, or
+//! available parallelism) while the assembled tables stay
 //! byte-identical to a serial run. Machine-readable artifacts land in
 //! `results/json/reproduce_all-<scale>/`.
 //!
@@ -12,13 +12,15 @@
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
 //! ```
 
-use spur_bench::{jobs_from_args, obs_from_args, scale_from_args};
+use spur_bench::parse_args;
 use spur_core::experiments::events::render_table_3_3;
 use spur_core::experiments::overhead;
 use spur_core::experiments::pageout::render_table_3_5;
 use spur_core::experiments::refbit::render_table_4_1;
+use spur_core::experiments::Scale;
 use spur_harness::run_jobs_with_progress;
-use spur_scenario::render::{event_rows, pageout_rows, refbit_rows};
+use spur_scenario::render::{banner, event_rows, pageout_rows, refbit_rows};
+use spur_scenario::run::effective_obs;
 use spur_scenario::{persist_run, Scenario};
 use spur_types::{CostParams, SystemConfig};
 
@@ -31,16 +33,11 @@ const CONFIGS: [&str; 3] = [
 ];
 
 fn main() {
-    let scale = scale_from_args();
-    let workers = jobs_from_args();
-    let obs = obs_from_args();
+    let (opts, _) = parse_args(&[]);
+    let scale = opts.scale.unwrap_or_else(Scale::default_scale);
     let [events, pageouts, refbits] =
         CONFIGS.map(|c| Scenario::parse_str(c).expect("committed scenario config is valid"));
-    println!("SPUR reference/dirty-bit reproduction — all artifacts");
-    println!(
-        "scale: {} references/run, {} rep(s), seed {}\n",
-        scale.refs, scale.reps, scale.seed
-    );
+    print!("{}", banner("all artifacts", &scale));
 
     println!("Table 2.1: SPUR System Configuration");
     println!("====================================");
@@ -53,12 +50,12 @@ fn main() {
     let mut jobs = Vec::new();
     for scenario in [&events, &pageouts, &refbits] {
         let cells = scenario
-            .cells(scale, obs.params())
+            .cells(scale, effective_obs(scenario, &opts))
             .expect("committed scenario keys are distinct");
         jobs.extend(cells.iter().map(|cell| cell.job()));
     }
-    let report = run_jobs_with_progress(jobs, workers, obs.progress);
-    persist_run("reproduce_all", &scale, &report, obs.trace_out.as_deref());
+    let report = run_jobs_with_progress(jobs, opts.workers, opts.progress);
+    persist_run("reproduce_all", &scale, &report, opts.trace_out.as_deref());
 
     let rows = match event_rows(&events, &report) {
         Ok(rows) => rows,

@@ -4,7 +4,7 @@
 //! and clean replacements common; at 8 MB pages live long and nearly all
 //! modifiable pages get modified.
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_core::dirty::DirtyPolicy;
 use spur_core::report::Table;
 use spur_core::system::{SimConfig, SpurSystem};
@@ -13,9 +13,7 @@ use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(12_000_000);
-    print_header("page residency study (WORKLOAD1)", &scale);
+    let scale = study("page residency study (WORKLOAD1)", 12_000_000);
     let workload = workload1();
     let mut t = Table::new("Residency lifetimes (measured in page faults) and dirty-bit payoff");
     t.headers(&[

@@ -50,6 +50,16 @@ fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
+/// The value of `flag` as a number, if the flag is given.
+fn number_arg(flag: &str) -> Result<Option<u64>, String> {
+    arg_value(flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("{flag} takes a number, got {v:?}"))
+        })
+        .transpose()
+}
+
 /// Per-case seed derivation: spreads a base seed across case indices so
 /// `--seed 1` and `--seed 2` share no cases.
 fn case_seed(base: u64, index: u64) -> u64 {
@@ -243,45 +253,44 @@ fn selftest() -> Result<(), String> {
     Ok(())
 }
 
-fn usage() -> ExitCode {
+/// Prints `msg` and the usage text. A usage error exits 2, apart from
+/// the 1 of a failing case.
+fn usage(msg: &str) -> ExitCode {
     eprintln!(
-        "usage: spur-fuzz --cases N --seed S [--out DIR] [--mutate NAME]\n\
+        "spur-fuzz: {msg}\n\
+         usage: spur-fuzz --cases N --seed S [--out DIR] [--mutate NAME]\n\
          \x20      spur-fuzz --replay FILE [--mutate NAME]\n\
          \x20      spur-fuzz --matrix [--refs N]\n\
          \x20      spur-fuzz --selftest"
     );
-    ExitCode::FAILURE
+    ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let mutation = match parse_mutation() {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("spur-fuzz: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (mutation, cases, seed, refs) = match (
+        parse_mutation(),
+        number_arg("--cases"),
+        number_arg("--seed"),
+        number_arg("--refs"),
+    ) {
+        (Ok(m), Ok(c), Ok(s), Ok(r)) => (m, c, s, r),
+        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (.., Err(e)) => return usage(&e),
     };
 
     let outcome = if has_flag("--selftest") {
         selftest().map(|()| 0)
     } else if has_flag("--matrix") {
-        let refs = arg_value("--refs")
-            .map(|v| v.parse::<u64>().expect("--refs takes a number"))
-            .unwrap_or(30_000);
-        matrix(refs)
+        matrix(refs.unwrap_or(30_000))
     } else if let Some(file) = arg_value("--replay") {
         replay(Path::new(&file), mutation).map(|ok| u64::from(!ok))
-    } else if let Some(cases) = arg_value("--cases") {
-        let cases = cases.parse::<u64>().expect("--cases takes a number");
-        let seed = arg_value("--seed")
-            .map(|v| v.parse::<u64>().expect("--seed takes a number"))
-            .unwrap_or(1);
+    } else if let Some(cases) = cases {
+        let seed = seed.unwrap_or(1);
         let out = arg_value("--out")
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("results/repros"));
         fuzz(cases, seed, &out, mutation)
     } else {
-        return usage();
+        return usage("no mode given");
     };
 
     match outcome {

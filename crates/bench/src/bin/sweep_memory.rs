@@ -6,32 +6,39 @@
 //! Every (size, policy) cell is a harness job (`--jobs N` parallelism);
 //! artifacts land in `results/json/sweep_memory-<scale>/`.
 
-use spur_bench::jobs::{assemble_memory_sweep, memory_sweep_jobs_obs};
-use spur_bench::{has_flag, jobs_from_args, obs_from_args, print_header, scale_from_args};
+use spur_bench::jobs::{assemble_memory_sweep, memory_sweep_jobs};
+use spur_bench::parse_args;
 use spur_core::experiments::sweep::render_memory_sweep;
+use spur_core::experiments::Scale;
+use spur_core::obs::ObsParams;
 use spur_harness::run_jobs_with_progress;
 use spur_scenario::persist_run;
+use spur_scenario::render::banner;
 use spur_trace::workloads::workload1;
 
 const SIZES: [u32; 5] = [4, 5, 6, 8, 10];
 
 fn main() {
-    let mut scale = scale_from_args();
+    let (opts, extras) = parse_args(&[("--csv", "print the sweep as CSV only, for plotting")]);
+    let csv = !extras.is_empty();
+    let mut scale = opts.scale.unwrap_or_else(Scale::default_scale);
     scale.reps = scale.reps.min(2);
-    let workers = jobs_from_args();
-    let obs = obs_from_args();
-    if !has_flag("csv") {
-        print_header("memory sweep (WORKLOAD1, 4-10 MB)", &scale);
+    let obs = opts.obs_enabled.then(|| ObsParams {
+        epoch: opts.epoch,
+        ..ObsParams::default()
+    });
+    if !csv {
+        print!("{}", banner("memory sweep (WORKLOAD1, 4-10 MB)", &scale));
     }
     let report = run_jobs_with_progress(
-        memory_sweep_jobs_obs(workload1, &SIZES, scale, obs.params()),
-        workers,
-        obs.progress,
+        memory_sweep_jobs(workload1, &SIZES, scale, obs),
+        opts.workers,
+        opts.progress,
     );
-    persist_run("sweep_memory", &scale, &report, obs.trace_out.as_deref());
+    persist_run("sweep_memory", &scale, &report, opts.trace_out.as_deref());
     match assemble_memory_sweep(&report, &SIZES) {
         Ok(rows) => {
-            if has_flag("csv") {
+            if csv {
                 // Rebuild the table and emit CSV for plotting.
                 let mut t = spur_core::report::Table::new("memory_sweep");
                 t.headers(&[

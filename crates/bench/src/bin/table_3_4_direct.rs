@@ -3,7 +3,7 @@
 //! trace. (The paper had one prototype, so it could only model the
 //! alternatives; the simulator can run them.)
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_core::dirty::DirtyPolicy;
 use spur_core::experiments::events::measure_events;
 use spur_core::experiments::overhead::direct_elapsed;
@@ -12,11 +12,9 @@ use spur_trace::workloads::{slc, workload1};
 use spur_types::{CostParams, MemSize};
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(8_000_000);
-    print_header(
+    let scale = study(
         "Table 3.4 cross-validation (model vs direct simulation)",
-        &scale,
+        8_000_000,
     );
     let costs = CostParams::paper();
     let mut t =

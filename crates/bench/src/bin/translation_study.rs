@@ -4,7 +4,7 @@
 //! ratios, second-level fetches, and how much of the cache the page
 //! table actually occupies.
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_cache::counters::CounterEvent as E;
 use spur_core::dirty::DirtyPolicy;
 use spur_core::report::Table;
@@ -14,9 +14,7 @@ use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(8_000_000);
-    print_header("in-cache translation study", &scale);
+    let scale = study("in-cache translation study", 8_000_000);
     let mut t = Table::new("The cache as a TLB");
     t.headers(&[
         "Workload",

@@ -2,14 +2,12 @@
 //! per-process shares — the auditable version of the paper's qualitative
 //! workload descriptions.
 
-use spur_bench::{print_header, scale_from_args};
+use spur_bench::study;
 use spur_trace::characterize::characterize;
 use spur_trace::workloads::{devmachine, mp_workers, slc, workload1, DevHost};
 
 fn main() {
-    let mut scale = scale_from_args();
-    scale.refs = scale.refs.min(8_000_000);
-    print_header("workload characterization", &scale);
+    let scale = study("workload characterization", 8_000_000);
     let window = (scale.refs / 10).max(100_000);
     for workload in [
         slc(),

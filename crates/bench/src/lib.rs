@@ -1,217 +1,65 @@
-//! Shared flag parsing for the table/figure regenerator binaries.
+//! The experiment binaries' shared command line.
 //!
-//! Every regenerator accepts an optional scale argument and a worker
-//! count for the experiment harness:
+//! `reproduce_all`, `reproduce_mp`, `sweep_memory` and the studies read
+//! the run flags through [`parse_args`], the parser `spur-scenario run`
+//! uses, plus a few bare flags of their own:
 //!
 //! ```text
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
-//! cargo run --release -p spur-bench --bin sweep_memory -- --scale quick
+//! cargo run --release -p spur-bench --bin sweep_memory -- --scale quick --csv
 //! ```
 //!
-//! Tables 3.3–3.5 and 4.1 have no binary of their own: their cells are
-//! committed scenario configs, run on their own by
+//! A bad value or an argument the binary does not take prints its
+//! usage text and exits 2, before any cell runs. Tables 3.3–3.5 and
+//! 4.1 have no binary of their own: their cells are committed scenario
+//! configs, run on their own by
 //! `spur-scenario run scenarios/table_*.json --legacy-stdout` and all
 //! together by `reproduce_all`. Timing lives in `perfbench/`, the
 //! repository's one benchmark.
 
+use std::path::Path;
+
 use spur_core::experiments::Scale;
-use spur_core::obs::ObsParams;
+use spur_scenario::render::banner;
+use spur_scenario::{run_flags, RunnerOptions, RUN_FLAGS_USAGE};
 
-/// Observability options shared by the harness binaries.
-///
-/// Recording defaults to on: artifacts gain per-job `metrics` (and
-/// `series` when `--epoch` is set) without changing any existing key.
-/// `--no-obs` turns the whole subsystem off, restoring artifacts that
-/// are byte-identical to an uninstrumented build; stdout is identical
-/// either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsOptions {
-    /// Recording on (`--no-obs` clears this).
-    pub enabled: bool,
-    /// Epoch length in references for the counter time series
-    /// (`--epoch N`); `None` records no series.
-    pub epoch: Option<u64>,
-    /// Directory for Chrome-trace exports (`--trace-out DIR`); one
-    /// `<run>/<key>.trace.json` per successful job.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Stderr heartbeat while the job pool runs (`--progress` or a
-    /// truthy `SPUR_PROGRESS`).
-    pub progress: bool,
-}
-
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            enabled: true,
-            epoch: None,
-            trace_out: None,
-            progress: false,
-        }
+/// Parses the process's command line: the run flags
+/// ([`spur_scenario::run_flags`], which also reads `SPUR_JOBS` and
+/// `SPUR_PROGRESS`), plus `extras`, the binary's own bare flags as
+/// `(flag, help)` pairs. On a bad value or any other argument it
+/// prints the usage text and exits 2. Returns the options and the
+/// extras given.
+pub fn parse_args(extras: &[(&str, &str)]) -> (RunnerOptions, Vec<String>) {
+    let (opts, rest) = run_flags(std::env::args().skip(1)).unwrap_or_else(|e| usage(extras, &e));
+    if let Some(arg) = rest.iter().find(|a| !extras.iter().any(|(f, _)| f == a)) {
+        usage(extras, &format!("unexpected argument {arg:?}"));
     }
+    (opts, rest)
 }
 
-impl ObsOptions {
-    /// The per-simulation parameters, or `None` when disabled.
-    pub fn params(&self) -> Option<ObsParams> {
-        self.enabled.then(|| ObsParams {
-            epoch: self.epoch,
-            ..ObsParams::default()
-        })
-    }
-}
-
-/// Parses observability flags from process args and `SPUR_PROGRESS`.
-pub fn obs_from_args() -> ObsOptions {
-    parse_obs(
-        std::env::args().skip(1),
-        std::env::var("SPUR_PROGRESS").ok().as_deref(),
-    )
-}
-
-/// The testable core of [`obs_from_args`]. `progress_env` is the
-/// `SPUR_PROGRESS` value; anything but empty or `"0"` enables the
-/// heartbeat (the `--progress` flag also does).
-pub fn parse_obs<I: IntoIterator<Item = String>>(
-    args: I,
-    progress_env: Option<&str>,
-) -> ObsOptions {
-    let mut opts = ObsOptions::default();
-    if let Some(v) = progress_env {
-        if !v.is_empty() && v != "0" {
-            opts.progress = true;
-        }
-    }
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--no-obs" => opts.enabled = false,
-            "--progress" => opts.progress = true,
-            "--epoch" => match args.peek().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => {
-                    opts.epoch = Some(n);
-                    args.next();
-                }
-                _ => eprintln!("--epoch needs a positive integer; ignoring"),
-            },
-            "--trace-out" => match args.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    opts.trace_out = Some(std::path::PathBuf::from(v));
-                    args.next();
-                }
-                _ => eprintln!("--trace-out needs a directory; ignoring"),
-            },
-            _ => {}
-        }
-    }
-    opts
-}
-
-/// Parses `--scale {quick|default|full}` from process args; defaults to
-/// `default`.
-///
-/// Unknown arguments are reported on stderr and ignored.
-pub fn scale_from_args() -> Scale {
-    parse_scale(std::env::args().skip(1))
-}
-
-/// The testable core of [`scale_from_args`].
-///
-/// `--scale` only consumes the next argument when it is a scale value:
-/// `--scale --csv` leaves `--csv` for the binary's own flag handling
-/// instead of swallowing it as a malformed scale.
-pub fn parse_scale<I: IntoIterator<Item = String>>(args: I) -> Scale {
-    let mut args = args.into_iter().peekable();
-    let mut scale = Scale::default_scale();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => match args.peek().map(String::as_str) {
-                Some("quick") => {
-                    scale = Scale::quick();
-                    args.next();
-                }
-                Some("default") => {
-                    scale = Scale::default_scale();
-                    args.next();
-                }
-                Some("full") => {
-                    scale = Scale::full();
-                    args.next();
-                }
-                Some(next) if next.starts_with("--") => {
-                    // The next token is another flag, not a scale value:
-                    // leave it alone so it keeps its own meaning.
-                    eprintln!("--scale is missing a value; using default");
-                }
-                Some(other) => {
-                    eprintln!("unknown scale {other:?}; using default");
-                    args.next();
-                }
-                None => eprintln!("--scale is missing a value; using default"),
-            },
-            "--jobs" | "--epoch" | "--trace-out" => {
-                // These values belong to parse_jobs / parse_obs; skip
-                // them so they aren't reported as unknown arguments.
-                if args.peek().is_some_and(|v| !v.starts_with("--")) {
-                    args.next();
-                }
-            }
-            other if other.starts_with("--") => {} // bare flags belong to the binary
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
+/// A study's scale: `--scale` with its references capped at
+/// `max_refs`, after printing the study's [`banner`]. A study ignores
+/// the other run flags.
+pub fn study(what: &str, max_refs: u64) -> Scale {
+    let mut scale = parse_args(&[]).0.scale.unwrap_or_else(Scale::default_scale);
+    scale.refs = scale.refs.min(max_refs);
+    print!("{}", banner(what, &scale));
     scale
 }
 
-/// Parses the harness worker count: `--jobs N` from process args, then
-/// the `SPUR_JOBS` environment variable, then available parallelism.
-pub fn jobs_from_args() -> usize {
-    parse_jobs(
-        std::env::args().skip(1),
-        std::env::var("SPUR_JOBS").ok().as_deref(),
-    )
-}
-
-/// The testable core of [`jobs_from_args`].
-///
-/// Precedence: an explicit `--jobs N` wins, then `env` (the `SPUR_JOBS`
-/// value), then [`std::thread::available_parallelism`]. Zero or
-/// unparsable counts fall through to the next source.
-pub fn parse_jobs<I: IntoIterator<Item = String>>(args: I, env: Option<&str>) -> usize {
-    let mut args = args.into_iter().peekable();
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            match args.peek().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => return n,
-                _ => {
-                    eprintln!("--jobs needs a positive integer; falling back");
-                    break;
-                }
-            }
-        }
-    }
-    if let Some(n) = env.and_then(|v| v.parse::<usize>().ok()) {
-        if n > 0 {
-            return n;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Whether a bare `--csv` style flag is present in the process args.
-pub fn has_flag(name: &str) -> bool {
-    let want = format!("--{name}");
-    std::env::args().skip(1).any(|a| a == want)
-}
-
-/// Prints the standard run header for a regenerator.
-pub fn print_header(what: &str, scale: &Scale) {
-    println!("SPUR reference/dirty-bit reproduction — {what}");
-    println!(
-        "scale: {} references/run, {} rep(s), seed {}\n",
-        scale.refs, scale.reps, scale.seed
-    );
+/// Prints `msg` and the usage text of the running binary, named by
+/// its file name, and exits 2.
+fn usage(extras: &[(&str, &str)], msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = Path::new(&argv0).file_name().unwrap_or_default();
+    let flags: String = extras.iter().map(|(f, _)| format!(" [{f}]")).collect();
+    let help: String = extras
+        .iter()
+        .map(|(f, h)| format!("  {f:<29}{h}\n"))
+        .collect();
+    let bin = bin.to_string_lossy();
+    eprintln!("{msg}\n\nusage: {bin} [run flags]{flags}\n{help}\nrun flags:\n{RUN_FLAGS_USAGE}");
+    std::process::exit(2)
 }
 
 pub mod load;
@@ -236,17 +84,9 @@ pub mod jobs {
         format!("memory_sweep/{mb:02}MB/{policy}")
     }
 
-    /// Every cell of the memory sweep: `sizes` × [`RefPolicy::ALL`].
+    /// Every cell of the memory sweep, `sizes` × [`RefPolicy::ALL`],
+    /// with optional observability.
     pub fn memory_sweep_jobs(
-        make: WorkloadCtor,
-        sizes: &[u32],
-        scale: Scale,
-    ) -> Vec<Job<RefbitRow>> {
-        memory_sweep_jobs_obs(make, sizes, scale, None)
-    }
-
-    /// [`memory_sweep_jobs`] with optional observability.
-    pub fn memory_sweep_jobs_obs(
         make: WorkloadCtor,
         sizes: &[u32],
         scale: Scale,
@@ -291,129 +131,5 @@ pub mod jobs {
                 })
             })
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parses_known_scales() {
-        let q = parse_scale(args(&["--scale", "quick"]));
-        assert_eq!(q.refs, Scale::quick().refs);
-        let f = parse_scale(args(&["--scale", "full"]));
-        assert_eq!(f.refs, Scale::full().refs);
-    }
-
-    #[test]
-    fn defaults_on_empty_or_unknown() {
-        assert_eq!(
-            parse_scale(Vec::<String>::new()).refs,
-            Scale::default_scale().refs
-        );
-        let d = parse_scale(args(&["--scale", "bogus"]));
-        assert_eq!(d.refs, Scale::default_scale().refs);
-    }
-
-    #[test]
-    fn scale_does_not_swallow_following_flag() {
-        // `--scale --csv`: the scale is missing, not "--csv"; the flag
-        // must survive for the binary's own handling (the bare-flag arm
-        // sees it on the next loop turn instead of it being consumed as
-        // a malformed scale value).
-        let d = parse_scale(args(&["--scale", "--csv"]));
-        assert_eq!(d.refs, Scale::default_scale().refs);
-        // A later valid --scale still applies.
-        let q = parse_scale(args(&["--scale", "--csv", "--scale", "quick"]));
-        assert_eq!(q.refs, Scale::quick().refs);
-        // Trailing --scale is harmless.
-        let t = parse_scale(args(&["--scale"]));
-        assert_eq!(t.refs, Scale::default_scale().refs);
-    }
-
-    #[test]
-    fn parses_obs_flags() {
-        let defaults = parse_obs(Vec::<String>::new(), None);
-        assert!(defaults.enabled, "observability is on by default");
-        assert_eq!(defaults.epoch, None);
-        assert_eq!(defaults.trace_out, None);
-        assert!(!defaults.progress);
-
-        let opts = parse_obs(
-            args(&[
-                "--epoch",
-                "100000",
-                "--trace-out",
-                "results/trace",
-                "--progress",
-            ]),
-            None,
-        );
-        assert_eq!(opts.epoch, Some(100_000));
-        assert_eq!(
-            opts.trace_out.as_deref(),
-            Some(std::path::Path::new("results/trace"))
-        );
-        assert!(opts.progress);
-        assert!(opts.params().is_some());
-        assert_eq!(opts.params().unwrap().epoch, Some(100_000));
-
-        let off = parse_obs(args(&["--no-obs", "--epoch", "5"]), None);
-        assert!(!off.enabled);
-        assert!(off.params().is_none(), "--no-obs wins over --epoch");
-    }
-
-    #[test]
-    fn obs_progress_env_is_truthy() {
-        assert!(parse_obs(Vec::<String>::new(), Some("1")).progress);
-        assert!(parse_obs(Vec::<String>::new(), Some("yes")).progress);
-        assert!(!parse_obs(Vec::<String>::new(), Some("0")).progress);
-        assert!(!parse_obs(Vec::<String>::new(), Some("")).progress);
-    }
-
-    #[test]
-    fn obs_flags_reject_malformed_values() {
-        // A missing or non-numeric epoch is ignored, not fatal; the
-        // flag that follows keeps its own meaning.
-        let opts = parse_obs(args(&["--epoch", "--progress"]), None);
-        assert_eq!(opts.epoch, None);
-        assert!(opts.progress);
-        let opts = parse_obs(args(&["--epoch", "zero"]), None);
-        assert_eq!(opts.epoch, None);
-        let opts = parse_obs(args(&["--trace-out", "--progress"]), None);
-        assert_eq!(opts.trace_out, None);
-        assert!(opts.progress);
-    }
-
-    #[test]
-    fn scale_skips_obs_values() {
-        // `--epoch 100000 --scale quick`: the epoch value must not be
-        // reported or mistaken for a positional argument.
-        let q = parse_scale(args(&[
-            "--epoch",
-            "100000",
-            "--trace-out",
-            "results/trace",
-            "--scale",
-            "quick",
-        ]));
-        assert_eq!(q.refs, Scale::quick().refs);
-    }
-
-    #[test]
-    fn jobs_precedence_is_flag_env_parallelism() {
-        assert_eq!(parse_jobs(args(&["--jobs", "8"]), Some("4")), 8);
-        assert_eq!(parse_jobs(args(&[]), Some("4")), 4);
-        let auto = parse_jobs(args(&[]), None);
-        assert!(auto >= 1);
-        // Bad values fall through.
-        assert_eq!(parse_jobs(args(&["--jobs", "zero"]), Some("4")), 4);
-        assert_eq!(parse_jobs(args(&["--jobs", "0"]), Some("4")), 4);
-        assert_eq!(parse_jobs(args(&[]), Some("-3")), auto);
     }
 }

@@ -44,8 +44,8 @@ fn memory_sweep_artifacts_identical_across_worker_counts() {
     let scale = tiny_scale();
     let sizes = [4u32, 5];
 
-    let serial = run_jobs(memory_sweep_jobs(workload1, &sizes, scale), 1);
-    let parallel = run_jobs(memory_sweep_jobs(workload1, &sizes, scale), 4);
+    let serial = run_jobs(memory_sweep_jobs(workload1, &sizes, scale, None), 1);
+    let parallel = run_jobs(memory_sweep_jobs(workload1, &sizes, scale, None), 4);
 
     assert_eq!(serial.len(), 6, "2 sizes x 3 policies");
     assert_eq!(serial.len(), parallel.len());

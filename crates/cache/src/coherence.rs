@@ -264,11 +264,6 @@ impl Bus {
         }
     }
 
-    /// Number of caches on the bus.
-    pub fn num_caches(&self) -> usize {
-        self.caches.len()
-    }
-
     /// Immutable access to a cache (for assertions).
     pub fn cache(&self, cpu: usize) -> &VirtualCache {
         &self.caches[cpu]

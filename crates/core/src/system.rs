@@ -1171,14 +1171,6 @@ impl SpurSystem {
         self.stale_at_fault_zfod
     }
 
-    /// Runs the page daemon explicitly until `target_free` frames are
-    /// available (a periodic-daemon tick; `fault_in` also sweeps under
-    /// pressure automatically). Daemon work is charged to the elapsed
-    /// model as usual.
-    pub fn daemon_sweep(&mut self, target_free: usize) {
-        self.with_vm_ctx(|vm, ctx| vm.sweep_target(ctx, target_free));
-    }
-
     /// Runs one clear-only daemon pass over every resident page (the
     /// first hand of a two-handed clock): reference bits are cleared per
     /// the policy, nothing is reclaimed.

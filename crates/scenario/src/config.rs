@@ -254,9 +254,10 @@ pub struct Scenario {
     /// kind accepts one.
     pub key_prefix: Option<String>,
     /// Legacy stdout header: when set, `--legacy-stdout` runs print
-    /// the classic `print_header` banner with this title, byte-for-byte
-    /// what the folded-in binary printed (scenarios for binaries that
-    /// printed no header, like `ablation_flush`, omit it).
+    /// the experiment binaries' [`crate::render::banner`] with this
+    /// title, byte-for-byte what the folded-in binary printed
+    /// (scenarios for binaries that printed no header, like
+    /// `ablation_flush`, omit it).
     pub legacy_header: Option<String>,
     /// Expected-shape assertions.
     pub assertions: Vec<Assertion>,

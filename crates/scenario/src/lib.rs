@@ -23,7 +23,8 @@
 //!   relations ("FAULT dirty faults ≥ MIN at every memory size"),
 //!   monotonicity along an axis.
 //! - [`run`] — the engine: resolve scale, expand, run, persist,
-//!   evaluate; plus the `--legacy-stdout` driver.
+//!   evaluate; plus the `--legacy-stdout` driver and the run-flag
+//!   parser every experiment binary shares.
 //! - [`render`] — byte-exact reproductions of the stdout tables of the
 //!   binaries the committed configs replaced.
 
@@ -37,5 +38,6 @@ pub use asserts::{Assertion, CellResult, Verdict};
 pub use cells::{Cell, CellValue};
 pub use config::{Kind, Scenario, WorkloadSource, SCHEMA_VERSION};
 pub use run::{
-    export_traces, persist_run, run_legacy, run_scenario, scale_name, RunnerOptions, ScenarioRun,
+    export_traces, parse_run_flags, persist_run, run_flags, run_legacy, run_scenario, scale_name,
+    RunFlags, RunnerOptions, ScenarioRun, RUN_FLAGS_USAGE,
 };

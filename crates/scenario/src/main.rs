@@ -8,11 +8,11 @@
 //! spur-scenario list scenarios
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use spur_core::experiments::Scale;
-use spur_scenario::{run_legacy, run_scenario, scale_name, RunnerOptions, Scenario};
+use spur_scenario::{
+    run_flags, run_legacy, run_scenario, scale_name, Cell, Scenario, RUN_FLAGS_USAGE,
+};
 
 const USAGE: &str = "usage: spur-scenario <command> [args]
 
@@ -23,12 +23,6 @@ commands:
   list [dir]           summarize the scenario configs in a directory (default: scenarios)
 
 run flags:
-  --scale quick|default|full   override the scenario's scale preset
-  --jobs N                     worker threads (default: all cores)
-  --no-obs                     disable per-simulation observability
-  --epoch N                    counter-series epoch override (references, N > 0)
-  --trace-out DIR              export Chrome traces under DIR
-  --progress                   stderr heartbeat while the pool runs
   --legacy-stdout              reproduce the folded-in binary's stdout tables
   --no-persist                 skip the artifact tree (hermetic run)
   --json                       print the scenario result document to stdout";
@@ -36,18 +30,14 @@ run flags:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("a command is required");
     };
     match command.as_str() {
         "validate" => validate(&args[1..]),
         "explain" => explain(&args[1..]),
         "run" => run(&args[1..]),
         "list" => list(&args[1..]),
-        other => {
-            eprintln!("unknown command {other:?}\n\n{USAGE}");
-            ExitCode::from(2)
-        }
+        other => usage_error(&format!("unknown command {other:?}")),
     }
 }
 
@@ -56,30 +46,35 @@ fn load(path: &str) -> Result<Scenario, String> {
     Scenario::parse_bytes(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Loads a config and expands its cells at its own scale.
+fn load_cells(path: &str) -> Result<(Scenario, Vec<Cell>), String> {
+    let s = load(path)?;
+    let cells = s.cells(s.resolve_scale(None), None);
+    Ok((s, cells.map_err(|e| format!("{path}: {e}"))?))
+}
+
 fn validate(files: &[String]) -> ExitCode {
     if files.is_empty() {
-        eprintln!("validate: at least one file required\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("validate: at least one file required");
     }
+    each_config(files, |path, s, cells| {
+        format!(
+            "ok: {path}: {} ({:?}, {cells} cell(s), {} assertion(s))",
+            s.name,
+            s.kind,
+            s.assertions.len()
+        )
+    })
+}
+
+/// Loads and expands each config, printing `line(path, scenario, cell
+/// count)` for each one that expands and an error for each one that
+/// does not; the exit code is non-zero if any did not.
+fn each_config(paths: &[String], line: impl Fn(&str, &Scenario, usize) -> String) -> ExitCode {
     let mut failed = false;
-    for path in files {
-        match load(path) {
-            Ok(s) => {
-                let scale = s.resolve_scale(None);
-                match s.cells(scale, None) {
-                    Ok(cells) => println!(
-                        "ok: {path}: {} ({:?}, {} cell(s), {} assertion(s))",
-                        s.name,
-                        s.kind,
-                        cells.len(),
-                        s.assertions.len()
-                    ),
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        failed = true;
-                    }
-                }
-            }
+    for path in paths {
+        match load_cells(path) {
+            Ok((s, cells)) => println!("{}", line(path, &s, cells.len())),
             Err(e) => {
                 eprintln!("error: {e}");
                 failed = true;
@@ -95,11 +90,10 @@ fn validate(files: &[String]) -> ExitCode {
 
 fn explain(files: &[String]) -> ExitCode {
     let [path] = files else {
-        eprintln!("explain: exactly one file required\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("explain: exactly one file required");
     };
-    let scenario = match load(path) {
-        Ok(s) => s,
+    let (scenario, cells) = match load_cells(path) {
+        Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
@@ -117,17 +111,9 @@ fn explain(files: &[String]) -> ExitCode {
         scale.reps,
         scale.seed
     );
-    match scenario.cells(scale, None) {
-        Ok(cells) => {
-            println!("cells: {}", cells.len());
-            for cell in &cells {
-                println!("  {}", cell.key);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    println!("cells: {}", cells.len());
+    for cell in &cells {
+        println!("  {}", cell.key);
     }
     println!("assertions: {}", scenario.assertions.len());
     for a in &scenario.assertions {
@@ -137,37 +123,15 @@ fn explain(files: &[String]) -> ExitCode {
 }
 
 fn run(args: &[String]) -> ExitCode {
+    let (mut opts, rest) = match run_flags(args.iter().cloned()) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage_error(&e),
+    };
     let mut path: Option<&str> = None;
-    let mut opts = RunnerOptions::default();
     let mut legacy = false;
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in &rest {
         match arg.as_str() {
-            "--scale" => match it.next().map(String::as_str) {
-                Some("quick") => opts.scale = Some(Scale::quick()),
-                Some("default") => opts.scale = Some(Scale::default_scale()),
-                Some("full") => opts.scale = Some(Scale::full()),
-                other => {
-                    return usage_error(&format!(
-                        "--scale: expected quick|default|full, got {other:?}"
-                    ))
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.workers = n,
-                _ => return usage_error("--jobs: expected a positive integer"),
-            },
-            "--epoch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.epoch = Some(n),
-                _ => return usage_error("--epoch: expected a positive integer"),
-            },
-            "--trace-out" => match it.next() {
-                Some(dir) => opts.trace_out = Some(PathBuf::from(dir)),
-                None => return usage_error("--trace-out: expected a directory"),
-            },
-            "--no-obs" => opts.obs_enabled = false,
-            "--progress" => opts.progress = true,
             "--legacy-stdout" => legacy = true,
             "--no-persist" => opts.persist = false,
             "--json" => json = true,
@@ -240,51 +204,27 @@ fn list(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut paths: Vec<PathBuf> = entries
+    let mut paths: Vec<String> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .map(|p| p.to_string_lossy().into_owned())
         .collect();
     paths.sort();
     if paths.is_empty() {
         eprintln!("error: {dir}: no .json scenario configs found");
         return ExitCode::FAILURE;
     }
-    let mut failed = false;
-    for path in &paths {
-        let shown = path.display();
-        match load(&path.to_string_lossy()) {
-            Ok(s) => {
-                let scale = s.resolve_scale(None);
-                let cells = s.cells(scale, None).map(|c| c.len());
-                match cells {
-                    Ok(n) => println!(
-                        "{:<40} {:<14} {:>3} cell(s) {:>2} assertion(s)  {}",
-                        s.name,
-                        format!("{:?}", s.kind),
-                        n,
-                        s.assertions.len(),
-                        shown
-                    ),
-                    Err(e) => {
-                        eprintln!("error: {shown}: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    each_config(&paths, |path, s, cells| {
+        format!(
+            "{:<40} {:<14} {cells:>3} cell(s) {:>2} assertion(s)  {path}",
+            s.name,
+            format!("{:?}", s.kind),
+            s.assertions.len()
+        )
+    })
 }
 
 fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("{msg}\n\n{USAGE}");
+    eprintln!("{msg}\n\n{USAGE}\n{RUN_FLAGS_USAGE}");
     ExitCode::from(2)
 }

@@ -9,9 +9,10 @@
 //! what they printed. The parity tests diff this output against an
 //! inline reconstruction of the original code — so "the folded
 //! binaries still print the same thing" is a tested claim, not a
-//! code-review hope. `reproduce_all` assembles its tables from the
-//! same row collectors ([`event_rows`], [`pageout_rows`],
-//! [`refbit_rows`]).
+//! code-review hope. `reproduce_all` and `reproduce_mp` assemble
+//! their tables from the same row collectors ([`event_rows`],
+//! [`pageout_rows`], [`refbit_rows`], [`mp_rows`]) and print the same
+//! [`banner`].
 
 use spur_core::experiments::ablation::{
     handler_tuning, render_cache_scaling, render_handler_tuning, tdc_sensitivity,
@@ -27,7 +28,7 @@ use spur_core::experiments::sweep::render_tlb_sweep;
 use spur_core::experiments::Scale;
 use spur_core::report::Table;
 use spur_harness::{Json, RunReport};
-use spur_mp::{mp_key, mp_model, render_mp, render_mp_model};
+use spur_mp::{mp_key, mp_model, render_mp, render_mp_model, MpRow};
 use spur_trace::workloads::DevHost;
 use spur_types::CostParams;
 use spur_vm::policy::RefPolicy;
@@ -38,15 +39,22 @@ use crate::cells::{
 };
 use crate::config::{Kind, Scenario};
 
-/// The banner the legacy binaries printed before running (their
-/// `print_header`), when the scenario declares a `legacy_header`.
+/// The run banner the experiment binaries print before their tables:
+/// what they regenerate, then the scale, then a blank line.
+pub fn banner(what: &str, scale: &Scale) -> String {
+    format!(
+        "SPUR reference/dirty-bit reproduction — {what}\nscale: {} references/run, {} rep(s), seed {}\n\n",
+        scale.refs, scale.reps, scale.seed
+    )
+}
+
+/// The [`banner`] a folded-in binary printed before running, when the
+/// scenario declares a `legacy_header`.
 pub fn legacy_banner(scenario: &Scenario, scale: &Scale) -> Option<String> {
-    scenario.legacy_header.as_ref().map(|what| {
-        format!(
-            "SPUR reference/dirty-bit reproduction — {what}\nscale: {} references/run, {} rep(s), seed {}\n\n",
-            scale.refs, scale.reps, scale.seed
-        )
-    })
+    scenario
+        .legacy_header
+        .as_ref()
+        .map(|what| banner(what, scale))
 }
 
 /// The stderr prefix each legacy binary used on a missing/failed cell.
@@ -183,6 +191,25 @@ pub fn refbit_rows(
             for policy in ref_axis(scenario) {
                 let key = refbit_key(&name, mb as u32, policy);
                 rows.push(cell_as!(report, &key, CellValue::Refbit)?.clone());
+            }
+        }
+    }
+    Ok(rows)
+}
+
+/// An `mp` scenario's rows: sharing degree, then CPU count, then
+/// policy.
+///
+/// # Errors
+///
+/// Returns the first missing or failed cell's description.
+pub fn mp_rows(scenario: &Scenario, report: &RunReport<CellValue>) -> Result<Vec<MpRow>, String> {
+    let mut rows = Vec::new();
+    for shared_pages in axis_u64s(scenario, "shared_pages") {
+        for cpus in axis_u64s(scenario, "cpus") {
+            for policy in ref_axis(scenario) {
+                let key = mp_key(cpus as usize, shared_pages, policy);
+                rows.push(cell_as!(report, &key, CellValue::Mp)?.clone());
             }
         }
     }
@@ -476,15 +503,7 @@ pub fn render_legacy(scenario: &Scenario, report: &RunReport<CellValue>) -> Resu
         Kind::Mp => {
             // `mp_refbit`: the measured table, then the analytic model
             // extrapolated from the measured 1-CPU rows.
-            let mut rows = Vec::new();
-            for shared_pages in axis_u64s(scenario, "shared_pages") {
-                for cpus in axis_u64s(scenario, "cpus") {
-                    for policy in ref_axis(scenario) {
-                        let key = mp_key(cpus as usize, shared_pages, policy);
-                        rows.push(cell_as!(report, &key, CellValue::Mp)?.clone());
-                    }
-                }
-            }
+            let rows = mp_rows(scenario, report)?;
             let cpu_counts: Vec<usize> = axis_u64s(scenario, "cpus")
                 .into_iter()
                 .map(|n| n as usize)
@@ -524,7 +543,9 @@ pub fn render_legacy(scenario: &Scenario, report: &RunReport<CellValue>) -> Resu
 }
 
 /// The `sim` kind's table — no legacy counterpart, so this is the
-/// scenario engine's own format: one row per cell in expansion order.
+/// scenario engine's own format: one row per cell, memory size
+/// outermost, then dirty policy, reference policy and CPU count,
+/// whatever order the config declares its axes in.
 fn render_sim(scenario: &Scenario, report: &RunReport<CellValue>) -> Result<String, String> {
     let workload = scenario.workload.as_ref().expect("kind shape").workload();
     let name = workload.name().to_string();

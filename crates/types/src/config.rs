@@ -136,11 +136,6 @@ impl SystemConfig {
         self.cache_bytes / self.block_bytes
     }
 
-    /// Number of cache blocks per page.
-    pub fn blocks_per_page(&self) -> u64 {
-        self.page_bytes / self.block_bytes
-    }
-
     /// Whether the CPU's instruction buffer is enabled (disabled on the
     /// measured prototype).
     pub fn instruction_buffer(&self) -> bool {

@@ -136,11 +136,6 @@ impl ProcessManager {
         map.translate(addr)
     }
 
-    /// The segment map of a process, if it exists.
-    pub fn segment_map(&self, pid: ProcessId) -> Option<&SegmentMap> {
-        self.processes.get(&pid)
-    }
-
     /// Number of live processes.
     pub fn len(&self) -> usize {
         self.processes.len()
