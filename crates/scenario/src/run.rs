@@ -44,6 +44,7 @@ pub struct RunnerOptions {
     /// Stderr heartbeat while the pool runs.
     pub progress: bool,
     /// Write artifacts (tests turn this off to run hermetically).
+    /// Traces still export when `trace_out` is set.
     pub persist: bool,
 }
 
@@ -238,6 +239,8 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<Scenari
     let report = run_jobs_with_progress(jobs, opts.workers, opts.progress);
     if opts.persist {
         persist_run(&scenario.name, &scale, &report, opts.trace_out.as_deref());
+    } else if let Some(root) = &opts.trace_out {
+        report_traces(root, &run_name(&scenario.name, &scale), &report);
     }
 
     let results: Vec<CellResult> = cells
@@ -334,7 +337,7 @@ pub fn scale_name(scale: &Scale) -> &'static str {
 /// on request — all on stderr, leaving stdout to the tables. Wall
 /// times are nondeterministic, so they never enter the artifacts.
 pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_out: Option<&Path>) {
-    let run_name = format!("{name}-{}", scale_name(scale));
+    let run_name = run_name(name, scale);
     let meta = [
         ("refs", Json::from(scale.refs)),
         ("reps", Json::from(scale.reps)),
@@ -347,14 +350,25 @@ pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_ou
     }
     eprintln!("{}", wall_histogram_line(report));
     if let Some(root) = trace_out {
-        match export_traces(root, &run_name, report) {
-            Ok(0) => eprintln!("traces: none to export (observability off or no trace data)"),
-            Ok(n) => eprintln!(
-                "traces: {n} file(s) under {}",
-                root.join(run_name).display()
-            ),
-            Err(e) => eprintln!("trace export FAILED: {e}"),
-        }
+        report_traces(root, &run_name, report);
+    }
+}
+
+/// The run directory name: `<name>-<scale>`.
+fn run_name(name: &str, scale: &Scale) -> String {
+    format!("{name}-{}", scale_name(scale))
+}
+
+/// Exports the run's Chrome traces under `root` and prints the
+/// `traces:` line on stderr.
+fn report_traces<T>(root: &Path, run_name: &str, report: &RunReport<T>) {
+    match export_traces(root, run_name, report) {
+        Ok(0) => eprintln!("traces: none to export (observability off or no trace data)"),
+        Ok(n) => eprintln!(
+            "traces: {n} file(s) under {}",
+            root.join(run_name).display()
+        ),
+        Err(e) => eprintln!("trace export FAILED: {e}"),
     }
 }
 
@@ -362,7 +376,7 @@ pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_ou
 /// artifacts, as `<run dir>/scenario.json`. Purely additive: the
 /// per-job files and manifest stay byte-identical to a legacy run.
 fn write_scenario_result(scenario: &Scenario, run: &ScenarioRun) {
-    let dir = default_root().join(format!("{}-{}", scenario.name, scale_name(&run.scale)));
+    let dir = default_root().join(run_name(&scenario.name, &run.scale));
     let doc = run.to_json(&scenario.name);
     let path = dir.join("scenario.json");
     if let Err(e) = std::fs::create_dir_all(&dir)

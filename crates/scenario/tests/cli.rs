@@ -1,5 +1,6 @@
 //! The `spur-scenario` binary's flag parsing: a bad `run` flag is a
-//! usage error (exit 2) before any cell runs.
+//! usage error (exit 2) before any cell runs, and `--trace-out` exports
+//! traces whether or not the run persists its artifacts.
 
 use std::process::{Command, Output};
 
@@ -76,4 +77,72 @@ fn bad_run_flags_print_usage_and_exit_2() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+/// The files under `dir`, by name, with their bytes.
+fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .map(|e| e.unwrap().path())
+                .map(|p| {
+                    let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&p).unwrap())
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    out.sort();
+    out
+}
+
+#[test]
+fn trace_out_exports_without_persisting() {
+    let root = std::env::temp_dir().join(format!("spur-scenario-cli-{}", std::process::id()));
+    let (bare, persisted, results) = (root.join("bare"), root.join("kept"), root.join("json"));
+    let config = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/ablation_soft_faults.json"
+    );
+    let run = |extra: &[&str], traces: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_spur-scenario"))
+            .args([
+                "run",
+                config,
+                "--scale",
+                "quick",
+                "--jobs",
+                "2",
+                "--trace-out",
+            ])
+            .arg(traces)
+            .args(extra)
+            .env("SPUR_RESULTS_DIR", &results)
+            .output()
+            .expect("spur-scenario starts")
+    };
+
+    let out = run(&["--no-persist"], &bare);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("traces: 4 file(s) under"), "{stderr}");
+    assert!(!results.exists(), "--no-persist wrote artifacts");
+    let out = run(&[], &persisted);
+    assert_eq!(out.status.code(), Some(0));
+
+    let run_dir = "ablation_soft_faults-quick";
+    let bare = files(&bare.join(run_dir));
+    let persisted = files(&persisted.join(run_dir));
+    std::fs::remove_dir_all(&root).ok();
+    let names: Vec<&str> = bare.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "soft_faults-MISS-off.trace.json",
+            "soft_faults-MISS-on.trace.json",
+            "soft_faults-NOREF-off.trace.json",
+            "soft_faults-NOREF-on.trace.json",
+        ]
+    );
+    assert!(bare == persisted, "the two runs' traces differ");
 }
