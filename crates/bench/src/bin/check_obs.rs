@@ -16,8 +16,10 @@
 //! * every `*.trace.json` under `--trace` parses and is a Chrome-trace
 //!   document (a `traceEvents` array of complete event objects).
 //!
-//! Exits nonzero with a message on the first structural failure, so a
-//! CI smoke job can run the benchmark and then this binary back-to-back.
+//! Exits 1 with a message on the first structural failure, so a CI
+//! smoke job can run the benchmark and then this binary back-to-back.
+//! An unknown argument, a flag without its directory, or neither flag
+//! prints the usage text and exits 2.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -28,12 +30,27 @@ use spur_obs::validate::{get_field, parse};
 /// The per-event keys Perfetto's importer expects on a complete event.
 const TRACE_EVENT_KEYS: [&str; 7] = ["name", "cat", "ph", "ts", "dur", "pid", "tid"];
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: check_obs [--run RESULTS_DIR] [--trace TRACE_DIR]";
+
+/// Reads `--run` and `--trace` in one pass; anything else, a missing
+/// value, or neither flag is an error.
+fn parse_options(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Option<String>, Option<String>), String> {
+    let (mut run, mut trace) = (None, None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--run" => &mut run,
+            "--trace" => &mut trace,
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        };
+        *slot = Some(args.next().ok_or(format!("{arg} takes a directory"))?);
+    }
+    if run.is_none() && trace.is_none() {
+        return Err("give --run, --trace or both".into());
+    }
+    Ok((run, trace))
 }
 
 fn read_json(path: &Path) -> Result<Json, String> {
@@ -172,12 +189,13 @@ fn check_traces(dir: &Path) -> Result<(usize, usize), String> {
 }
 
 fn main() -> ExitCode {
-    let run = arg_value("--run");
-    let trace = arg_value("--trace");
-    if run.is_none() && trace.is_none() {
-        eprintln!("usage: check_obs [--run RESULTS_DIR] [--trace TRACE_DIR]");
-        return ExitCode::FAILURE;
-    }
+    let (run, trace) = match parse_options(std::env::args().skip(1)) {
+        Ok(dirs) => dirs,
+        Err(e) => {
+            eprintln!("check_obs: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(dir) = run {
         match check_run(Path::new(&dir)) {
             Ok((jobs, with_metrics)) if with_metrics > 0 => {

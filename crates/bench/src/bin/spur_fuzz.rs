@@ -38,41 +38,55 @@ use spur_trace::workloads::{devmachine, mp_workers, slc, workload1, DevHost, Wor
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The command line, parsed.
+#[derive(Debug, Default)]
+struct Options {
+    cases: Option<u64>,
+    seed: Option<u64>,
+    refs: Option<u64>,
+    out: Option<PathBuf>,
+    replay: Option<PathBuf>,
+    mutation: Option<Mutation>,
+    matrix: bool,
+    selftest: bool,
 }
 
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+/// Reads every argument in one pass; a flag it does not know, a stray
+/// argument, a missing value or a bad number is an error.
+fn parse_options(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or(format!("{arg} takes a value"));
+        match arg.as_str() {
+            "--cases" => opts.cases = Some(number(&arg, value()?)?),
+            "--seed" => opts.seed = Some(number(&arg, value()?)?),
+            "--refs" => opts.refs = Some(number(&arg, value()?)?),
+            "--out" => opts.out = Some(PathBuf::from(value()?)),
+            "--replay" => opts.replay = Some(PathBuf::from(value()?)),
+            "--mutate" => {
+                let name = value()?;
+                opts.mutation = Some(Mutation::parse(&name).ok_or(format!(
+                    "unknown mutation {name:?} (try skip-spur-dirty-refresh or pageout-always)"
+                ))?);
+            }
+            "--matrix" => opts.matrix = true,
+            "--selftest" => opts.selftest = true,
+            _ => return Err(format!("unexpected argument {arg:?}")),
+        }
+    }
+    Ok(opts)
 }
 
-/// The value of `flag` as a number, if the flag is given.
-fn number_arg(flag: &str) -> Result<Option<u64>, String> {
-    arg_value(flag)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{flag} takes a number, got {v:?}"))
-        })
-        .transpose()
+fn number(flag: &str, v: String) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| format!("{flag} takes a number, got {v:?}"))
 }
 
 /// Per-case seed derivation: spreads a base seed across case indices so
 /// `--seed 1` and `--seed 2` share no cases.
 fn case_seed(base: u64, index: u64) -> u64 {
     base.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(index)
-}
-
-fn parse_mutation() -> Result<Option<Mutation>, String> {
-    match arg_value("--mutate") {
-        None => Ok(None),
-        Some(name) => Mutation::parse(&name).map(Some).ok_or(format!(
-            "unknown mutation {name:?} (try skip-spur-dirty-refresh or pageout-always)"
-        )),
-    }
 }
 
 /// Generate-and-run `cases` random cases; shrink and save any failure.
@@ -267,28 +281,20 @@ fn usage(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let (mutation, cases, seed, refs) = match (
-        parse_mutation(),
-        number_arg("--cases"),
-        number_arg("--seed"),
-        number_arg("--refs"),
-    ) {
-        (Ok(m), Ok(c), Ok(s), Ok(r)) => (m, c, s, r),
-        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (.., Err(e)) => return usage(&e),
+    let opts = match parse_options(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => return usage(&e),
     };
 
-    let outcome = if has_flag("--selftest") {
+    let outcome = if opts.selftest {
         selftest().map(|()| 0)
-    } else if has_flag("--matrix") {
-        matrix(refs.unwrap_or(30_000))
-    } else if let Some(file) = arg_value("--replay") {
-        replay(Path::new(&file), mutation).map(|ok| u64::from(!ok))
-    } else if let Some(cases) = cases {
-        let seed = seed.unwrap_or(1);
-        let out = arg_value("--out")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("results/repros"));
-        fuzz(cases, seed, &out, mutation)
+    } else if opts.matrix {
+        matrix(opts.refs.unwrap_or(30_000))
+    } else if let Some(file) = &opts.replay {
+        replay(file, opts.mutation).map(|ok| u64::from(!ok))
+    } else if let Some(cases) = opts.cases {
+        let out = opts.out.unwrap_or_else(|| PathBuf::from("results/repros"));
+        fuzz(cases, opts.seed.unwrap_or(1), &out, opts.mutation)
     } else {
         return usage("no mode given");
     };

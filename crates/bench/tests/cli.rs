@@ -1,7 +1,8 @@
 //! The experiment binaries' command lines: a bad run-flag value, an
 //! argument the binary does not take, or a bad `SPUR_JOBS` prints the
-//! usage text and exits 2 before any cell runs; `spur-fuzz` answers a
-//! bad number the same way instead of panicking.
+//! usage text and exits 2 before any cell runs; `spur-fuzz` and
+//! `check_obs` answer a bad number, an unknown flag or a stray argument
+//! the same way.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -139,6 +140,8 @@ fn spur_fuzz_answers_bad_numbers_with_usage() {
         &["--matrix", "--refs", "x"],
         &["--cases"],
         &[],
+        &["--cases", "0", "--sed", "3"],
+        &["--matrix", "stray"],
     ] {
         let out = Command::new(exe)
             .args(args)
@@ -149,5 +152,27 @@ fn spur_fuzz_answers_bad_numbers_with_usage() {
         assert!(stderr.contains("usage: spur-fuzz"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran cases");
+    }
+}
+
+#[test]
+fn check_obs_refuses_unknown_arguments() {
+    let exe = env!("CARGO_BIN_EXE_check_obs");
+    let dir = std::env::temp_dir().join(format!("spur-bench-cli-{}-obs", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for args in [
+        &["--run", dir, "--bogus"][..],
+        &["--trace", dir, "stray"],
+        &["--run"],
+        &[],
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .expect("check_obs starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: check_obs"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} checked something");
     }
 }
