@@ -14,14 +14,12 @@ use std::time::{Duration, Instant};
 
 use spur_harness::Json;
 use spur_obs::validate::{get_field, parse};
+use spur_types::hash::mix64;
 
 /// SplitMix64: a tiny, high-quality mixer for deriving per-ticket
 /// randomness from `(base seed, ticket)` without any shared RNG state.
 pub fn derive_seed(base: u64, ticket: u64) -> u64 {
-    let mut z = base.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(ticket.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(base.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(ticket.wrapping_add(1))))
 }
 
 /// A shared open-loop arrival schedule: threads take tickets from one

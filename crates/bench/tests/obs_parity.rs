@@ -166,9 +166,7 @@ fn attach_obs_with_no_report_is_identity() {
 
 /// FNV-1a over a file's bytes: a stable fingerprint to pin exports by.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    spur_types::hash::fnv1a(spur_types::hash::FNV_OFFSET, bytes)
 }
 
 #[test]

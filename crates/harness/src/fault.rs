@@ -17,6 +17,8 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
+use spur_types::hash::{fnv1a, mix64, FNV_OFFSET};
+
 use crate::job::Job;
 
 /// Parts-per-million denominator for fault rates.
@@ -87,18 +89,8 @@ pub fn roll(seed: u64, key: &str, rate_ppm: u64) -> bool {
     if rate_ppm >= PPM {
         return true;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    for byte in key.as_bytes() {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
     // Avalanche so low rates are not biased by short keys.
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h % PPM < rate_ppm
+    mix64(fnv1a(FNV_OFFSET ^ seed, key.as_bytes())) % PPM < rate_ppm
 }
 
 /// Wraps a job so it panics with `"injected fault: <fault_key>"` the

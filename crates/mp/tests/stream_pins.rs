@@ -14,6 +14,7 @@ use spur_trace::spec::parse_workload;
 use spur_trace::stream::Pid;
 use spur_trace::workloads::{mp_workers, workload1, Workload};
 use spur_trace::TraceRef;
+use spur_types::hash::{fnv1a, FNV_OFFSET};
 use spur_types::AccessKind;
 
 /// Committed references per pinned interleave.
@@ -46,7 +47,7 @@ fn nap() -> Workload {
 
 /// FNV-1a 64 over each committed reference's `(pid, addr, kind)`.
 fn digest(refs: impl Iterator<Item = TraceRef>) -> (u64, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     let mut n = 0;
     for r in refs.take(REFS as usize) {
         let kind: u8 = match r.kind {
@@ -54,11 +55,9 @@ fn digest(refs: impl Iterator<Item = TraceRef>) -> (u64, u64) {
             AccessKind::Read => 1,
             AccessKind::Write => 2,
         };
-        let bytes = r.pid.0.to_le_bytes().into_iter();
-        for b in bytes.chain(r.addr.raw().to_le_bytes()).chain([kind]) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
+        h = fnv1a(h, &r.pid.0.to_le_bytes());
+        h = fnv1a(h, &r.addr.raw().to_le_bytes());
+        h = fnv1a(h, &[kind]);
         n += 1;
     }
     (h, n)

@@ -34,6 +34,7 @@ use spur_mp::{mp_job, mp_key, MpRow};
 use spur_trace::record::RecordedTrace;
 use spur_trace::spec::format_workload;
 use spur_trace::workloads::{devmachine, mp_workers, DevHost, Workload};
+use spur_types::hash::{fnv1a, FNV_OFFSET};
 use spur_types::{CostParams, MemSize, Protection, CACHE_LINES};
 use spur_vm::policy::RefPolicy;
 
@@ -183,7 +184,7 @@ impl Cell {
     pub fn identity(&self) -> String {
         let workload = self
             .simulated_workload()
-            .map_or(0, |w| fnv1a(format_workload(&w).as_bytes()));
+            .map_or(0, |w| fnv1a(FNV_OFFSET, format_workload(&w).as_bytes()));
         let s = &self.scale;
         format!(
             "{}|wl={workload:016x}|refs={},seed={},reps={},dev={}|obs={:?}|ov={:?}",
@@ -308,18 +309,6 @@ impl Cell {
     fn flush_on_switch(&self) -> bool {
         matches!(self.coord("flush_on_switch"), Some(Json::Bool(true)))
     }
-}
-
-/// FNV-1a 64, the same tiny non-cryptographic hash the fault plan
-/// uses: enough to fold arbitrary workload text into a fixed-width
-/// identity component.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The `flush` kind's cell key (identical to `ablation_flush`).

@@ -22,6 +22,7 @@ use spur_harness::{job_artifact_json, run_jobs, Json};
 use spur_scenario::{Cell, Scenario};
 use spur_trace::record::RecordedTrace;
 use spur_trace::workloads::workload1;
+use spur_types::hash::{fnv1a, FNV_OFFSET};
 
 const GOLDEN: &str = include_str!("golden/artifact_pins.txt");
 
@@ -41,17 +42,8 @@ fn obs() -> ObsParams {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn digest(bytes: &[u8]) -> String {
-    format!("{:016x} {}", fnv1a(bytes), bytes.len())
+    format!("{:016x} {}", fnv1a(FNV_OFFSET, bytes), bytes.len())
 }
 
 /// Runs `cells` on two workers and renders one pin line per cell, in

@@ -13,6 +13,8 @@
 //! The cache stays key-partitioned for free: an identity is always
 //! looked up on its owner, so no two instances cache the same entry.
 
+use spur_types::hash::{fnv1a, mix64, FNV_OFFSET};
+
 /// Virtual nodes per peer. 64 points per peer keeps the balance bound
 /// comfortably under 2× with a handful of instances while the ring
 /// stays a few hundred entries — binary-searchable in nanoseconds.
@@ -22,15 +24,7 @@ const VNODES: usize = 64;
 /// similar strings (peer addresses differ in one digit), the
 /// finalizer shreds that structure across the full 64-bit ring.
 pub(crate) fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // splitmix64 finalizer.
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+    mix64(fnv1a(FNV_OFFSET, bytes))
 }
 
 /// A consistent-hash ring over a static peer list.

@@ -16,6 +16,7 @@
 use spur_trace::spec::parse_workload;
 use spur_trace::workloads::{devmachine, mp_workers, slc, workload1, DevHost, Workload};
 use spur_trace::{TraceGenerator, TraceRef};
+use spur_types::hash::{fnv1a, FNV_OFFSET};
 use spur_types::{AccessKind, GlobalAddr, BLOCKS_PER_PAGE};
 
 /// References per pinned stream.
@@ -71,14 +72,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
 
     fn reference(&mut self, r: &TraceRef) {

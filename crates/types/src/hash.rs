@@ -1,4 +1,7 @@
-//! A fast, deterministic hasher for the simulator's hot maps.
+//! Deterministic hashing: a fast hasher for the simulator's hot maps,
+//! and the one FNV-1a and SplitMix64 finalizer every other crate folds
+//! bytes or seeds with (cell identities, fault-injection rolls, the
+//! serve ring, load-generator seeds, stream and artifact digests).
 //!
 //! The standard library's default `SipHash 1-3` is keyed and
 //! DoS-resistant, which the simulator does not need: every map here is
@@ -18,6 +21,27 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// Knuth's multiplicative constant, 2^64 / φ.
 const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// FNV-1a 64's offset basis: the start state of an unseeded hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64 state `h` and returns the new
+/// state. Start from [`FNV_OFFSET`] for the plain hash of `bytes`; a
+/// seeded hash starts from another state, and an incremental one
+/// passes each result back in.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// SplitMix64's output finalizer: avalanches every input bit across
+/// all 64 output bits.
+pub fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 /// One-multiply-per-word hasher for trusted integer-ish keys.
 #[derive(Debug, Clone, Copy, Default)]
@@ -90,6 +114,25 @@ pub type FastSet<K> = HashSet<K, FastBuildHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_folds_incrementally() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+    }
+
+    #[test]
+    fn mix64_is_splitmix64s_finalizer() {
+        // The first output of SplitMix64 seeded with 0 (Vigna's
+        // reference implementation).
+        assert_eq!(mix64(SEED), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(mix64(0), 0);
+    }
 
     #[test]
     fn map_round_trips() {

@@ -27,13 +27,12 @@
 
 use core::ops::{Range, RangeInclusive};
 
+use crate::hash::mix64;
+
 /// SplitMix64 step — used to expand a 64-bit seed into xoshiro state.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    mix64(*state)
 }
 
 /// A deterministic xoshiro256++ generator, API-compatible with the ways
