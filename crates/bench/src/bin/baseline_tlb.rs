@@ -32,16 +32,14 @@ fn main() {
     for workload in [slc(), workload1()] {
         for mem in [MemSize::MB5, MemSize::MB8] {
             // SPUR machine: FAULT emulation (the paper's recommendation).
-            let mut va = SpurSystem::new(SimConfig {
+            let (va, _) = SpurSystem::new(SimConfig {
                 mem,
                 dirty: DirtyPolicy::Fault,
                 ref_policy: RefPolicy::Miss,
                 ..SimConfig::default()
             })
-            .expect("config");
-            va.load_workload(&workload).expect("registers");
-            va.run(&mut workload.generator(scale.seed), scale.refs)
-                .expect("runs");
+            .and_then(|va| va.simulate(&workload, workload.generator(scale.seed), scale.refs, None))
+            .expect("runs");
 
             // Conventional machine.
             let mut tlb = TlbSystem::new(TlbConfig {

@@ -9,16 +9,15 @@ use spur_types::MemSize;
 fn main() {
     let scale = study("performance-counter dump (SLC @ 6 MB)", 2_000_000);
     let workload = slc();
-    let mut sim = SpurSystem::new(SimConfig {
+    let (sim, _) = SpurSystem::new(SimConfig {
         mem: MemSize::MB6,
         ..SimConfig::default()
     })
-    .expect("config valid");
-    sim.load_workload(&workload).expect("registers");
-    if let Err(e) = sim.run(&mut workload.generator(scale.seed), scale.refs) {
+    .and_then(|sim| sim.simulate(&workload, workload.generator(scale.seed), scale.refs, None))
+    .unwrap_or_else(|e| {
         eprintln!("run failed: {e}");
-        std::process::exit(1);
-    }
+        std::process::exit(1)
+    });
     print!("{}", sim.counters().dump());
     println!("\n(16 registers per mode; the hardware's registers are 32-bit and");
     println!("wrap — these are the simulator's 64-bit shadow totals.)");

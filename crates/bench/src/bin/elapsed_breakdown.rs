@@ -14,18 +14,18 @@ fn main() {
     let scale = study("elapsed-time decomposition (WORKLOAD1 @ 5 MB)", u64::MAX);
     let workload = workload1();
     for policy in RefPolicy::ALL {
-        let mut sim = SpurSystem::new(SimConfig {
+        let stream = workload.generator(scale.seed);
+        let (sim, _) = SpurSystem::new(SimConfig {
             mem: MemSize::MB5,
             dirty: DirtyPolicy::Spur,
             ref_policy: policy,
             ..SimConfig::default()
         })
-        .expect("config valid");
-        sim.load_workload(&workload).expect("registers");
-        if let Err(e) = sim.run(&mut workload.generator(scale.seed), scale.refs) {
+        .and_then(|sim| sim.simulate(&workload, stream, scale.refs, None))
+        .unwrap_or_else(|e| {
             eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
+            std::process::exit(1)
+        });
         println!("{policy}:");
         print!("{}", sim.breakdown().render());
         println!(

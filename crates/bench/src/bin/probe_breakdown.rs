@@ -13,15 +13,14 @@ fn main() {
     let scale = parse_args(&[]).0.scale.unwrap_or_else(Scale::default_scale);
     for w in [slc(), workload1()] {
         for mem in [MemSize::MB5, MemSize::MB8] {
-            let mut sim = SpurSystem::new(SimConfig {
+            let (sim, _) = SpurSystem::new(SimConfig {
                 mem,
                 dirty: DirtyPolicy::Spur,
                 ref_policy: RefPolicy::Miss,
                 ..SimConfig::default()
             })
+            .and_then(|sim| sim.simulate(&w, w.generator(scale.seed), scale.refs, None))
             .unwrap();
-            sim.load_workload(&w).unwrap();
-            sim.run(&mut w.generator(scale.seed), scale.refs).unwrap();
             let ev = sim.events();
             println!(
                 "{} @ {}: N_ds={} zfod={} N_ef={} whit={} wmiss={} page_ins={} misses={} refs={}",

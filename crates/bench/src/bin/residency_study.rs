@@ -24,18 +24,18 @@ fn main() {
         "% clean of writable",
     ]);
     for mb in [4u32, 5, 6, 8] {
-        let mut sim = SpurSystem::new(SimConfig {
+        let stream = workload.generator(scale.seed);
+        let (sim, _) = SpurSystem::new(SimConfig {
             mem: MemSize::new(mb),
             dirty: DirtyPolicy::Spur,
             ref_policy: RefPolicy::Miss,
             ..SimConfig::default()
         })
-        .expect("config valid");
-        sim.load_workload(&workload).expect("registers");
-        if let Err(e) = sim.run(&mut workload.generator(scale.seed), scale.refs) {
+        .and_then(|sim| sim.simulate(&workload, stream, scale.refs, None))
+        .unwrap_or_else(|e| {
             eprintln!("run failed: {e}");
-            std::process::exit(1);
-        }
+            std::process::exit(1)
+        });
         let rs = sim.vm().residency();
         let swap = sim.vm().swap();
         t.row(vec![

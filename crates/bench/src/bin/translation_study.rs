@@ -27,18 +27,18 @@ fn main() {
     ]);
     for workload in [slc(), workload1()] {
         for mem in [MemSize::MB5, MemSize::MB8] {
-            let mut sim = SpurSystem::new(SimConfig {
+            let stream = workload.generator(scale.seed);
+            let (sim, _) = SpurSystem::new(SimConfig {
                 mem,
                 dirty: DirtyPolicy::Spur,
                 ref_policy: RefPolicy::Miss,
                 ..SimConfig::default()
             })
-            .expect("config valid");
-            sim.load_workload(&workload).expect("registers");
-            if let Err(e) = sim.run(&mut workload.generator(scale.seed), scale.refs) {
+            .and_then(|sim| sim.simulate(&workload, stream, scale.refs, None))
+            .unwrap_or_else(|e| {
                 eprintln!("run failed: {e}");
-                std::process::exit(1);
-            }
+                std::process::exit(1)
+            });
             let probes = sim.counters().total(E::PteProbe);
             let hits = sim.counters().total(E::PteCacheHit);
             let second = sim.counters().total(E::SecondLevelFetch);

@@ -5,16 +5,17 @@
 //! timings).
 //!
 //! These tests run the *same job builders the binaries use*
-//! (`spur_bench::jobs`), so they certify the shipped sweeps, not a toy.
+//! (`spur_bench::jobs`), so they certify the shipped sweeps, not a toy;
+//! the Table 3.3 cell is its measure function wrapped by hand.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use spur_bench::jobs::memory_sweep_jobs;
+use spur_core::experiments::events::measure_events;
 use spur_core::experiments::Scale;
-use spur_core::jobs::events_job;
-use spur_harness::{run_jobs, write_run, Json};
+use spur_harness::{run_jobs, write_run, Job, JobOutput, Json};
 use spur_trace::workloads::{slc, workload1};
 use spur_types::MemSize;
 
@@ -90,7 +91,14 @@ fn memory_sweep_artifacts_identical_across_worker_counts() {
 #[test]
 fn event_counts_identical_across_worker_counts() {
     let scale = tiny_scale();
-    let mk = |key: &str| events_job(key.to_string(), slc, MemSize::MB5, scale);
+    // The Table 3.3 cell, wrapped by hand from its measure function.
+    let mk = |key: &str| {
+        Job::new(key, move || {
+            let row = measure_events(&slc(), MemSize::MB5, &scale).map_err(|e| e.to_string())?;
+            let artifact = row.to_json();
+            Ok(JobOutput::new(row, artifact))
+        })
+    };
 
     let serial = run_jobs(vec![mk("events/SLC/5MB")], 1);
     let parallel = run_jobs(

@@ -1,5 +1,5 @@
 //! The observability layer's two shipping promises, certified on the
-//! same job builders the binaries use:
+//! scenario cells the binaries run:
 //!
 //! * **off means off** — with observability disabled the on-disk job
 //!   artifacts are byte-identical to a build that never heard of it
@@ -12,15 +12,16 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use spur_core::experiments::events::{measure_events, measure_events_obs_with, EventRow};
 use spur_core::experiments::Scale;
-use spur_core::jobs::{attach_obs, events_job, events_job_obs, refbit_job_obs};
-use spur_core::ObsParams;
+use spur_core::jobs::{attach_obs, refbit_job_obs};
+use spur_core::{ObsParams, SimOverrides};
 use spur_harness::artifacts::sanitize_key;
-use spur_harness::{run_jobs, write_run, Json};
-use spur_mp::{mp_job, mp_key};
+use spur_harness::{run_jobs, write_run, Job, JobOutput, Json};
+use spur_mp::{measure_mp_obs, mp_key};
 use spur_obs::validate::{get_field, parse};
-use spur_scenario::export_traces;
-use spur_trace::workloads::{slc, workload1};
+use spur_scenario::{export_traces, CellValue, Scenario};
+use spur_trace::workloads::{slc, workload1, Workload};
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
@@ -31,6 +32,43 @@ fn tiny_scale() -> Scale {
         reps: 1,
         dev_refs_per_hour: 120_000,
     }
+}
+
+/// The events cell `events/SLC/5MB`, as a scenario runs it.
+fn events_cell(scale: Scale, obs: Option<ObsParams>) -> Job<CellValue> {
+    let scenario = Scenario::parse_str(
+        r#"{"schema_version":1,"name":"obs_parity","experiment":"events",
+            "key_prefix":"events","matrix":{"workload":["SLC"],"mem_mb":[5]}}"#,
+    )
+    .unwrap();
+    scenario.cells(scale, obs).unwrap()[0].job()
+}
+
+/// The same cell from the measure function that takes no
+/// observability parameters at all.
+fn events_plain(scale: Scale) -> Job<EventRow> {
+    Job::new("events/SLC/5MB", move || {
+        let row = measure_events(&slc(), MemSize::MB5, &scale).map_err(|e| e.to_string())?;
+        let artifact = row.to_json();
+        Ok(JobOutput::new(row, artifact))
+    })
+}
+
+/// An events cell wrapped by hand from its measure function.
+fn events_job(
+    key: &str,
+    make: fn() -> Workload,
+    mem: MemSize,
+    scale: Scale,
+    obs: Option<ObsParams>,
+) -> Job<EventRow> {
+    Job::new(key, move || {
+        let ov = SimOverrides::default();
+        let (row, rep) =
+            measure_events_obs_with(&make(), mem, &scale, obs, &ov).map_err(|e| e.to_string())?;
+        let artifact = row.to_json();
+        Ok(attach_obs(JobOutput::new(row, artifact), rep))
+    })
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -47,22 +85,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 #[test]
 fn disabled_observability_leaves_artifacts_byte_identical() {
     let scale = tiny_scale();
-    let key = "events/SLC/5MB";
-
-    let plain = run_jobs(
-        vec![events_job(key.to_string(), slc, MemSize::MB5, scale)],
-        1,
-    );
-    let off = run_jobs(
-        vec![events_job_obs(
-            key.to_string(),
-            slc,
-            MemSize::MB5,
-            scale,
-            None,
-        )],
-        1,
-    );
+    let plain = run_jobs(vec![events_plain(scale)], 1);
+    let off = run_jobs(vec![events_cell(scale, None)], 1);
     assert_eq!(plain.failures().count(), 0);
     assert_eq!(off.failures().count(), 0);
 
@@ -97,25 +121,16 @@ fn enabled_observability_only_adds_sections() {
         ..ObsParams::default()
     };
 
-    let plain = run_jobs(
-        vec![events_job(key.to_string(), slc, MemSize::MB5, scale)],
-        1,
-    );
-    let on = run_jobs(
-        vec![events_job_obs(
-            key.to_string(),
-            slc,
-            MemSize::MB5,
-            scale,
-            Some(params),
-        )],
-        1,
-    );
+    let plain = run_jobs(vec![events_plain(scale)], 1);
+    let on = run_jobs(vec![events_cell(scale, Some(params))], 1);
 
     // The measured row is untouched: tracing is a pure observer.
+    let Some(CellValue::Events(traced)) = on.value(key) else {
+        panic!("the traced cell has an events row");
+    };
     assert_eq!(
         plain.value(key).expect("plain row").events,
-        on.value(key).expect("traced row").events,
+        traced.events,
         "enabling observability changed the measurement"
     );
 
@@ -195,15 +210,19 @@ fn exported_trace_bytes_are_pinned() {
             on,
         )
         .map(|_| ()),
-        events_job_obs(
-            "events/WORKLOAD1/8MB".into(),
+        events_job(
+            "events/WORKLOAD1/8MB",
             workload1,
             MemSize::MB8,
             scale,
             epoch,
         )
         .map(|_| ()),
-        mp_job(mp.clone(), 2, RefPolicy::Ref, 64, scale, on).map(|_| ()),
+        Job::new(mp.clone(), move || {
+            let (row, rep) = measure_mp_obs(2, RefPolicy::Ref, 64, &scale, on)?;
+            let artifact = row.to_json();
+            Ok(attach_obs(JobOutput::new((), artifact), rep))
+        }),
         refbit_job_obs(
             "wrapped/WORKLOAD1/5MB/MISS".into(),
             workload1,

@@ -257,7 +257,7 @@ pub fn measure_cache_scaling_point_obs(
     let lines = cache_kb * 1024 / 32;
     let run =
         |policy: RefPolicy, obs: Option<ObsParams>| -> Result<((u64, u64), Option<ObsReport>)> {
-            let mut sim = SpurSystem::with_cache_lines(
+            let (sim, report) = SpurSystem::with_cache_lines(
                 SimConfig {
                     mem,
                     dirty: DirtyPolicy::Spur,
@@ -265,14 +265,8 @@ pub fn measure_cache_scaling_point_obs(
                     ..SimConfig::default()
                 },
                 lines,
-            )?;
-            if let Some(params) = obs {
-                sim.enable_obs(params);
-            }
-            sim.load_workload(workload)?;
-            let mut gen = workload.generator(scale.seed);
-            sim.run(&mut gen, scale.refs)?;
-            let report = sim.finish_obs();
+            )?
+            .simulate(workload, workload.generator(scale.seed), scale.refs, obs)?;
             let ev = sim.events();
             Ok(((ev.page_ins, ev.ref_faults), report))
         };

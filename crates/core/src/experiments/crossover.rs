@@ -61,20 +61,14 @@ pub fn measure_crossover_obs(
     scale: &Scale,
     obs: Option<ObsParams>,
 ) -> Result<(CrossoverRow, Option<ObsReport>)> {
-    let mut sim = SpurSystem::new(SimConfig {
+    let (sim, report) = SpurSystem::new(SimConfig {
         mem,
         dirty: DirtyPolicy::Spur,
         ref_policy: policy,
         daemon_period: period,
         ..SimConfig::default()
-    })?;
-    if let Some(params) = obs {
-        sim.enable_obs(params);
-    }
-    sim.load_workload(workload)?;
-    let mut gen = workload.generator(scale.seed);
-    sim.run(&mut gen, scale.refs)?;
-    let report = sim.finish_obs();
+    })?
+    .simulate(workload, workload.generator(scale.seed), scale.refs, obs)?;
     let ev = sim.events();
     let row = CrossoverRow {
         period,

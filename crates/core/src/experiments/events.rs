@@ -67,19 +67,13 @@ pub fn measure_events_obs_with(
     obs: Option<ObsParams>,
     overrides: &SimOverrides,
 ) -> Result<(EventRow, Option<ObsReport>)> {
-    let mut sim = SpurSystem::new(overrides.apply(SimConfig {
+    let (sim, report) = SpurSystem::new(overrides.apply(SimConfig {
         mem,
         dirty: DirtyPolicy::Spur,
         ref_policy: RefPolicy::Miss,
         ..SimConfig::default()
-    }))?;
-    if let Some(params) = obs {
-        sim.enable_obs(params);
-    }
-    sim.load_workload(workload)?;
-    let mut gen = workload.generator(scale.seed);
-    sim.run(&mut gen, scale.refs)?;
-    let report = sim.finish_obs();
+    }))?
+    .simulate(workload, workload.generator(scale.seed), scale.refs, obs)?;
     Ok((
         EventRow {
             workload: workload.name().to_string(),

@@ -158,15 +158,13 @@ pub fn direct_elapsed(
 ) -> Result<Vec<(DirtyPolicy, Cycles)>> {
     let mut out = Vec::new();
     for policy in DirtyPolicy::ALL {
-        let mut sim = SpurSystem::new(SimConfig {
+        let (sim, _) = SpurSystem::new(SimConfig {
             mem,
             dirty: policy,
             ref_policy: RefPolicy::Miss,
             ..SimConfig::default()
-        })?;
-        sim.load_workload(workload)?;
-        let mut gen = workload.generator(scale.seed);
-        sim.run(&mut gen, scale.refs)?;
+        })?
+        .simulate(workload, workload.generator(scale.seed), scale.refs, None)?;
         out.push((policy, sim.cycles()));
     }
     Ok(out)

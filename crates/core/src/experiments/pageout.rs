@@ -64,16 +64,14 @@ impl PageoutRow {
 pub fn measure_host(host: &DevHost, scale: &Scale) -> Result<PageoutRow> {
     let workload = devmachine(host);
     let mem = MemSize::new(host.mem_mb);
-    let mut sim = SpurSystem::new(SimConfig {
+    let refs = host.uptime_hours as u64 * scale.dev_refs_per_hour;
+    let (sim, _) = SpurSystem::new(SimConfig {
         mem,
         dirty: DirtyPolicy::Spur,
         ref_policy: RefPolicy::Miss,
         ..SimConfig::default()
-    })?;
-    sim.load_workload(&workload)?;
-    let refs = host.uptime_hours as u64 * scale.dev_refs_per_hour;
-    let mut gen = workload.generator(host.seed);
-    sim.run(&mut gen, refs)?;
+    })?
+    .simulate(&workload, workload.generator(host.seed), refs, None)?;
 
     let swap = sim.vm().swap();
     let stats = sim.vm().stats();

@@ -96,23 +96,15 @@ pub fn measure_refbit_obs_with(
     let mut ref_faults = 0.0;
     let mut report = None;
     for rep in 0..scale.reps {
-        let mut sim = SpurSystem::new(overrides.apply(SimConfig {
+        let stream = workload.generator(scale.seed + rep as u64);
+        let (sim, rep_report) = SpurSystem::new(overrides.apply(SimConfig {
             mem,
             dirty: DirtyPolicy::Spur,
             ref_policy: policy,
             ..SimConfig::default()
-        }))?;
-        if rep == 0 {
-            if let Some(params) = obs {
-                sim.enable_obs(params);
-            }
-        }
-        sim.load_workload(workload)?;
-        let mut gen = workload.generator(scale.seed + rep as u64);
-        sim.run(&mut gen, scale.refs)?;
-        if rep == 0 {
-            report = sim.finish_obs();
-        }
+        }))?
+        .simulate(workload, stream, scale.refs, obs.filter(|_| rep == 0))?;
+        report = report.or(rep_report);
         let ev = sim.events();
         page_ins_sample.push(ev.page_ins as f64);
         elapsed_sample.push(ev.elapsed_seconds());

@@ -9,7 +9,9 @@
 //!   overhead models;
 //! * [`system`] — [`SpurSystem`]: the processor → virtual cache →
 //!   in-cache translation → VM pipeline that executes synthesized traces
-//!   and counts every event class the paper measures;
+//!   and counts every event class the paper measures, and
+//!   [`SpurSystem::simulate`], the one step that runs a whole workload
+//!   on it;
 //! * [`events`] — the Table 3.3 event-frequency record (`N_ds`, `N_zfod`,
 //!   `N_ef = N_dm`, `N_w-hit`, `N_w-miss`, elapsed time);
 //! * [`model`] — the footnote-3 geometric model predicting the
@@ -28,15 +30,15 @@
 //! use spur_vm::policy::RefPolicy;
 //!
 //! let workload = slc();
-//! let mut sim = SpurSystem::new(SimConfig {
+//! let (sim, _) = SpurSystem::new(SimConfig {
 //!     mem: MemSize::MB8,
 //!     dirty: DirtyPolicy::Spur,
 //!     ref_policy: RefPolicy::Miss,
 //!     ..SimConfig::default()
-//! }).unwrap();
-//! sim.load_workload(&workload).unwrap();
-//! let mut gen = workload.generator(1);
-//! sim.run(&mut gen, 100_000).unwrap();
+//! })
+//! .unwrap()
+//! .simulate(&workload, workload.generator(1), 100_000, None)
+//! .unwrap();
 //! assert!(sim.refs() == 100_000);
 //! ```
 

@@ -626,6 +626,35 @@ impl SpurSystem {
         Ok(())
     }
 
+    /// Runs one whole simulation: turns observability on when `obs` is
+    /// set, registers `workload`'s regions, executes up to `refs`
+    /// references of `stream` (a live generator or a recorded trace),
+    /// and finishes observability. Returns the system, for its
+    /// counters, with the finished [`ObsReport`] (`None` when `obs`
+    /// is).
+    ///
+    /// Every measurement, scenario cell and study that runs a whole
+    /// workload on a freshly built system takes this one step.
+    ///
+    /// # Errors
+    ///
+    /// Propagates region-registration and simulation errors.
+    pub fn simulate<I: Iterator<Item = TraceRef>>(
+        mut self,
+        workload: &Workload,
+        mut stream: I,
+        refs: u64,
+        obs: Option<ObsParams>,
+    ) -> Result<(Self, Option<ObsReport>)> {
+        if let Some(params) = obs {
+            self.enable_obs(params);
+        }
+        self.load_workload(workload)?;
+        self.run(&mut stream, refs)?;
+        let report = self.finish_obs();
+        Ok((self, report))
+    }
+
     /// Executes one reference.
     ///
     /// # Errors

@@ -21,7 +21,7 @@
 use spur_cache::counters::CounterEvent;
 use spur_core::experiments::Scale;
 use spur_core::{DirtyPolicy, ObsParams, ObsReport, SimConfig};
-use spur_harness::{Job, JobOutput, Json};
+use spur_harness::Json;
 use spur_trace::workloads::mp_workers;
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
@@ -153,25 +153,6 @@ pub fn measure_mp_obs(
 /// the tests: `mp/04cpu/0256sh/REF`.
 pub fn mp_key(cpus: usize, shared_pages: u64, policy: RefPolicy) -> String {
     format!("mp/{cpus:02}cpu/{shared_pages:04}sh/{policy}")
-}
-
-/// One multiprocessor cell as a harness job.
-pub fn mp_job(
-    key: String,
-    cpus: usize,
-    policy: RefPolicy,
-    shared_pages: u64,
-    scale: Scale,
-    obs: Option<ObsParams>,
-) -> Job<MpRow> {
-    Job::new(key, move || {
-        let (row, rep) = measure_mp_obs(cpus, policy, shared_pages, &scale, obs)?;
-        let artifact = row.to_json();
-        Ok(spur_core::jobs::attach_obs(
-            JobOutput::new(row, artifact),
-            rep,
-        ))
-    })
 }
 
 /// Renders a sweep as the standard table.

@@ -32,7 +32,7 @@ pub mod sched;
 pub mod system;
 
 pub use experiment::{
-    measure_mp, mp_job, mp_key, mp_model, render_mp, render_mp_model, MpModelRow, MpRow,
+    measure_mp, measure_mp_obs, mp_key, mp_model, render_mp, render_mp_model, MpModelRow, MpRow,
 };
 pub use sched::{shard_seed, MpScheduler, DEFAULT_EPOCH};
 pub use system::{MpParams, MpSystem};

@@ -4,8 +4,8 @@
 //! on-disk output by diffing two runs with different `--jobs`.)
 
 use spur_core::experiments::Scale;
-use spur_harness::{job_artifact_json, run_jobs};
-use spur_mp::{mp_job, mp_key};
+use spur_harness::{job_artifact_json, run_jobs, Job, JobOutput};
+use spur_mp::{measure_mp, mp_key};
 use spur_vm::policy::RefPolicy;
 
 fn artifacts(workers: usize) -> Vec<(String, String)> {
@@ -18,14 +18,12 @@ fn artifacts(workers: usize) -> Vec<(String, String)> {
     let mut jobs = Vec::new();
     for cpus in [1usize, 2, 4] {
         for policy in [RefPolicy::Miss, RefPolicy::Ref] {
-            jobs.push(mp_job(
-                mp_key(cpus, 256, policy),
-                cpus,
-                policy,
-                256,
-                scale,
-                None,
-            ));
+            // The mp cell, wrapped by hand from its measure function.
+            jobs.push(Job::new(mp_key(cpus, 256, policy), move || {
+                let row = measure_mp(cpus, policy, 256, &scale)?;
+                let artifact = row.to_json();
+                Ok(JobOutput::new(row, artifact))
+            }));
         }
     }
     run_jobs(jobs, workers)

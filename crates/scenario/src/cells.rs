@@ -2,12 +2,15 @@
 //!
 //! A [`Cell`] is the one description of a runnable experiment cell,
 //! whether it came from a scenario matrix or a `POST /v1/jobs` body.
-//! [`Cell::job`] builds it from the same measure functions and
-//! `spur_core::jobs` builders the replaced binaries called, with the
-//! same keys and the same artifact encodings — so a cell run through a
-//! scenario or the serving API writes the byte-identical artifact the
-//! binary wrote. The parity tests in `tests/*_parity.rs` certify this
-//! claim per key, per byte.
+//! [`Cell::job`] wraps the kind's measure function (or, for the kinds
+//! with no measure function of their own, one
+//! [`SpurSystem::simulate`] step) in `spur_core::jobs::measurement_job`,
+//! with the same keys and the same artifact encodings the replaced
+//! binaries used — so a cell run through a scenario or the serving API
+//! writes the byte-identical artifact the binary wrote. The parity
+//! tests in `tests/*_parity.rs` certify this claim per key, per byte,
+//! and `tests/artifact_pins.rs` pins every kind's artifact and trace
+//! bytes.
 
 use std::sync::Arc;
 
@@ -19,18 +22,18 @@ use spur_core::experiments::ablation::{
     flush_cost_comparison, measure_cache_scaling_point_obs, CacheScalingRow, FlushComparison,
 };
 use spur_core::experiments::crossover::{measure_crossover_obs, CrossoverRow};
-use spur_core::experiments::events::EventRow;
+use spur_core::experiments::events::{measure_events_obs_with, EventRow};
 use spur_core::experiments::pageout::{measure_host, PageoutRow};
-use spur_core::experiments::refbit::RefbitRow;
+use spur_core::experiments::refbit::{measure_refbit_obs_with, RefbitRow};
 use spur_core::experiments::sweep::{measure_tlb_point, TlbSweepRow};
 use spur_core::experiments::Scale;
-use spur_core::jobs::{attach_obs, events_job_for, refbit_job_for};
+use spur_core::jobs::measurement_job;
 use spur_core::obs::ObsParams;
 use spur_core::system::{SimConfig, SimOverrides, SpurSystem};
 use spur_core::EventCounts;
 use spur_harness::fault::{arm, FaultPlan};
-use spur_harness::{Job, JobOutput, Json};
-use spur_mp::{mp_job, mp_key, MpRow};
+use spur_harness::{Job, Json};
+use spur_mp::{measure_mp_obs, mp_key, MpRow};
 use spur_trace::record::RecordedTrace;
 use spur_trace::spec::format_workload;
 use spur_trace::workloads::{devmachine, mp_workers, DevHost, Workload};
@@ -463,16 +466,16 @@ impl Cell {
         match self.kind {
             Kind::Flush => {
                 let frac = self.u64_at("occupancy_pct") as f64 / 100.0;
-                Job::new(key, move || {
+                measurement_job(key, move || {
                     let cmp = flush_cost_comparison(frac, &CostParams::paper());
                     let artifact = cmp.to_json();
-                    Ok(JobOutput::new(CellValue::Flush(cmp), artifact))
+                    Ok((CellValue::Flush(cmp), artifact, None))
                 })
             }
             Kind::Assoc => {
                 let source = self.source();
                 let ways = self.u64_at("ways") as usize;
-                Job::new(key, move || {
+                measurement_job(key, move || {
                     let workload = source.workload();
                     let mut misses = 0u64;
                     if ways == 1 {
@@ -501,50 +504,39 @@ impl Cell {
                         ("refs", Json::from(scale.refs)),
                         ("miss_ratio", Json::from(ratio)),
                     ]);
-                    Ok(JobOutput::new(CellValue::MissRatio(ratio), artifact))
+                    Ok((CellValue::MissRatio(ratio), artifact, None))
                 })
             }
             Kind::CacheScaling => {
                 let kb = self.u64_at("cache_kb") as usize;
                 let (source, mem) = (self.source(), self.mem());
-                Job::new(key, move || {
-                    let workload = source.workload();
+                measurement_job(key, move || {
                     let (row, rep) =
-                        measure_cache_scaling_point_obs(&workload, mem, &scale, kb, obs)
-                            .map_err(|e| e.to_string())?;
+                        measure_cache_scaling_point_obs(&source.workload(), mem, &scale, kb, obs)?;
                     let artifact = row.to_json();
-                    Ok(attach_obs(
-                        JobOutput::new(CellValue::CacheScaling(row), artifact),
-                        rep,
-                    ))
+                    Ok((CellValue::CacheScaling(row), artifact, rep))
                 })
             }
             Kind::Crossover => {
                 let (period, policy) = (self.period(), self.policy());
                 let (source, mem) = (self.source(), self.mem());
-                Job::new(key, move || {
+                measurement_job(key, move || {
                     let workload = source.workload();
                     let (row, rep) =
-                        measure_crossover_obs(&workload, mem, period, policy, &scale, obs)
-                            .map_err(|e| e.to_string())?;
+                        measure_crossover_obs(&workload, mem, period, policy, &scale, obs)?;
                     let artifact = row.to_json();
-                    Ok(attach_obs(
-                        JobOutput::new(CellValue::Crossover(row), artifact),
-                        rep,
-                    ))
+                    Ok((CellValue::Crossover(row), artifact, rep))
                 })
             }
             Kind::Events => {
-                let source = self.source();
-                events_job_for(
-                    key,
-                    move || source.workload(),
-                    self.mem(),
-                    scale,
-                    obs,
-                    overrides,
-                )
-                .map(CellValue::Events)
+                let (source, mem) = (self.source(), self.mem());
+                measurement_job(key, move || {
+                    let workload = source.workload();
+                    let (row, rep) =
+                        measure_events_obs_with(&workload, mem, &scale, obs, &overrides)?;
+                    let artifact = row.to_json();
+                    Ok((CellValue::Events(row), artifact, rep))
+                })
             }
             Kind::SoftFaults => {
                 let (policy, enabled) = (self.policy(), self.soft_faults());
@@ -579,34 +571,31 @@ impl Cell {
             }
             Kind::Sim => self.sim_job(),
             Kind::Refbit => {
-                let source = self.source();
-                refbit_job_for(
-                    key,
-                    move || source.workload(),
-                    self.mem(),
-                    self.policy(),
-                    scale,
-                    obs,
-                    overrides,
-                )
-                .map(CellValue::Refbit)
+                let (source, mem, policy) = (self.source(), self.mem(), self.policy());
+                measurement_job(key, move || {
+                    let workload = source.workload();
+                    let (row, rep) =
+                        measure_refbit_obs_with(&workload, mem, policy, &scale, obs, &overrides)?;
+                    let artifact = row.to_json();
+                    Ok((CellValue::Refbit(row), artifact, rep))
+                })
             }
-            Kind::Mp => mp_job(
-                key,
-                self.cpus(),
-                self.policy(),
-                self.u64_at("shared_pages"),
-                scale,
-                obs,
-            )
-            .map(CellValue::Mp),
+            Kind::Mp => {
+                let (cpus, policy, shared) =
+                    (self.cpus(), self.policy(), self.u64_at("shared_pages"));
+                measurement_job(key, move || {
+                    let (row, rep) = measure_mp_obs(cpus, policy, shared, &scale, obs)?;
+                    let artifact = row.to_json();
+                    Ok((CellValue::Mp(row), artifact, rep))
+                })
+            }
             Kind::Pageout => {
                 // Uninstrumented, with the host's own fixed seed.
                 let host = self.host();
-                Job::new(key, move || {
-                    let row = measure_host(&host, &scale).map_err(|e| e.to_string())?;
+                measurement_job(key, move || {
+                    let row = measure_host(&host, &scale)?;
                     let artifact = row.to_json();
-                    Ok(JobOutput::new(CellValue::Pageout(row), artifact))
+                    Ok((CellValue::Pageout(row), artifact, None))
                 })
             }
             Kind::Tlb => {
@@ -614,32 +603,25 @@ impl Cell {
                 // stream.
                 let entries = self.u64_at("entries") as usize;
                 let (flush, source, mem) = (self.flush_on_switch(), self.source(), self.mem());
-                Job::new(key, move || {
+                measurement_job(key, move || {
                     let workload = source.workload();
-                    let row = measure_tlb_point(&workload, mem, entries, flush, &scale)
-                        .map_err(|e| e.to_string())?;
+                    let row = measure_tlb_point(&workload, mem, entries, flush, &scale)?;
                     let artifact = row.to_json();
-                    Ok(JobOutput::new(CellValue::Tlb(row), artifact))
+                    Ok((CellValue::Tlb(row), artifact, None))
                 })
             }
         }
     }
 
-    /// One inline `SpurSystem` run under `cfg` for the paging kinds
-    /// (`soft_faults`, `watermarks`); the artifact is `lead` followed
-    /// by the paging counters.
+    /// One [`SpurSystem::simulate`] run under `cfg` for the paging
+    /// kinds (`soft_faults`, `watermarks`); the artifact is `lead`
+    /// followed by the paging counters.
     fn paging_job(&self, cfg: SimConfig, lead: [(&'static str, Json); 2]) -> Job<CellValue> {
         let (source, scale, obs) = (self.source(), self.scale, self.obs);
-        Job::new(self.key.clone(), move || {
+        measurement_job(self.key.clone(), move || {
             let workload = source.workload();
-            let mut sim = SpurSystem::new(cfg).map_err(|e| e.to_string())?;
-            if let Some(p) = obs {
-                sim.enable_obs(p);
-            }
-            sim.load_workload(&workload).map_err(|e| e.to_string())?;
-            sim.run(&mut workload.generator(scale.seed), scale.refs)
-                .map_err(|e| e.to_string())?;
-            let rep = sim.finish_obs();
+            let stream = workload.generator(scale.seed);
+            let (sim, rep) = SpurSystem::new(cfg)?.simulate(&workload, stream, scale.refs, obs)?;
             let stats = sim.vm().stats();
             let row = PagingCell {
                 page_ins: stats.page_ins,
@@ -651,21 +633,18 @@ impl Cell {
                 ("soft_faults_taken", Json::from(row.soft_faults)),
                 ("elapsed_secs", Json::from(row.elapsed_secs)),
             ]));
-            Ok(attach_obs(
-                JobOutput::new(CellValue::Paging(row), artifact),
-                rep,
-            ))
+            Ok((CellValue::Paging(row), artifact, rep))
         })
     }
 
-    /// The general matrix point: one full `SpurSystem` (or lockstep
-    /// oracle) run per (mem, dirty, ref, cpus) coordinate, over a
-    /// builtin workload, a spec, or a recorded trace.
+    /// The general matrix point: one [`SpurSystem::simulate`] run (or
+    /// a lockstep oracle run) per (mem, dirty, ref, cpus) coordinate,
+    /// over a builtin workload, a spec, or a recorded trace.
     fn sim_job(&self) -> Job<CellValue> {
         let mb = self.mem().megabytes();
         let (dirty, policy, cpus) = (self.dirty(), self.policy(), self.cpus());
         let (source, scale, obs, lockstep) = (self.source(), self.scale, self.obs, self.lockstep);
-        Job::new(self.key.clone(), move || {
+        measurement_job(self.key.clone(), move || {
             let workload = source.workload();
             let cfg = SimConfig {
                 mem: MemSize::new(mb),
@@ -681,38 +660,24 @@ impl Cell {
                         .map_err(|e| format!("loading recorded trace {path:?}: {e}"))?,
                 ),
             };
-            let (ev, page_ins, soft_faults, rep) = if lockstep {
+            let (row, rep) = if lockstep {
                 let mut check = Lockstep::new(cfg)?;
                 check.load_workload(&workload)?;
-                let run_result = match &trace {
+                match &trace {
                     Some(t) => check.run(&mut t.iter(), scale.refs),
                     None => check.run(&mut workload.generator(scale.seed), scale.refs),
-                };
-                run_result.map_err(|d| format!("lockstep divergence: {d}"))?;
-                let sys = check.system();
-                let stats = sys.vm().stats();
-                (sys.events(), stats.page_ins, stats.soft_faults, None)
+                }
+                .map_err(|d| format!("lockstep divergence: {d}"))?;
+                (SimCell::of(check.system()), None)
             } else {
-                let mut sim = SpurSystem::new(cfg).map_err(|e| e.to_string())?;
-                if let Some(p) = obs {
-                    sim.enable_obs(p);
-                }
-                sim.load_workload(&workload).map_err(|e| e.to_string())?;
-                match &trace {
-                    Some(t) => sim.run(&mut t.iter(), scale.refs),
-                    None => sim.run(&mut workload.generator(scale.seed), scale.refs),
-                }
-                .map_err(|e| e.to_string())?;
-                let rep = sim.finish_obs();
-                let stats = sim.vm().stats();
-                (sim.events(), stats.page_ins, stats.soft_faults, rep)
-            };
-            let row = SimCell {
-                dirty_faults: ev.n_ds + ev.n_ef,
-                page_ins,
-                soft_faults,
-                elapsed_secs: ev.elapsed_seconds(),
-                events: ev,
+                let sim = SpurSystem::new(cfg)?;
+                let (sim, rep) = match &trace {
+                    Some(t) => sim.simulate(&workload, t.iter(), scale.refs, obs)?,
+                    None => {
+                        sim.simulate(&workload, workload.generator(scale.seed), scale.refs, obs)?
+                    }
+                };
+                (SimCell::of(&sim), rep)
             };
             let artifact = Json::object([
                 ("workload", Json::from(workload.name())),
@@ -724,13 +689,25 @@ impl Cell {
                 ("page_ins", Json::from(row.page_ins)),
                 ("soft_faults_taken", Json::from(row.soft_faults)),
                 ("elapsed_secs", Json::from(row.elapsed_secs)),
-                ("events", ev.to_json()),
+                ("events", row.events.to_json()),
             ]);
-            Ok(attach_obs(
-                JobOutput::new(CellValue::Sim(row), artifact),
-                rep,
-            ))
+            Ok((CellValue::Sim(row), artifact, rep))
         })
+    }
+}
+
+impl SimCell {
+    /// The point's counters, read off a finished system.
+    fn of(sim: &SpurSystem) -> SimCell {
+        let events = sim.events();
+        let stats = sim.vm().stats();
+        SimCell {
+            dirty_faults: events.n_ds + events.n_ef,
+            page_ins: stats.page_ins,
+            soft_faults: stats.soft_faults,
+            elapsed_secs: events.elapsed_seconds(),
+            events,
+        }
     }
 }
 
@@ -862,6 +839,26 @@ mod tests {
             keys,
             ["table_3_5/0/mace", "table_3_5/2/mace", "table_3_5/5/murder"]
         );
+    }
+
+    #[test]
+    fn overrides_change_the_simulation() {
+        let s = parse(
+            r#"{"schema_version":1,"name":"t","experiment":"events",
+                "matrix":{"workload":["SLC"],"mem_mb":[5]}}"#,
+        );
+        let scale = Scale {
+            refs: 20_000,
+            ..Scale::quick()
+        };
+        let mut cell = s.cells(scale, None).unwrap().remove(0);
+        let artifact =
+            |cell: &Cell| spur_harness::job_artifact_json(&spur_harness::run_one(cell.job()));
+        let base = artifact(&cell);
+        // A periodic clear-only daemon pass every 1000 references adds
+        // scans the baseline never takes.
+        cell.overrides.daemon_period = Some(Some(1000));
+        assert_ne!(base, artifact(&cell), "the periodic daemon must be visible");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! A *scenario* is a small, schema-versioned JSON document that names a
 //! workload, a memory-size and policy matrix, run options, and a set of
 //! expected-shape assertions. The engine expands the matrix into
-//! stable-keyed [`spur_harness`] jobs built from the same
-//! `spur_core::jobs` builders the standalone binaries use — so the
-//! artifacts a scenario produces are byte-identical to the binaries it
-//! replaces — runs them on the shared pool, persists the usual run
-//! tree, and evaluates the assertions against the produced artifacts.
+//! stable-keyed [`spur_harness`] jobs, each the kind's measure function
+//! wrapped by `spur_core::jobs::measurement_job` — so the artifacts a
+//! scenario produces are byte-identical to the binaries it replaced —
+//! runs them on the shared pool, persists the usual run tree, and
+//! evaluates the assertions against the produced artifacts.
 //!
 //! The pieces:
 //!

@@ -21,10 +21,10 @@ use spur_core::experiments::ablation::{
     render_handler_tuning, tdc_sensitivity,
 };
 use spur_core::experiments::crossover::{measure_crossover_obs, render_crossover};
+use spur_core::experiments::events::measure_events_obs_with;
 use spur_core::experiments::Scale;
-use spur_core::jobs::events_job_obs;
 use spur_core::report::Table;
-use spur_core::system::{SimConfig, SpurSystem};
+use spur_core::system::{SimConfig, SimOverrides, SpurSystem};
 use spur_harness::{job_artifact_json, run_jobs, Job, JobOutput, Json, RunReport};
 use spur_scenario::cells::expand;
 use spur_scenario::render::{legacy_banner, render_legacy};
@@ -339,13 +339,13 @@ fn sensitivity_parity() {
     let scale = tiny();
 
     let legacy = run_jobs(
-        vec![events_job_obs(
-            "sensitivity/SLC/5MB".to_string(),
-            slc,
-            MemSize::MB5,
-            scale,
-            None,
-        )],
+        vec![Job::new("sensitivity/SLC/5MB", move || {
+            let ov = SimOverrides::default();
+            let (row, _) = measure_events_obs_with(&slc(), MemSize::MB5, &scale, None, &ov)
+                .map_err(|e| e.to_string())?;
+            let artifact = row.to_json();
+            Ok(JobOutput::new(row, artifact))
+        })],
         1,
     );
 

@@ -1,17 +1,21 @@
 //! Byte-parity between the table scenario kinds (`events`, `pageout`,
 //! `refbit`) and the jobs `reproduce_all` built before its cells became
 //! the committed `scenarios/table_*.json` configs, and between the
-//! `mp` kind and the job builder `reproduce_mp` calls.
+//! `mp` kind and the jobs `reproduce_mp` built. Each legacy job is
+//! rebuilt here from its measure function, wrapped by hand.
 //!
 //! The `refbit`, `events` and `mp` kinds are also what `spur-serve`
 //! compiles a `POST /v1/jobs` body into, so these tests pin the served
 //! cells to the batch sweeps: same keys, same artifact bytes.
 
+use spur_core::experiments::events::{measure_events_obs_with, EventRow};
 use spur_core::experiments::pageout::measure_host;
+use spur_core::experiments::refbit::{measure_refbit_obs_with, RefbitRow};
 use spur_core::experiments::Scale;
-use spur_core::jobs::{events_job_obs, refbit_job_obs};
-use spur_core::obs::ObsParams;
-use spur_harness::{job_artifact_json, run_jobs, run_one, Job, JobOutput};
+use spur_core::jobs::attach_obs;
+use spur_core::obs::{ObsParams, ObsReport};
+use spur_core::system::SimOverrides;
+use spur_harness::{job_artifact_json, run_jobs, run_one, Job, JobOutput, Json};
 use spur_scenario::cells::expand;
 use spur_scenario::Scenario;
 use spur_trace::workloads::{slc, workload1, DevHost, Workload};
@@ -29,6 +33,20 @@ fn tiny() -> Scale {
 
 fn artifact<T>(job: Job<T>) -> String {
     job_artifact_json(&run_one(job)).encode_pretty()
+}
+
+/// A measure function's row and report wrapped as a job by hand, the
+/// way the legacy binaries wrapped their cells.
+fn by_hand<T: 'static>(
+    key: String,
+    to_json: fn(&T) -> Json,
+    measure: impl FnOnce() -> Result<(T, Option<ObsReport>), String> + Send + 'static,
+) -> Job<T> {
+    Job::new(key, move || {
+        let (row, rep) = measure()?;
+        let artifact = to_json(&row);
+        Ok(attach_obs(JobOutput::new(row, artifact), rep))
+    })
 }
 
 type NamedWorkload = (&'static str, fn() -> Workload);
@@ -72,7 +90,11 @@ fn refbit_cells_are_reproduce_alls_table_4_1_cells() {
         for mem in MemSize::STUDY_SIZES {
             for policy in RefPolicy::ALL {
                 let key = format!("table_4_1/{name}/{}MB/{policy}", mem.megabytes());
-                legacy.push(refbit_job_obs(key, make, mem, policy, tiny(), obs));
+                legacy.push(by_hand(key, RefbitRow::to_json, move || {
+                    let ov = SimOverrides::default();
+                    measure_refbit_obs_with(&make(), mem, policy, &tiny(), obs, &ov)
+                        .map_err(|e| e.to_string())
+                }));
             }
         }
     }
@@ -88,7 +110,10 @@ fn events_cells_are_reproduce_alls_table_3_3_cells() {
     for (name, make) in WORKLOADS {
         for mem in MemSize::STUDY_SIZES {
             let key = format!("table_3_3/{name}/{}MB", mem.megabytes());
-            legacy.push(events_job_obs(key, make, mem, tiny(), obs));
+            legacy.push(by_hand(key, EventRow::to_json, move || {
+                measure_events_obs_with(&make(), mem, &tiny(), obs, &SimOverrides::default())
+                    .map_err(|e| e.to_string())
+            }));
         }
     }
     assert_eq!(legacy.len(), 6);
@@ -133,7 +158,9 @@ fn mp_cells_are_reproduce_mps_cells() {
         };
         let key = spur_mp::mp_key(2, 64, policy);
         assert_eq!(cell.key, key);
-        let direct = spur_mp::mp_job(key, 2, policy, 64, tiny(), obs);
+        let direct = by_hand(key, spur_mp::MpRow::to_json, move || {
+            spur_mp::measure_mp_obs(2, policy, 64, &tiny(), obs)
+        });
         assert_eq!(artifact(job), artifact(direct), "{}", cell.key);
     }
 }

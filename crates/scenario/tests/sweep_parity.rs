@@ -11,11 +11,12 @@
 use spur_cache::counters::CounterEvent;
 use spur_core::experiments::sweep::{measure_tlb_point, render_tlb_sweep, TlbSweepRow};
 use spur_core::experiments::Scale;
+use spur_core::jobs::attach_obs;
 use spur_core::report::Table;
 use spur_core::{DirtyPolicy, ObsParams, SimConfig, SpurSystem};
 use spur_harness::{job_artifact_json, run_jobs, Job, JobOutput, RunReport};
 use spur_mp::experiment::MP_DAEMON_PERIOD;
-use spur_mp::{measure_mp, mp_job, mp_key, render_mp};
+use spur_mp::{measure_mp, measure_mp_obs, mp_key, render_mp};
 use spur_scenario::cells::expand;
 use spur_scenario::render::{legacy_banner, render_legacy};
 use spur_scenario::{CellValue, Scenario};
@@ -212,8 +213,13 @@ fn mp_refbit_config_replaces_the_mp_refbit_binary() {
     let legacy_jobs: Vec<_> = CPUS
         .iter()
         .flat_map(|&cpus| {
-            [RefPolicy::Miss, RefPolicy::Ref]
-                .map(|policy| mp_job(mp_key(cpus, 256, policy), cpus, policy, 256, scale, obs))
+            [RefPolicy::Miss, RefPolicy::Ref].map(|policy| {
+                Job::new(mp_key(cpus, 256, policy), move || {
+                    let (row, rep) = measure_mp_obs(cpus, policy, 256, &scale, obs)?;
+                    let artifact = row.to_json();
+                    Ok(attach_obs(JobOutput::new(row, artifact), rep))
+                })
+            })
         })
         .collect();
     let legacy = run_jobs(legacy_jobs, 2);

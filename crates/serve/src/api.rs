@@ -4,10 +4,10 @@
 //! one-cell [`spur_scenario::Cell`]: every field is checked by the
 //! scenario engine's own value validators and limits, the cell mints
 //! the same key `reproduce_all` uses (`table_4_1/SLC/5MB/MISS`, …),
-//! and the worker runs [`Cell::job`] — the `spur_core::jobs` builders
-//! a CLI sweep calls. That shared construction is the whole
-//! determinism story: a job submitted over HTTP produces artifact
-//! bytes identical to the batch sweep's.
+//! and the worker runs [`Cell::job`] — the very job a CLI sweep runs
+//! for that cell. That shared construction is the whole determinism
+//! story: a job submitted over HTTP produces artifact bytes identical
+//! to the batch sweep's.
 //!
 //! ```json
 //! {
@@ -259,10 +259,13 @@ fn parse_overrides(doc: &Json) -> Result<SimOverrides, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spur_core::jobs::{events_job_for, refbit_job_for, refbit_job_obs};
-    use spur_harness::{job_artifact_json, run_one};
+    use spur_core::experiments::events::{measure_events_obs_with, EventRow};
+    use spur_core::experiments::refbit::{measure_refbit_obs_with, RefbitRow};
+    use spur_core::jobs::attach_obs;
+    use spur_core::obs::ObsReport;
+    use spur_harness::{job_artifact_json, run_one, Job, JobOutput};
     use spur_trace::spec::{format_workload, parse_workload};
-    use spur_trace::workloads::slc;
+    use spur_trace::workloads::{slc, Workload};
     use spur_types::MemSize;
     use spur_vm::policy::RefPolicy;
 
@@ -273,6 +276,34 @@ mod tests {
     /// A job's artifact document, as the result endpoint serves it.
     fn artifact<T>(job: spur_harness::Job<T>) -> String {
         job_artifact_json(&run_one(job)).encode_pretty()
+    }
+
+    /// The artifact of a measure function's row, wrapped as a job by
+    /// hand: the reference a served cell must match byte for byte.
+    fn by_hand<T: 'static>(
+        key: &str,
+        to_json: fn(&T) -> Json,
+        measure: impl FnOnce() -> Result<(T, Option<ObsReport>), String> + Send + 'static,
+    ) -> String {
+        artifact(Job::new(key, move || {
+            let (row, rep) = measure()?;
+            let artifact = to_json(&row);
+            Ok(attach_obs(JobOutput::new(row, artifact), rep))
+        }))
+    }
+
+    /// The Table 4.1 cell `table_4_1/SLC/5MB/MISS`, by hand.
+    fn refbit_by_hand(
+        workload: Workload,
+        scale: Scale,
+        obs: Option<ObsParams>,
+        overrides: SimOverrides,
+    ) -> String {
+        by_hand("table_4_1/SLC/5MB/MISS", RefbitRow::to_json, move || {
+            let (mem, policy) = (MemSize::MB5, RefPolicy::Miss);
+            measure_refbit_obs_with(&workload, mem, policy, &scale, obs, &overrides)
+                .map_err(|e| e.to_string())
+        })
     }
 
     #[test]
@@ -356,19 +387,11 @@ mod tests {
                 "scale":{"refs":30000,"seed":1989,"reps":1},"obs":false}"#,
         )
         .unwrap();
-        let via_api = run_one(s.into_cell().job());
-        let direct = run_one(spur_mp::mp_job(
-            "mp/02cpu/0256sh/MISS".into(),
-            2,
-            RefPolicy::Miss,
-            256,
-            scale,
-            None,
-        ));
-        assert_eq!(
-            job_artifact_json(&via_api).encode_pretty(),
-            job_artifact_json(&direct).encode_pretty(),
-        );
+        let via_api = artifact(s.into_cell().job());
+        let direct = by_hand("mp/02cpu/0256sh/MISS", spur_mp::MpRow::to_json, move || {
+            spur_mp::measure_mp_obs(2, RefPolicy::Miss, 256, &scale, None)
+        });
+        assert_eq!(via_api, direct);
     }
 
     #[test]
@@ -546,7 +569,6 @@ mod tests {
             dev_refs_per_hour: 120_000,
         };
         let scale_field = r#""scale":{"refs":20000,"seed":1989,"reps":1}"#;
-        let key = "table_4_1/SLC/5MB/MISS".to_string();
         let daemon = SimOverrides {
             daemon_period: Some(Some(1000)),
             ..SimOverrides::default()
@@ -572,67 +594,38 @@ mod tests {
                 format!(
                     r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":false}}"#
                 ),
-                artifact(refbit_job_for(
-                    key.clone(),
-                    slc,
-                    MemSize::MB5,
-                    RefPolicy::Miss,
-                    scale,
-                    None,
-                    SimOverrides::default(),
-                )),
+                refbit_by_hand(slc(), scale, None, SimOverrides::default()),
             ),
             (
                 format!(
                     r#"{{"experiment":"events","workload":"SLC","mem_mb":5,{scale_field},"obs":false}}"#
                 ),
-                artifact(events_job_for(
-                    "table_3_3/SLC/5MB".into(),
-                    slc,
-                    MemSize::MB5,
-                    scale,
-                    None,
-                    SimOverrides::default(),
-                )),
+                by_hand("table_3_3/SLC/5MB", EventRow::to_json, move || {
+                    let overrides = SimOverrides::default();
+                    measure_events_obs_with(&slc(), MemSize::MB5, &scale, None, &overrides)
+                        .map_err(|e| e.to_string())
+                }),
             ),
             (
                 spec_body,
-                artifact(refbit_job_for(
-                    key.clone(),
-                    move || parse_workload(&spec_text).unwrap(),
-                    MemSize::MB5,
-                    RefPolicy::Miss,
+                refbit_by_hand(
+                    parse_workload(&spec_text).unwrap(),
                     scale,
                     None,
                     SimOverrides::default(),
-                )),
+                ),
             ),
             (
                 format!(
                     r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":false,"overrides":{{"daemon_period":1000}}}}"#
                 ),
-                artifact(refbit_job_for(
-                    key.clone(),
-                    slc,
-                    MemSize::MB5,
-                    RefPolicy::Miss,
-                    scale,
-                    None,
-                    daemon,
-                )),
+                refbit_by_hand(slc(), scale, None, daemon),
             ),
             (
                 format!(
                     r#"{{"experiment":"refbit","workload":"SLC","mem_mb":5,{scale_field},"obs":{{"epoch":5000}}}}"#
                 ),
-                artifact(refbit_job_obs(
-                    key,
-                    slc,
-                    MemSize::MB5,
-                    RefPolicy::Miss,
-                    scale,
-                    Some(epoch),
-                )),
+                refbit_by_hand(slc(), scale, Some(epoch), SimOverrides::default()),
             ),
         ];
         for (body, direct) in cases {

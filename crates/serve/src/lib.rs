@@ -52,8 +52,8 @@
 //! [`spur_scenario::Cell`] and a `POST /v1/scenarios` matrix to one
 //! cell per point; workers build every job with
 //! [`spur_scenario::Cell::job`] — the call the `spur-scenario` CLI
-//! makes, over the same `spur_core::jobs` builders and keys the CLI
-//! sweeps use — execute it with the same [`spur_harness::run_one`]
+//! and `reproduce_all` make, with the same keys — execute it with the
+//! same [`spur_harness::run_one`]
 //! body, and the result endpoint streams
 //! [`spur_harness::job_artifact_json`] pretty-encoded — byte-for-byte
 //! the file a `reproduce_all` run writes for the same cell. The

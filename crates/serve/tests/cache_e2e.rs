@@ -8,11 +8,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use spur_core::experiments::refbit::measure_refbit_obs_with;
 use spur_core::experiments::Scale;
-use spur_core::jobs::refbit_job_for;
+use spur_core::jobs::attach_obs;
 use spur_core::obs::ObsParams;
 use spur_core::system::SimOverrides;
-use spur_harness::{run_jobs, write_run};
+use spur_harness::{run_jobs, write_run, Job, JobOutput};
 use spur_obs::validate::{get_field, parse};
 use spur_serve::client::{get, post_json};
 use spur_serve::{ServeConfig, Server};
@@ -119,25 +120,32 @@ fn cache_hit_bytes_equal_the_cold_run_and_the_harness_artifact() {
     );
 
     // ...and those bytes are the very artifact a direct harness run
-    // (the reproduce_all path) writes for this cell.
+    // (the reproduce_all path) writes for this cell, rebuilt here from
+    // the measure function.
     let direct_root = temp_dir("direct");
-    let job = refbit_job_for(
-        "table_4_1/SLC/5MB/MISS".to_string(),
-        slc,
-        MemSize::MB5,
-        RefPolicy::Miss,
-        Scale {
-            refs: 30_000,
-            seed: 1989,
-            reps: 1,
-            dev_refs_per_hour: 120_000,
-        },
-        Some(ObsParams {
-            epoch: Some(10_000),
-            ..ObsParams::default()
-        }),
-        SimOverrides::default(),
-    );
+    let scale = Scale {
+        refs: 30_000,
+        seed: 1989,
+        reps: 1,
+        dev_refs_per_hour: 120_000,
+    };
+    let obs = Some(ObsParams {
+        epoch: Some(10_000),
+        ..ObsParams::default()
+    });
+    let job = Job::new("table_4_1/SLC/5MB/MISS", move || {
+        let (row, rep) = measure_refbit_obs_with(
+            &slc(),
+            MemSize::MB5,
+            RefPolicy::Miss,
+            &scale,
+            obs,
+            &SimOverrides::default(),
+        )
+        .map_err(|e| e.to_string())?;
+        let artifact = row.to_json();
+        Ok(attach_obs(JobOutput::new(row, artifact), rep))
+    });
     let report = run_jobs(vec![job], 1);
     let artifacts = write_run(&direct_root, "direct", &report, &[]).unwrap();
     let direct_bytes = std::fs::read(artifacts.dir.join("table_4_1-SLC-5MB-MISS.json")).unwrap();

@@ -6,11 +6,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use spur_core::experiments::refbit::measure_refbit_obs_with;
 use spur_core::experiments::Scale;
-use spur_core::jobs::refbit_job_for;
+use spur_core::jobs::attach_obs;
 use spur_core::obs::ObsParams;
 use spur_core::system::SimOverrides;
-use spur_harness::{run_jobs, write_run};
+use spur_harness::{run_jobs, write_run, Job, JobOutput};
 use spur_obs::validate::{get_field, parse};
 use spur_serve::client::{get, post_json};
 use spur_serve::{ServeConfig, Server};
@@ -107,26 +108,33 @@ fn served_artifact_is_byte_identical_to_direct_harness_run() {
     assert_eq!(served.status, 200);
     let served_bytes = served.body.clone();
 
-    // The same cell through the batch path: same builder, same key,
-    // same scale — write_run's job file must match the served bytes.
+    // The same cell through the batch path: the measure function
+    // wrapped by hand, same key, same scale — write_run's job file must
+    // match the served bytes.
     let direct_root = temp_dir("direct");
-    let job = refbit_job_for(
-        "table_4_1/SLC/5MB/MISS".to_string(),
-        slc,
-        MemSize::MB5,
-        RefPolicy::Miss,
-        Scale {
-            refs: 30_000,
-            seed: 1989,
-            reps: 1,
-            dev_refs_per_hour: 120_000,
-        },
-        Some(ObsParams {
-            epoch: Some(10_000),
-            ..ObsParams::default()
-        }),
-        SimOverrides::default(),
-    );
+    let scale = Scale {
+        refs: 30_000,
+        seed: 1989,
+        reps: 1,
+        dev_refs_per_hour: 120_000,
+    };
+    let obs = Some(ObsParams {
+        epoch: Some(10_000),
+        ..ObsParams::default()
+    });
+    let job = Job::new("table_4_1/SLC/5MB/MISS", move || {
+        let (row, rep) = measure_refbit_obs_with(
+            &slc(),
+            MemSize::MB5,
+            RefPolicy::Miss,
+            &scale,
+            obs,
+            &SimOverrides::default(),
+        )
+        .map_err(|e| e.to_string())?;
+        let artifact = row.to_json();
+        Ok(attach_obs(JobOutput::new(row, artifact), rep))
+    });
     let report = run_jobs(vec![job], 1);
     let artifacts = write_run(&direct_root, "direct", &report, &[]).unwrap();
     let direct_bytes = std::fs::read(artifacts.dir.join("table_4_1-SLC-5MB-MISS.json")).unwrap();

@@ -115,7 +115,7 @@ fn cmd_run(args: &Args) -> ExitCode {
         return usage();
     };
 
-    let mut sim = match SpurSystem::new(SimConfig {
+    let sim = match SpurSystem::new(SimConfig {
         mem,
         dirty,
         ref_policy,
@@ -128,19 +128,18 @@ fn cmd_run(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = sim.load_workload(&workload) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
     println!(
         "running {} refs of {} @ {mem}, dirty={dirty}, refbit={ref_policy}, {cpus} cpu(s), seed {seed}",
         refs,
         workload.name()
     );
-    if let Err(e) = sim.run(&mut workload.generator(seed), refs) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let sim = match sim.simulate(&workload, workload.generator(seed), refs, None) {
+        Ok((sim, _)) => sim,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let ev = sim.events();
     println!("{ev}");
     println!(
