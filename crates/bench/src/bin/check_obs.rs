@@ -30,8 +30,6 @@ use spur_obs::validate::{get_field, parse};
 /// The per-event keys Perfetto's importer expects on a complete event.
 const TRACE_EVENT_KEYS: [&str; 7] = ["name", "cat", "ph", "ts", "dur", "pid", "tid"];
 
-const USAGE: &str = "usage: check_obs [--run RESULTS_DIR] [--trace TRACE_DIR]";
-
 /// Reads `--run` and `--trace` in one pass; anything else, a missing
 /// value, or neither flag is an error.
 fn parse_options(
@@ -192,7 +190,7 @@ fn main() -> ExitCode {
     let (run, trace) = match parse_options(std::env::args().skip(1)) {
         Ok(dirs) => dirs,
         Err(e) => {
-            eprintln!("check_obs: {e}\n{USAGE}");
+            eprintln!("check_obs: {e}\nusage: check_obs [--run RESULTS_DIR] [--trace TRACE_DIR]");
             return ExitCode::from(2);
         }
     };

@@ -20,7 +20,7 @@ fn main() {
                 ..SimConfig::default()
             })
             .and_then(|sim| sim.simulate(&w, w.generator(scale.seed), scale.refs, None))
-            .unwrap();
+            .expect("the builtin workloads run at 5 and 8 MB");
             let ev = sim.events();
             println!(
                 "{} @ {}: N_ds={} zfod={} N_ef={} whit={} wmiss={} page_ins={} misses={} refs={}",
