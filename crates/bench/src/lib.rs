@@ -80,7 +80,7 @@ pub mod jobs {
     use spur_vm::policy::RefPolicy;
 
     /// The key for one memory-sweep cell.
-    pub fn memory_sweep_key(mb: u32, policy: RefPolicy) -> String {
+    pub(crate) fn memory_sweep_key(mb: u32, policy: RefPolicy) -> String {
         format!("memory_sweep/{mb:02}MB/{policy}")
     }
 

@@ -18,7 +18,7 @@ use spur_types::hash::mix64;
 
 /// SplitMix64: a tiny, high-quality mixer for deriving per-ticket
 /// randomness from `(base seed, ticket)` without any shared RNG state.
-pub fn derive_seed(base: u64, ticket: u64) -> u64 {
+pub(crate) fn derive_seed(base: u64, ticket: u64) -> u64 {
     mix64(base.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(ticket.wrapping_add(1))))
 }
 
@@ -49,7 +49,7 @@ impl OpenLoopPacer {
     }
 
     /// The moment ticket `n` is due, relative to the schedule start.
-    pub fn due(&self, ticket: u64) -> Duration {
+    pub(crate) fn due(&self, ticket: u64) -> Duration {
         Duration::from_nanos(self.interval_ns.saturating_mul(ticket))
     }
 
@@ -102,7 +102,7 @@ pub enum Profile {
 /// How many distinct bodies the [`Profile::Duplicate`] pool cycles
 /// through — small enough that a soak at any realistic rate repeats
 /// each body many times over.
-pub const DUPLICATE_POOL: u64 = 8;
+pub(crate) const DUPLICATE_POOL: u64 = 8;
 
 impl Profile {
     /// Parses a `--profile` value.
@@ -127,7 +127,7 @@ impl Profile {
     }
 
     /// The submission body for one ticket. `refs` and `mem_mb` set the
-    /// baseline job size; the ticket (mixed through [`derive_seed`])
+    /// baseline job size; the ticket (mixed through `derive_seed`)
     /// varies seeds and picks the adversarial fraction, so a given
     /// `(profile, refs, mem_mb, ticket)` is fully deterministic.
     pub fn body(self, refs: u64, mem_mb: u32, ticket: u64) -> String {

@@ -12,9 +12,9 @@
 //! the Sun-3 could not have done the same (see
 //! [`synonym_hazard_demo`]).
 
-use spur_types::{BlockNum, GlobalAddr, Protection, Vpn, BLOCKS_PER_PAGE};
+use spur_types::{BlockNum, GlobalAddr, Protection};
 
-use crate::cache::{EvictedBlock, FlushStats};
+use crate::cache::EvictedBlock;
 use crate::coherence::CoherencyState;
 use crate::line::CacheLine;
 
@@ -76,11 +76,6 @@ impl SetAssocCache {
         self.lines.len()
     }
 
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
     fn set_of(&self, block: BlockNum) -> usize {
         (block.index() % self.sets) as usize
     }
@@ -101,15 +96,6 @@ impl SetAssocCache {
             }
         }
         false
-    }
-
-    /// Read-only lookup of a cached line.
-    pub fn peek(&self, addr: GlobalAddr) -> Option<&CacheLine> {
-        let block = addr.block();
-        let set = self.set_of(block);
-        self.lines[self.slot_range(set)]
-            .iter()
-            .find(|l| l.matches(block))
     }
 
     /// Fills `addr`'s block, evicting the set's LRU line if full.
@@ -157,25 +143,6 @@ impl SetAssocCache {
         };
         self.stamps[slot] = self.clock;
         evicted
-    }
-
-    /// Tag-checked page flush (cost structure as in the direct map: one
-    /// probe per block of the page, per way).
-    pub fn flush_page(&mut self, vpn: Vpn) -> FlushStats {
-        let mut stats = FlushStats::default();
-        for i in 0..BLOCKS_PER_PAGE {
-            let block = vpn.block(i);
-            let set = self.set_of(block);
-            for slot in self.slot_range(set) {
-                stats.probed += 1;
-                if self.lines[slot].matches(block) {
-                    stats.flushed += 1;
-                    stats.written_back += u64::from(self.lines[slot].block_dirty);
-                    self.lines[slot] = CacheLine::empty();
-                }
-            }
-        }
-        stats
     }
 
     /// Number of valid lines.
@@ -254,20 +221,6 @@ mod tests {
             );
         }
         assert_eq!(c.occupancy(), 4);
-    }
-
-    #[test]
-    fn flush_page_clears_every_way() {
-        let mut c = SetAssocCache::new(4096, 4);
-        let vpn = Vpn::new(12);
-        for i in 0..32 {
-            c.fill(vpn.block(i).base_addr(), RW, true, i % 2 == 0);
-        }
-        let stats = c.flush_page(vpn);
-        assert_eq!(stats.flushed, 32);
-        assert_eq!(stats.written_back, 16);
-        assert_eq!(stats.probed, 128 * 4, "one probe per block per way");
-        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -49,19 +49,8 @@ pub struct FlushStats {
 }
 
 /// Cumulative cache activity statistics.
-///
-/// ```
-/// use spur_cache::cache::VirtualCache;
-/// use spur_types::{GlobalAddr, Protection};
-///
-/// let mut c = VirtualCache::prototype();
-/// c.fill_for_write(GlobalAddr::new(0x40), Protection::ReadWrite, false);
-/// c.fill_for_read(GlobalAddr::new(0x40 + (128 << 10)), Protection::ReadWrite, false);
-/// let s = c.stats();
-/// assert_eq!((s.fills, s.evictions, s.writebacks), (2, 1, 1));
-/// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Block fills (by read or write miss).
     pub fills: u64,
     /// Valid blocks displaced by fills.
@@ -221,22 +210,6 @@ impl VirtualCache {
         evicted
     }
 
-    /// Flushes the single line holding `addr`'s block, if present.
-    /// Returns the flushed block.
-    pub fn flush_block(&mut self, addr: GlobalAddr) -> Option<EvictedBlock> {
-        let index = self.find(addr.block())?;
-        let line = &mut self.lines[index.0];
-        let ev = EvictedBlock {
-            block: line.block,
-            block_dirty: line.block_dirty,
-        };
-        if ev.block_dirty {
-            self.stats.writebacks += 1;
-        }
-        *line = CacheLine::empty();
-        Some(ev)
-    }
-
     /// Flushes page `vpn` with a **tag-checked** flush: probe each of the
     /// page's 128 line slots and flush only lines whose tag belongs to the
     /// page. This is the "generic" operation Section 3.2 assumes when
@@ -282,13 +255,6 @@ impl VirtualCache {
         stats
     }
 
-    /// Invalidates every line without write-backs (power-on state).
-    pub fn invalidate_all(&mut self) {
-        for line in &mut self.lines {
-            *line = CacheLine::empty();
-        }
-    }
-
     /// Counts how many of page `vpn`'s blocks are currently cached.
     pub fn resident_blocks_of_page(&self, vpn: Vpn) -> u64 {
         (0..BLOCKS_PER_PAGE)
@@ -311,11 +277,6 @@ impl VirtualCache {
             .iter()
             .filter(|l| l.valid && l.block.base_addr().global_segment() == seg)
             .count()
-    }
-
-    /// Cumulative fill/eviction/write-back statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// Iterates over all valid lines.
@@ -387,7 +348,6 @@ mod tests {
         );
         assert!(!c.probe(a).hit);
         assert!(c.probe(b).hit);
-        assert_eq!(c.stats().writebacks, 1);
     }
 
     #[test]
@@ -412,17 +372,6 @@ mod tests {
         assert!(line.block_dirty);
         assert!(line.filled_by_write);
         assert_eq!(line.state, CoherencyState::OwnedExclusive);
-    }
-
-    #[test]
-    fn flush_block_removes_and_reports_dirtiness() {
-        let mut c = VirtualCache::prototype();
-        let a = addr(0x8000);
-        c.fill_for_write(a, RW, false);
-        let ev = c.flush_block(a).unwrap();
-        assert!(ev.block_dirty);
-        assert!(!c.probe(a).hit);
-        assert!(c.flush_block(a).is_none(), "second flush finds nothing");
     }
 
     #[test]
@@ -457,18 +406,6 @@ mod tests {
         assert_eq!(stats.probed, 128);
         assert_eq!(stats.flushed, 2, "alias block is collateral damage");
         assert_eq!(c.resident_blocks_of_page(alias), 0);
-    }
-
-    #[test]
-    fn invalidate_all_resets_occupancy() {
-        let mut c = VirtualCache::prototype();
-        for i in 0..10 {
-            c.fill_for_read(addr(i * 32), RW, false);
-        }
-        assert_eq!(c.occupancy(), 10);
-        c.invalidate_all();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.iter_valid().count(), 0);
     }
 
     #[test]

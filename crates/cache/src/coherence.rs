@@ -43,27 +43,12 @@ pub enum CoherencyState {
 
 impl CoherencyState {
     /// Encodes the state into the two `CS` bits.
-    pub const fn bits(self) -> u8 {
+    pub(crate) const fn bits(self) -> u8 {
         match self {
             CoherencyState::Invalid => 0,
             CoherencyState::UnOwned => 1,
             CoherencyState::OwnedExclusive => 2,
             CoherencyState::OwnedShared => 3,
-        }
-    }
-
-    /// Decodes the two `CS` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits >= 4`.
-    pub const fn from_bits(bits: u8) -> Self {
-        match bits {
-            0 => CoherencyState::Invalid,
-            1 => CoherencyState::UnOwned,
-            2 => CoherencyState::OwnedExclusive,
-            3 => CoherencyState::OwnedShared,
-            _ => panic!("coherency state is two bits"),
         }
     }
 
@@ -73,11 +58,6 @@ impl CoherencyState {
             self,
             CoherencyState::OwnedExclusive | CoherencyState::OwnedShared
         )
-    }
-
-    /// Does the line hold valid data?
-    pub const fn is_valid(self) -> bool {
-        !matches!(self, CoherencyState::Invalid)
     }
 }
 
@@ -93,31 +73,6 @@ impl fmt::Display for CoherencyState {
     }
 }
 
-/// Bus transactions of the Berkeley protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BusOp {
-    /// Read for a shared (clean) copy.
-    ReadShared,
-    /// Read with intent to modify: the reader becomes exclusive owner.
-    ReadForOwnership,
-    /// Invalidate other copies of a block the writer already holds.
-    WriteForInvalidation,
-    /// Write a dirty block back to memory (eviction or flush).
-    WriteBack,
-}
-
-impl fmt::Display for BusOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BusOp::ReadShared => "rd-shared",
-            BusOp::ReadForOwnership => "rd-own",
-            BusOp::WriteForInvalidation => "wr-inv",
-            BusOp::WriteBack => "wb",
-        };
-        f.write_str(s)
-    }
-}
-
 /// A snoop message delivered to one cache when a peer's transaction
 /// appears on the bus.
 ///
@@ -127,20 +82,20 @@ impl fmt::Display for BusOp {
 /// into lines directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceMsg {
-    /// A peer issued [`BusOp::ReadShared`]: an owner must supply the
+    /// A peer issued a read for a shared copy: an owner must supply the
     /// data and downgrade to [`CoherencyState::OwnedShared`].
     ReadShared(BlockNum),
-    /// A peer issued [`BusOp::ReadForOwnership`]: any copy must be
+    /// A peer issued a read with intent to modify: any copy must be
     /// invalidated; an owner supplies the data on the way out.
     ReadForOwnership(BlockNum),
-    /// A peer already holding the block issued
-    /// [`BusOp::WriteForInvalidation`]: any copy must be invalidated.
+    /// A peer already holding the block issued a write for
+    /// invalidation: any copy must be invalidated.
     WriteForInvalidation(BlockNum),
 }
 
 impl CoherenceMsg {
     /// The block the message is about.
-    pub fn block(self) -> BlockNum {
+    pub(crate) fn block(self) -> BlockNum {
         match self {
             CoherenceMsg::ReadShared(b)
             | CoherenceMsg::ReadForOwnership(b)
@@ -204,13 +159,13 @@ impl VirtualCache {
 /// Per-bus traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
-    /// Count of [`BusOp::ReadShared`] transactions.
+    /// Count of read-shared transactions.
     pub read_shared: u64,
-    /// Count of [`BusOp::ReadForOwnership`] transactions.
+    /// Count of read-for-ownership transactions.
     pub read_for_ownership: u64,
-    /// Count of [`BusOp::WriteForInvalidation`] transactions.
+    /// Count of write-for-invalidation transactions.
     pub write_for_invalidation: u64,
-    /// Count of [`BusOp::WriteBack`] transactions.
+    /// Count of write-back transactions (eviction or flush).
     pub write_backs: u64,
     /// Times an owning cache supplied data instead of memory.
     pub owner_supplies: u64,
@@ -450,19 +405,6 @@ mod tests {
     use spur_types::GlobalAddr;
 
     const RW: Protection = Protection::ReadWrite;
-
-    #[test]
-    fn state_bits_round_trip() {
-        for bits in 0..4u8 {
-            assert_eq!(CoherencyState::from_bits(bits).bits(), bits);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "two bits")]
-    fn state_rejects_wide_bits() {
-        let _ = CoherencyState::from_bits(4);
-    }
 
     #[test]
     fn read_then_read_shares_cleanly() {

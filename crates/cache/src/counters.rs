@@ -292,18 +292,6 @@ impl PerfCounters {
         self.mode
     }
 
-    /// Selects a mode. Like the hardware, this does not clear the
-    /// registers; call [`PerfCounters::reset`] for a fresh measurement.
-    pub fn set_mode(&mut self, mode: CounterMode) {
-        self.mode = mode;
-    }
-
-    /// Clears all registers and shadow totals.
-    pub fn reset(&mut self) {
-        self.slots = [0; 16];
-        self.wide = [[0; 16]; 4];
-    }
-
     /// Records one occurrence of `event`.
     pub fn record(&mut self, event: CounterEvent) {
         self.record_n(event, 1);
@@ -338,13 +326,6 @@ impl PerfCounters {
     pub fn total(&self, event: CounterEvent) -> u64 {
         let (mode, slot) = event.mode_slot();
         self.wide[mode.index()][slot]
-    }
-
-    /// The wrapping 32-bit value the hardware would report for `event`'s
-    /// slot, regardless of the current mode (useful for wrap-around
-    /// analysis).
-    pub fn wrapped_total(&self, event: CounterEvent) -> u32 {
-        (self.total(event) & 0xffff_ffff) as u32
     }
 }
 
@@ -443,9 +424,6 @@ mod tests {
         pc.record(CounterEvent::DirtyFault); // not in the selected set
         assert_eq!(pc.total(CounterEvent::Read), 1);
         assert_eq!(pc.total(CounterEvent::DirtyFault), 0);
-        pc.set_mode(CounterMode::VirtualMemory);
-        pc.record(CounterEvent::DirtyFault);
-        assert_eq!(pc.total(CounterEvent::DirtyFault), 1);
     }
 
     #[test]
@@ -465,16 +443,6 @@ mod tests {
         pc.record_n(CounterEvent::IFetch, (1u64 << 32) + 5);
         assert_eq!(pc.read_slot(0), 5, "32-bit register wraps");
         assert_eq!(pc.total(CounterEvent::IFetch), (1u64 << 32) + 5);
-        assert_eq!(pc.wrapped_total(CounterEvent::IFetch), 5);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut pc = PerfCounters::promiscuous();
-        pc.record(CounterEvent::Write);
-        pc.reset();
-        assert_eq!(pc.total(CounterEvent::Write), 0);
-        assert_eq!(pc.read_slot(2), 0);
     }
 
     #[test]
@@ -505,14 +473,5 @@ mod tests {
         for mode in CounterMode::ALL {
             assert!(text.contains(&format!("mode {mode}")));
         }
-    }
-
-    #[test]
-    fn mode_switch_preserves_registers() {
-        let mut pc = PerfCounters::new(CounterMode::References);
-        pc.record(CounterEvent::Read);
-        pc.set_mode(CounterMode::Translation);
-        pc.set_mode(CounterMode::References);
-        assert_eq!(pc.read_slot(1), 1);
     }
 }

@@ -44,10 +44,4 @@ pub mod line;
 pub mod tlb;
 pub mod translate;
 
-pub use assoc::SetAssocCache;
-pub use cache::{EvictedBlock, FlushStats, ProbeResult, VirtualCache};
-pub use coherence::{Bus, BusOp, CoherenceMsg, CoherencyState, SnoopResponse};
-pub use counters::{CounterEvent, CounterMode, PerfCounters};
-pub use line::{CacheLine, LineIndex};
-pub use tlb::{Tlb, TlbEntry};
-pub use translate::{InCacheTranslator, TranslationOutcome};
+pub use counters::CounterEvent;

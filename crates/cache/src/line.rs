@@ -76,7 +76,7 @@ impl CacheLine {
     }
 
     /// Does this valid line hold `block`?
-    pub fn matches(&self, block: BlockNum) -> bool {
+    pub(crate) fn matches(&self, block: BlockNum) -> bool {
         self.valid && self.block == block
     }
 

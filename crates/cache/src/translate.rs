@@ -75,11 +75,6 @@ impl InCacheTranslator {
         InCacheTranslator { costs }
     }
 
-    /// The cost parameters in use.
-    pub fn costs(&self) -> &CostParams {
-        &self.costs
-    }
-
     /// Translates `addr`, probing (and possibly filling) the cache for the
     /// first-level PTE.
     ///

@@ -41,7 +41,7 @@ pub struct FuzzRegion {
 
 impl FuzzRegion {
     /// Index of the region's first page.
-    pub fn start_page(&self) -> u64 {
+    pub(crate) fn start_page(&self) -> u64 {
         self.segment << PAGES_PER_SEGMENT_SHIFT
     }
 }
@@ -104,13 +104,6 @@ pub enum FuzzOutcome {
         /// Full divergence report.
         divergence: Box<Divergence>,
     },
-}
-
-impl FuzzOutcome {
-    /// Whether the case passed.
-    pub fn passed(&self) -> bool {
-        matches!(self, FuzzOutcome::Pass { .. })
-    }
 }
 
 impl FuzzCase {
@@ -220,7 +213,7 @@ impl FuzzCase {
     }
 
     /// The `SimConfig` this case runs under.
-    pub fn sim_config(&self) -> SimConfig {
+    pub(crate) fn sim_config(&self) -> SimConfig {
         SimConfig {
             mem: MemSize::new(self.mem_mb),
             costs: CostParams::paper(),
@@ -237,7 +230,7 @@ impl FuzzCase {
     }
 
     /// Serializes the case as a replayable JSON repro spec.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::object([
             ("seed", Json::UInt(self.seed)),
             ("mem_mb", Json::UInt(self.mem_mb as u64)),
@@ -304,7 +297,7 @@ impl FuzzCase {
     /// # Errors
     ///
     /// Returns a description of the first malformed field.
-    pub fn from_json(doc: &Json) -> Result<FuzzCase, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<FuzzCase, String> {
         let regions = match field(doc, "regions")? {
             Json::Arr(items) => items
                 .iter()
@@ -626,9 +619,12 @@ mod tests {
         assert!(st.shrunk.refs.len() < st.original_len);
         // The shrunk repro still replays after a JSON round trip.
         let replayed = FuzzCase::decode(&st.shrunk.encode()).unwrap();
-        assert!(!run_case_with(&replayed, Some(Mutation::SkipSpurDirtyRefresh)).passed());
+        assert!(!matches!(
+            run_case_with(&replayed, Some(Mutation::SkipSpurDirtyRefresh)),
+            FuzzOutcome::Pass { .. }
+        ));
         assert!(
-            run_case(&replayed).passed(),
+            matches!(run_case(&replayed), FuzzOutcome::Pass { .. }),
             "unmutated oracle must accept the repro"
         );
     }

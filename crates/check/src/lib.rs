@@ -2,7 +2,7 @@
 //!
 //! Three pieces, layered:
 //!
-//! * [`oracle`] — an **independently re-implemented** model of the
+//! * `oracle` — an **independently re-implemented** model of the
 //!   dirty-bit (`MIN`/`FAULT`/`FLUSH`/`SPUR`/`WRITE`) and reference-bit
 //!   (`MISS`/`REF`/`NOREF`) state machines over an abstract page/block
 //!   map. The oracle is written straight from the paper's transition
@@ -18,7 +18,7 @@
 //!   [`lockstep::Divergence`] with a minimal context dump (the
 //!   reference, the event tape, and the oracle's view of the page and
 //!   line involved).
-//! * [`fuzz`] — generates random workloads and `SimConfig`s, runs
+//! * `fuzz` — generates random workloads and `SimConfig`s, runs
 //!   system-vs-oracle differentially, and shrinks any failure to a
 //!   minimal explicit-reference repro spec (JSON, replayable).
 //!
@@ -28,10 +28,20 @@
 //! verifies event *kinds*, *pages* and *order* — the paper's claims are
 //! claims about which transitions fire, not about how long they take.
 
-pub mod fuzz;
+pub(crate) mod fuzz;
 pub mod lockstep;
-pub mod oracle;
+pub(crate) mod oracle;
 
-pub use fuzz::{mutation_selftest, run_case, run_case_with, shrink, FuzzCase, FuzzOutcome};
-pub use lockstep::{Divergence, Lockstep};
-pub use oracle::{Mutation, Oracle, OracleConfig};
+pub use fuzz::mutation_selftest;
+
+pub use fuzz::run_case;
+
+pub use fuzz::run_case_with;
+
+pub use fuzz::shrink;
+
+pub use fuzz::FuzzCase;
+
+pub use fuzz::FuzzOutcome;
+pub use lockstep::Lockstep;
+pub use oracle::Mutation;

@@ -1,5 +1,5 @@
 //! Lockstep differential verification: a real [`SpurSystem`] and the
-//! [`Oracle`] step through the same reference stream, and every
+//! `Oracle` step through the same reference stream, and every
 //! reference's event delta is checked the moment it is produced.
 //!
 //! The driver reads the system's event stream through the spur-obs
@@ -151,7 +151,7 @@ impl Lockstep {
     /// # Errors
     ///
     /// Propagates region-registration failure as a string.
-    pub fn register_region(
+    pub(crate) fn register_region(
         &mut self,
         start: Vpn,
         pages: u64,
@@ -162,11 +162,6 @@ impl Lockstep {
             .map_err(|e| e.to_string())?;
         self.oracle.add_region(start.index(), pages, kind);
         Ok(())
-    }
-
-    /// References stepped so far.
-    pub fn refs(&self) -> u64 {
-        self.ref_index
     }
 
     /// The system under test (for post-run assertions).
@@ -181,7 +176,7 @@ impl Lockstep {
     ///
     /// Returns the divergence (or an infrastructure failure dressed as
     /// one: system error, trace-ring overflow) at the first mismatch.
-    pub fn step(&mut self, r: TraceRef) -> Result<(), Divergence> {
+    pub(crate) fn step(&mut self, r: TraceRef) -> Result<(), Divergence> {
         let before = self.sys.obs_emitted_total().unwrap_or(0);
         debug_assert_eq!(before, self.emitted);
         if let Err(e) = self.sys.reference(r) {

@@ -42,7 +42,7 @@ const PTE_SIZE: u64 = 4;
 /// (costs, watermarks, memory size) is irrelevant to *which* events
 /// fire and is deliberately absent.
 #[derive(Debug, Clone, Copy)]
-pub struct OracleConfig {
+pub(crate) struct OracleConfig {
     /// Dirty-bit mechanism under test.
     pub dirty: DirtyPolicy,
     /// Reference-bit policy under test.
@@ -87,7 +87,7 @@ impl Mutation {
 
 /// A mismatch between the oracle's prediction and the event tape.
 #[derive(Debug, Clone)]
-pub struct OracleError {
+pub(crate) struct OracleError {
     /// What the oracle expected vs. what it saw.
     pub reason: String,
     /// Index into the per-reference event delta where the mismatch sits
@@ -234,7 +234,7 @@ impl<'a> Tape<'a> {
 /// The independent state machine. Feed it every reference (in order)
 /// with the event delta that reference produced.
 #[derive(Debug)]
-pub struct Oracle {
+pub(crate) struct Oracle {
     cfg: OracleConfig,
     /// Registered regions: (first page index, page count, kind).
     regions: Vec<(u64, u64, PageKind)>,
@@ -248,7 +248,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// Creates an oracle with an empty page map.
-    pub fn new(cfg: OracleConfig) -> Self {
+    pub(crate) fn new(cfg: OracleConfig) -> Self {
         assert!(cfg.cpus >= 1);
         Oracle {
             caches: (0..cfg.cpus)
@@ -265,20 +265,15 @@ impl Oracle {
     }
 
     /// Installs an intentional defect (testing the checker itself).
-    pub fn with_mutation(mut self, mutation: Option<Mutation>) -> Self {
+    pub(crate) fn with_mutation(mut self, mutation: Option<Mutation>) -> Self {
         self.mutation = mutation;
         self
     }
 
     /// Registers a region of `pages` pages starting at page index
     /// `start`.
-    pub fn add_region(&mut self, start: u64, pages: u64, kind: PageKind) {
+    pub(crate) fn add_region(&mut self, start: u64, pages: u64, kind: PageKind) {
         self.regions.push((start, pages, kind));
-    }
-
-    /// References the oracle has stepped through.
-    pub fn refs(&self) -> u64 {
-        self.refs
     }
 
     fn kind_of(&self, page: u64) -> Option<PageKind> {
@@ -316,7 +311,7 @@ impl Oracle {
 
     /// A one-line dump of the oracle's view of `page` (and the line
     /// holding `block` on `cpu`), for divergence reports.
-    pub fn context(&self, cpu: usize, page: u64, block: u64) -> String {
+    pub(crate) fn context(&self, cpu: usize, page: u64, block: u64) -> String {
         let pstate = match self.pages.get(&page) {
             Some(p) => format!(
                 "resident dirty={} referenced={} prot={:?}",
@@ -345,7 +340,7 @@ impl Oracle {
     /// # Errors
     ///
     /// Returns the first point where the tape contradicts the model.
-    pub fn step(&mut self, r: &TraceRef, events: &[SimEvent]) -> Result<(), OracleError> {
+    pub(crate) fn step(&mut self, r: &TraceRef, events: &[SimEvent]) -> Result<(), OracleError> {
         self.refs += 1;
         let mut tape = Tape { events, pos: 0 };
 

@@ -220,16 +220,6 @@ impl TlbSystem {
         Ok(())
     }
 
-    /// References executed.
-    pub fn refs(&self) -> u64 {
-        self.refs
-    }
-
-    /// Physical-cache misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Modeled elapsed time.
     pub fn cycles(&self) -> Cycles {
         self.cycles
@@ -258,11 +248,6 @@ impl TlbSystem {
     /// The VM system (page-in statistics).
     pub fn vm(&self) -> &VmSystem {
         &self.vm
-    }
-
-    /// Context switches observed (pid changes in the reference stream).
-    pub fn context_switches(&self) -> u64 {
-        self.context_switches
     }
 
     fn charge(&mut self, cat: CycleCategory, cycles: u64) {
@@ -397,17 +382,6 @@ impl TlbSystem {
         }
         Ok((pte.pfn(), pte.dirty()))
     }
-
-    /// Cross-component audit for tests.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        self.vm.check_invariants()?;
-        for vpn in self.hw.frames.keys() {
-            if !self.vm.is_resident(*vpn) {
-                return Err(format!("shadow map holds non-resident {vpn}"));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -427,13 +401,25 @@ mod tests {
         sys
     }
 
+    /// Cross-component audit: the VM's own invariants, and a shadow map
+    /// that holds only resident pages.
+    fn check_invariants(sys: &TlbSystem) -> std::result::Result<(), String> {
+        sys.vm.check_invariants()?;
+        for vpn in sys.hw.frames.keys() {
+            if !sys.vm.is_resident(*vpn) {
+                return Err(format!("shadow map holds non-resident {vpn}"));
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn runs_and_upholds_invariants() {
         let sys = run(MemSize::MB8, 300_000);
-        assert_eq!(sys.refs(), 300_000);
-        sys.check_invariants().unwrap();
+        assert_eq!(sys.refs, 300_000);
+        check_invariants(&sys).unwrap();
         assert!(sys.tlb_hit_ratio() > 0.9, "64 entries should cover the WS");
-        assert!(sys.misses() > 0);
+        assert!(sys.misses > 0);
     }
 
     #[test]
@@ -459,7 +445,7 @@ mod tests {
     fn paging_pressure_still_works_through_the_shared_vm() {
         let sys = run(MemSize::MB5, 1_000_000);
         assert!(sys.vm().stats().page_ins > 0, "5 MB must page");
-        sys.check_invariants().unwrap();
+        check_invariants(&sys).unwrap();
     }
 
     #[test]
@@ -483,7 +469,7 @@ mod tests {
         };
         let tagged = run(false);
         let untagged = run(true);
-        assert!(untagged.context_switches() > 0);
+        assert!(untagged.context_switches > 0);
         assert!(
             untagged.tlb_misses() > tagged.tlb_misses(),
             "flushing on switch must cost refills: {} vs {}",

@@ -104,7 +104,7 @@ impl CycleBreakdown {
     }
 
     /// Iterates `(category, cycles)` in display order.
-    pub fn iter(&self) -> impl Iterator<Item = (CycleCategory, Cycles)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (CycleCategory, Cycles)> + '_ {
         CycleCategory::ALL
             .into_iter()
             .map(|c| (c, self.buckets[c.idx()]))

@@ -82,7 +82,7 @@ impl DirtyPolicy {
     ///
     /// Protection-emulation policies map writable pages read-only until
     /// the first write fault; the others grant full access immediately.
-    pub fn initial_protection(self, natural: Protection) -> Protection {
+    pub(crate) fn initial_protection(self, natural: Protection) -> Protection {
         match self {
             DirtyPolicy::Fault | DirtyPolicy::Flush => {
                 if natural == Protection::ReadWrite {

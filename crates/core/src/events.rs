@@ -8,7 +8,7 @@ use spur_types::Cycles;
 /// Event frequencies measured over one run, in the paper's notation.
 ///
 /// `N_w-hit` and `N_w-miss` are raw counts here; Table 3.3 prints them in
-/// millions (see [`EventCounts::n_whit_millions`]).
+/// millions (see `EventCounts::n_whit_millions`).
 ///
 /// ```
 /// use spur_core::events::EventCounts;
@@ -58,17 +58,17 @@ impl EventCounts {
     /// `N_dm` — identical to `n_ef` by the paper's argument (every block
     /// that would excess-fault under `FAULT` dirty-bit-misses under
     /// `SPUR`).
-    pub fn n_dm(&self) -> u64 {
+    pub(crate) fn n_dm(&self) -> u64 {
         self.n_ef
     }
 
     /// `N_w-hit` in millions, Table 3.3's unit.
-    pub fn n_whit_millions(&self) -> f64 {
+    pub(crate) fn n_whit_millions(&self) -> f64 {
         self.n_whit as f64 / 1e6
     }
 
     /// `N_w-miss` in millions, Table 3.3's unit.
-    pub fn n_wmiss_millions(&self) -> f64 {
+    pub(crate) fn n_wmiss_millions(&self) -> f64 {
         self.n_wmiss as f64 / 1e6
     }
 

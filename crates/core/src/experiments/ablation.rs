@@ -199,19 +199,6 @@ pub fn flush_cost_comparison(occupancy_frac: f64, costs: &CostParams) -> FlushCo
     }
 }
 
-/// The *actual* Sun-3 mechanism: the MMU updates the dirty bit in
-/// hardware, so there is no fault cost at all — only the per-block check
-/// on write hits remains: `O(SUN3) = N_w-hit · t_dc`.
-///
-/// The paper deliberately did **not** assume this ("Unlike the Sun-3, we
-/// assume that the hardware generates a fault... This assumption makes
-/// the comparison unbiased"). This function asks the obvious follow-up:
-/// would the real Sun-3 hardware have won? On the paper's own counts, no
-/// — per-block checking dominates even when the update itself is free.
-pub fn sun3_overhead(ev: &EventCounts, costs: &CostParams) -> Cycles {
-    Cycles::new(ev.n_whit * costs.t_dc)
-}
-
 /// One cache-size scaling row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheScalingRow {
@@ -331,22 +318,6 @@ mod tests {
         for r in &rows {
             assert!(r.write_still_loses, "t_dc={} should still lose", r.t_dc);
         }
-    }
-
-    #[test]
-    fn real_sun3_hardware_still_loses_on_paper_counts() {
-        // Even with a free hardware dirty-bit update, per-block checking
-        // costs more than FAULT's occasional excess faults.
-        let ev = paper_events();
-        let costs = CostParams::paper();
-        let sun3 = sun3_overhead(&ev, &costs);
-        let fault = DirtyPolicy::Fault.overhead(&ev, &costs);
-        assert!(
-            sun3 > fault,
-            "Sun-3 {} Mcycles vs FAULT {} Mcycles",
-            sun3.millions(),
-            fault.millions()
-        );
     }
 
     #[test]

@@ -23,17 +23,6 @@ pub mod pageout;
 pub mod refbit;
 pub mod sweep;
 
-pub use ablation::{
-    flush_cost_comparison, handler_tuning, measure_cache_scaling_point_obs, sun3_overhead,
-    tdc_sensitivity,
-};
-pub use crossover::{measure_crossover_obs, CrossoverRow};
-pub use events::{measure_events, EventRow};
-pub use overhead::{model_vs_measured, table_3_4, OverheadRow};
-pub use pageout::{measure_host, PageoutRow};
-pub use refbit::{measure_refbit, RefbitRow};
-pub use sweep::{measure_tlb_point, MemorySweepRow, TlbSweepRow};
-
 /// How big an experiment run is.
 ///
 /// The paper's runs are ~10⁹ references; the default scale here is ~10⁷,

@@ -27,7 +27,7 @@ pub struct OverheadRow {
 
 impl OverheadRow {
     /// The overhead of one policy.
-    pub fn overhead(&self, policy: DirtyPolicy) -> Cycles {
+    pub(crate) fn overhead(&self, policy: DirtyPolicy) -> Cycles {
         let i = DirtyPolicy::ALL
             .iter()
             .position(|p| *p == policy)

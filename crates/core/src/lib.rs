@@ -55,10 +55,7 @@ pub mod stats;
 pub mod system;
 pub mod testkit;
 
-pub use baseline::{TlbConfig, TlbSystem};
-pub use breakdown::{CycleBreakdown, CycleCategory};
 pub use dirty::DirtyPolicy;
 pub use events::EventCounts;
-pub use model::ExcessFaultModel;
 pub use obs::{ObsParams, ObsReport};
 pub use system::{SimConfig, SimOverrides, SpurSystem};

@@ -38,7 +38,7 @@ impl ExcessFaultModel {
     /// # Panics
     ///
     /// Panics unless `0 < p_w <= 1`.
-    pub fn new(p_w: f64) -> Self {
+    pub(crate) fn new(p_w: f64) -> Self {
         assert!(p_w > 0.0 && p_w <= 1.0, "p_w must be in (0, 1], got {p_w}");
         ExcessFaultModel { p_w }
     }
@@ -56,25 +56,14 @@ impl ExcessFaultModel {
     }
 
     /// The write-miss probability.
-    pub fn p_w(&self) -> f64 {
+    pub(crate) fn p_w(&self) -> f64 {
         self.p_w
     }
 
     /// Expected excess faults per necessary (modified-page) fault: the
     /// mean of the geometric distribution, `(1 − p_w) / p_w`.
-    pub fn expected_excess_ratio(&self) -> f64 {
+    pub(crate) fn expected_excess_ratio(&self) -> f64 {
         (1.0 - self.p_w) / self.p_w
-    }
-
-    /// Expected excess faults given a count of necessary faults.
-    pub fn expected_excess(&self, necessary: u64) -> f64 {
-        necessary as f64 * self.expected_excess_ratio()
-    }
-
-    /// Probability of exactly `k` excess faults on one page:
-    /// `p_w · (1 − p_w)^k`.
-    pub fn pmf(&self, k: u32) -> f64 {
-        self.p_w * (1.0 - self.p_w).powi(k as i32)
     }
 }
 
@@ -110,24 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn pmf_sums_to_one() {
-        let m = ExcessFaultModel::new(0.3);
-        let total: f64 = (0..1000).map(|k| m.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pmf_mean_matches_expected_ratio() {
-        let m = ExcessFaultModel::new(0.4);
-        let mean: f64 = (0..10_000).map(|k| k as f64 * m.pmf(k)).sum();
-        assert!((mean - m.expected_excess_ratio()).abs() < 1e-6);
-    }
-
-    #[test]
     fn certain_write_miss_means_no_excess() {
         let m = ExcessFaultModel::new(1.0);
         assert_eq!(m.expected_excess_ratio(), 0.0);
-        assert_eq!(m.expected_excess(100), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! System-level observability: the [`SpurSystem`] side of `spur-obs`.
 //!
-//! [`crate::system::SpurSystem`] owns at most one [`SystemObs`] bundle.
+//! [`crate::system::SpurSystem`] owns at most one `SystemObs` bundle.
 //! When absent (the default), every instrumentation site collapses to a
 //! branch on `Option::None` and the simulator behaves — and costs —
 //! exactly as it did before observability existed. When present, the
@@ -26,7 +26,7 @@ use spur_obs::{
 };
 
 /// The counter columns sampled into every epoch row, in order.
-pub const EPOCH_COLUMNS: [&str; 12] = [
+pub(crate) const EPOCH_COLUMNS: [&str; 12] = [
     "misses",
     "dirty_faults",
     "excess_faults",
@@ -172,7 +172,7 @@ impl ObsReport {
     /// The compact per-job metrics block merged into `manifest.json`:
     /// exact event counts, trace accounting, and histogram summaries
     /// with their non-empty buckets.
-    pub fn metrics_json(&self) -> Json {
+    pub(crate) fn metrics_json(&self) -> Json {
         // The core (uniprocessor) kinds are always reported; coherence
         // kinds appear only when they fired, so uniprocessor artifacts
         // stay byte-identical to output predating the multiprocessor.
@@ -197,7 +197,7 @@ impl ObsReport {
     }
 
     /// The per-epoch series document, when sampling was enabled.
-    pub fn series_json(&self) -> Option<Json> {
+    pub(crate) fn series_json(&self) -> Option<Json> {
         self.series.as_ref().map(series_json)
     }
 }

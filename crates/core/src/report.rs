@@ -2,8 +2,6 @@
 
 use core::fmt::Write as _;
 
-use spur_harness::Json;
-
 /// A simple aligned-column text table.
 ///
 /// ```
@@ -55,16 +53,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as CSV (header row first), for plotting tools.
     /// Cells containing commas or quotes are quoted per RFC 4180.
     pub fn to_csv(&self) -> String {
@@ -92,28 +80,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Renders the table as a JSON object for the artifact layer:
-    /// `{"title": ..., "headers": [...], "rows": [[...], ...]}`. Cells
-    /// stay strings — the table is a rendering of already-typed data,
-    /// and string cells keep the encoding deterministic.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("title", Json::from(self.title.as_str())),
-            (
-                "headers",
-                Json::array(self.headers.iter().map(|h| Json::from(h.as_str()))),
-            ),
-            (
-                "rows",
-                Json::array(
-                    self.rows
-                        .iter()
-                        .map(|row| Json::array(row.iter().map(|c| Json::from(c.as_str())))),
-                ),
-            ),
-        ])
     }
 
     /// Renders the table with aligned columns.
@@ -158,24 +124,24 @@ impl Table {
 }
 
 /// Formats a ratio as the paper's "(1.16)" relative notation.
-pub fn fmt_rel(value: f64) -> String {
+pub(crate) fn fmt_rel(value: f64) -> String {
     format!("({value:.2})")
 }
 
 /// Formats a percentage with no decimals, as Table 3.5 does.
-pub fn fmt_pct(value: f64) -> String {
+pub(crate) fn fmt_pct(value: f64) -> String {
     format!("{value:.0}%")
 }
 
 /// Formats a percentage with one decimal, as Table 3.5's last column
 /// does.
-pub fn fmt_pct1(value: f64) -> String {
+pub(crate) fn fmt_pct1(value: f64) -> String {
     format!("{value:.1}%")
 }
 
 /// Formats a cycle count in millions with three significant figures, as
 /// Table 3.4 does.
-pub fn fmt_millions(value: f64) -> String {
+pub(crate) fn fmt_millions(value: f64) -> String {
     if value >= 100.0 {
         format!("{value:.0}")
     } else if value >= 10.0 {
@@ -236,22 +202,8 @@ mod tests {
     }
 
     #[test]
-    fn json_output_carries_title_headers_and_rows() {
-        let mut t = Table::new("Table J");
-        t.headers(&["a", "b"]);
-        t.row(vec!["1".into(), "x \"quoted\"".into()]);
-        let json = t.to_json().encode();
-        assert_eq!(
-            json,
-            r#"{"title":"Table J","headers":["a","b"],"rows":[["1","x \"quoted\""]]}"#
-        );
-    }
-
-    #[test]
     fn empty_table_renders_title_only() {
         let t = Table::new("Empty");
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
         assert!(t.render().contains("Empty"));
     }
 }

@@ -28,7 +28,7 @@ pub struct Sample {
 
 impl Sample {
     /// An empty sample.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sample {
             n: 0,
             mean: 0.0,
@@ -48,7 +48,7 @@ impl Sample {
     }
 
     /// Adds one observation (Welford's online update).
-    pub fn push(&mut self, v: f64) {
+    pub(crate) fn push(&mut self, v: f64) {
         self.n += 1;
         let d = v - self.mean;
         self.mean += d / self.n as f64;
@@ -80,21 +80,11 @@ impl Sample {
         }
     }
 
-    /// Smallest observation (`NaN`-free inputs assumed).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Half-width of an approximate 95% confidence interval for the mean.
     ///
     /// Uses Student-t critical values for n ≤ 10 and 1.96 beyond — the
     /// precision appropriate to 3–5 repetitions of a simulation.
-    pub fn ci95_half_width(&self) -> f64 {
+    pub(crate) fn ci95_half_width(&self) -> f64 {
         if self.n < 2 {
             return 0.0;
         }
@@ -107,15 +97,6 @@ impl Sample {
             1.96
         };
         t * self.stddev() / (self.n as f64).sqrt()
-    }
-
-    /// Relative spread: stddev / mean (0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
-        if self.mean().abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.stddev() / self.mean().abs()
-        }
     }
 }
 
@@ -159,8 +140,6 @@ mod tests {
             values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.stddev() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 2.6);
-        assert_eq!(s.max(), 9.7);
     }
 
     #[test]
@@ -168,7 +147,6 @@ mod tests {
         let s = Sample::from_values(&[42.0]);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl SimOverrides {
     }
 
     /// Applies the set fields to `cfg`.
-    pub fn apply(&self, mut cfg: SimConfig) -> SimConfig {
+    pub(crate) fn apply(&self, mut cfg: SimConfig) -> SimConfig {
         if let Some(cpus) = self.cpus {
             cfg.cpus = cpus;
         }
@@ -385,11 +385,6 @@ impl SpurSystem {
         self.obs = Some(Box::new(SystemObs::new(params)));
     }
 
-    /// Whether an observability bundle is attached.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
     /// Detaches and finalizes the observability bundle: flushes the
     /// partial last epoch and closes the residency histogram for pages
     /// still resident. Returns `None` if observability was never
@@ -598,7 +593,7 @@ impl SpurSystem {
     /// Which CPU a process runs on (static assignment, like Sprite's
     /// processor affinity on SPUR).
     #[inline]
-    pub fn cpu_of(&self, pid: spur_trace::stream::Pid) -> usize {
+    pub(crate) fn cpu_of(&self, pid: spur_trace::stream::Pid) -> usize {
         // CPU counts are powers of two on every configuration we model;
         // masking avoids a hardware divide on the per-reference path.
         let n = self.caches.len();
@@ -1513,7 +1508,6 @@ mod tests {
     #[test]
     fn finish_obs_is_none_when_never_enabled() {
         let mut s = sim(MemSize::MB8, DirtyPolicy::Spur, RefPolicy::Miss);
-        assert!(!s.obs_enabled());
         assert!(s.finish_obs().is_none());
     }
 

@@ -37,7 +37,12 @@ pub struct Scenario {
     sim: SpurSystem,
     heap_start: Vpn,
     heap_pages: u64,
-    code_start: Vpn,
+}
+
+/// The micro-world's one process: 8 code, 64 heap, 8 stack and 8 file
+/// pages.
+fn script() -> Result<Workload> {
+    Workload::build("scenario", vec![ProcessSpec::new("script", 8, 64, 8, 8)])
 }
 
 impl Scenario {
@@ -56,10 +61,9 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates configuration errors.
-    pub fn with_policies(dirty: DirtyPolicy, ref_policy: RefPolicy) -> Result<Self> {
-        let workload = Workload::build("scenario", vec![ProcessSpec::new("script", 8, 64, 8, 8)])?;
+    pub(crate) fn with_policies(dirty: DirtyPolicy, ref_policy: RefPolicy) -> Result<Self> {
+        let workload = script()?;
         let heap = workload.proc_regions(0).heap;
-        let code = workload.proc_regions(0).code;
         let mut sim = SpurSystem::new(SimConfig {
             mem: MemSize::new(2),
             kernel_reserved_frames: 64,
@@ -72,7 +76,6 @@ impl Scenario {
             sim,
             heap_start: heap.start,
             heap_pages: heap.pages,
-            code_start: code.start,
         })
     }
 
@@ -105,39 +108,6 @@ impl Scenario {
         self.issue(page, block, AccessKind::InstrFetch)
     }
 
-    /// Reads a code block (a legal instruction-area data read).
-    pub fn read_code(&mut self, block: u64) -> &mut Self {
-        let addr = self.code_start.block(block).base_addr();
-        self.sim
-            .reference(TraceRef {
-                pid: Pid(0),
-                addr,
-                kind: AccessKind::Read,
-            })
-            .expect("code read stays in region");
-        self
-    }
-
-    /// Attempts to write a code block — a true protection violation,
-    /// which every policy must turn into a `ProtFault` and abort.
-    pub fn write_code(&mut self, block: u64) -> &mut Self {
-        let addr = self.code_start.block(block).base_addr();
-        self.sim
-            .reference(TraceRef {
-                pid: Pid(0),
-                addr,
-                kind: AccessKind::Write,
-            })
-            .expect("the violation is modeled, not an API error");
-        self
-    }
-
-    /// Runs one clear-only daemon pass.
-    pub fn daemon_clear(&mut self) -> &mut Self {
-        self.sim.daemon_clear_pass();
-        self
-    }
-
     /// Total occurrences of `event` so far.
     pub fn count(&self, event: CounterEvent) -> u64 {
         self.sim.counters().total(event)
@@ -157,6 +127,26 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// References block `block` of the script's code region. A write is
+    /// a true protection violation, which every policy must turn into a
+    /// `ProtFault` and abort.
+    fn code_ref(s: &mut Scenario, block: u64, kind: AccessKind) {
+        let addr = script()
+            .unwrap()
+            .proc_regions(0)
+            .code
+            .start
+            .block(block)
+            .base_addr();
+        s.sim
+            .reference(TraceRef {
+                pid: Pid(0),
+                addr,
+                kind,
+            })
+            .expect("the violation is modeled, not an API error");
+    }
 
     #[test]
     fn figure_3_1_script() {
@@ -208,7 +198,7 @@ mod tests {
         let mut s = Scenario::new(DirtyPolicy::Spur).unwrap();
         s.read(3, 0).read(3, 1);
         assert!(s.sim().vm().pte(s.page(3)).referenced());
-        s.daemon_clear();
+        s.sim.daemon_clear_pass();
         assert!(!s.sim().vm().pte(s.page(3)).referenced());
         // Cached hits never set R back — the MISS approximation.
         s.read(3, 0).read(3, 1).read(3, 0);
@@ -224,8 +214,8 @@ mod tests {
         for dirty in DirtyPolicy::ALL {
             let mut s = Scenario::new(dirty).unwrap();
             // Fault the code page in cleanly first, then violate it.
-            s.read_code(0);
-            s.write_code(0);
+            code_ref(&mut s, 0, AccessKind::Read);
+            code_ref(&mut s, 0, AccessKind::Write);
             assert_eq!(
                 s.count(CounterEvent::ProtFault),
                 1,
@@ -239,7 +229,7 @@ mod tests {
             // The aborted write must not have dirtied anything.
             let vpn = s.sim().vm().pte(s.page(0));
             let _ = vpn;
-            s.write_code(5); // a write MISS to code prot-faults too
+            code_ref(&mut s, 5, AccessKind::Write); // a write MISS to code prot-faults too
             assert_eq!(s.count(CounterEvent::ProtFault), 2, "{dirty}");
         }
     }

@@ -26,7 +26,7 @@ use crate::run::RunReport;
 /// manifest and job files) and `series` (job files) sections from the
 /// observability layer. Both are additive and appear only when
 /// observability was enabled for the run.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// The default artifact root: `$SPUR_RESULTS_DIR` or `results/json`.
 pub fn default_root() -> PathBuf {

@@ -8,7 +8,7 @@
 //! artifacts — the set of injected failures is a pure function of the
 //! plan, and retries are the only moving part.
 //!
-//! [`FaultPlan::fire_once`] adds once-semantics on top: the first
+//! `FaultPlan::fire_once` adds once-semantics on top: the first
 //! evaluation of a tripping key fires, every later evaluation of the
 //! same key passes. A retried job therefore succeeds, modeling a
 //! transient fault (the interesting kind for retry logic) rather than a
@@ -42,20 +42,15 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that never trips.
-    pub fn disabled() -> Self {
-        FaultPlan::new(0, 0)
-    }
-
     /// Whether `key` trips under this plan — stateless, so repeated
     /// calls agree.
-    pub fn rolls(&self, key: &str) -> bool {
+    pub(crate) fn rolls(&self, key: &str) -> bool {
         roll(self.seed, key, self.rate_ppm)
     }
 
     /// Whether `key` should fail *now*: true exactly once per tripping
     /// key (transient-fault semantics).
-    pub fn fire_once(&self, key: &str) -> bool {
+    pub(crate) fn fire_once(&self, key: &str) -> bool {
         if !self.rolls(key) {
             return false;
         }
@@ -63,19 +58,6 @@ impl FaultPlan {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key.to_string())
-    }
-
-    /// Keys that have fired so far.
-    pub fn fired(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .tripped
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
     }
 }
 
@@ -148,7 +130,7 @@ mod tests {
         assert!(plan.fire_once("spin"));
         assert!(!plan.fire_once("spin"));
         assert!(plan.rolls("spin"));
-        assert_eq!(plan.fired(), vec!["spin".to_string()]);
+        assert!(plan.tripped.lock().unwrap().contains("spin"));
     }
 
     #[test]
@@ -167,10 +149,10 @@ mod tests {
 
     #[test]
     fn a_disabled_plan_never_interferes() {
-        let plan = Arc::new(FaultPlan::disabled());
+        let plan = Arc::new(FaultPlan::new(0, 0));
         let job = Job::new("cell", || Ok(JobOutput::new(1u64, Json::UInt(1))));
         let done = run_one(arm(&plan, job, "worker/cell"));
         assert_eq!(done.value(), Some(&1));
-        assert!(plan.fired().is_empty());
+        assert!(plan.tripped.lock().unwrap().is_empty());
     }
 }

@@ -11,7 +11,7 @@
 //! The [`artifacts`] layer persists a run as machine-readable JSON —
 //! `results/json/<run>/<job>.json` per cell plus a `manifest.json`
 //! with schema version, run metadata, per-job timings, and the failure
-//! list — using the std-only encoder in [`json`] (no serde; the
+//! list — using the std-only encoder in `json` (no serde; the
 //! registry is unreachable in the build environment).
 //!
 //! ```
@@ -32,12 +32,15 @@
 
 pub mod artifacts;
 pub mod fault;
-pub mod job;
-pub mod json;
-pub mod run;
+pub(crate) mod job;
+pub(crate) mod json;
+pub(crate) mod run;
 
-pub use artifacts::{default_root, job_artifact_json, write_run, RunArtifacts, SCHEMA_VERSION};
-pub use fault::FaultPlan;
-pub use job::{ChromeTrace, CompletedJob, FailureKind, Job, JobFailure, JobOutput};
+pub use artifacts::default_root;
+
+pub use artifacts::job_artifact_json;
+
+pub use artifacts::write_run;
+pub use job::{ChromeTrace, CompletedJob, FailureKind, Job, JobOutput};
 pub use json::Json;
 pub use run::{run_jobs, run_jobs_with_progress, run_one, RunReport};

@@ -58,7 +58,7 @@ fn execute<T>(job: Job<T>, index: usize) -> CompletedJob<T> {
 /// submission order.
 ///
 /// Each job runs under `catch_unwind`: a panicking cell is recorded as
-/// a [`JobFailure`] with its panic payload and the sweep continues.
+/// a `JobFailure` with its panic payload and the sweep continues.
 ///
 /// # Panics
 ///

@@ -9,9 +9,7 @@
 
 use core::fmt;
 
-use spur_types::{Error, MemSize, Result, PAGE_SIZE};
-
-use crate::phys::PhysMemory;
+use spur_types::{MemSize, PAGE_SIZE};
 
 /// The kernel's wired footprint, in pages.
 ///
@@ -50,41 +48,13 @@ impl KernelLayout {
     }
 
     /// Wired footprint in bytes.
-    pub const fn bytes(&self) -> u64 {
+    pub(crate) const fn bytes(&self) -> u64 {
         self.total_pages() as u64 * PAGE_SIZE
     }
 
     /// Frames left for user pages on a machine of `mem`.
     pub const fn usable_frames(&self, mem: MemSize) -> u32 {
         mem.frames() - self.total_pages()
-    }
-
-    /// Validates that the kernel fits in `mem` with room to spare.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the kernel would consume half
-    /// of memory or more.
-    pub fn validate_for(&self, mem: MemSize) -> Result<()> {
-        if u64::from(self.total_pages()) * 2 >= u64::from(mem.frames()) {
-            return Err(Error::InvalidConfig(format!(
-                "kernel ({} pages) consumes half of {mem}",
-                self.total_pages()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Wires the kernel's pages out of `phys` at boot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoFreeFrames`] if memory cannot hold the kernel.
-    pub fn wire(&self, phys: &mut PhysMemory) -> Result<()> {
-        for _ in 0..self.total_pages() {
-            phys.allocate_wired()?;
-        }
-        Ok(())
     }
 }
 
@@ -124,41 +94,6 @@ mod tests {
         let k = KernelLayout::sprite_1989();
         assert_eq!(k.usable_frames(MemSize::MB5), 1024);
         assert_eq!(k.usable_frames(MemSize::MB8), 1792);
-    }
-
-    #[test]
-    fn oversized_kernel_is_rejected() {
-        let k = KernelLayout {
-            text_pages: 200,
-            data_pages: 200,
-            fs_cache_pages: 200,
-        };
-        assert!(k.validate_for(MemSize::new(2)).is_err());
-        assert!(k.validate_for(MemSize::MB8).is_ok());
-    }
-
-    #[test]
-    fn wiring_consumes_exactly_the_footprint() {
-        let k = KernelLayout::sprite_1989();
-        let mut phys = PhysMemory::new(MemSize::MB5);
-        k.wire(&mut phys).unwrap();
-        assert_eq!(phys.wired_frames(), 256);
-        assert_eq!(phys.free_frames(), 1024);
-    }
-
-    #[test]
-    fn wiring_fails_cleanly_when_memory_is_too_small() {
-        let k = KernelLayout::sprite_1989();
-        // A sub-megabyte machine: wiring must error, not panic.
-        let mut phys = PhysMemory::new(MemSize::new(1));
-        // 1 MB has exactly 256 frames; kernel takes all of them — fits.
-        k.wire(&mut phys).unwrap();
-        assert_eq!(phys.free_frames(), 0);
-        let mut phys_tiny = PhysMemory::new(MemSize::new(1));
-        for _ in 0..10 {
-            phys_tiny.allocate_wired().unwrap();
-        }
-        assert!(k.wire(&mut phys_tiny).is_err());
     }
 
     #[test]

@@ -39,9 +39,3 @@ pub mod pagetable;
 pub mod phys;
 pub mod pte;
 pub mod segmap;
-
-pub use kernel::KernelLayout;
-pub use pagetable::PageTable;
-pub use phys::{FrameState, PhysMemory};
-pub use pte::Pte;
-pub use segmap::{GlobalSegmentAllocator, ProcessId, SegmentMap};

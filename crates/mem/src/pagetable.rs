@@ -25,7 +25,7 @@ use crate::pte::Pte;
 pub const PT_GLOBAL_SEGMENT: u64 = 255;
 
 /// Size of one PTE in bytes.
-pub const PTE_SIZE: u64 = 4;
+pub(crate) const PTE_SIZE: u64 = 4;
 
 /// Number of PTEs per page of the first-level table.
 pub const PTES_PER_PAGE: u64 = PAGE_SIZE / PTE_SIZE;
@@ -206,30 +206,6 @@ impl PageTable {
         Some(prev)
     }
 
-    /// Number of (explicitly present) first-level entries.
-    pub fn len(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether the table has no explicit entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Iterates over `(vpn, pte)` pairs for explicit entries.
-    pub fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        self.leaves.iter().flat_map(|(&base, leaf)| {
-            (0..LEAF_SIZE)
-                .filter(move |&slot| leaf.is_present(slot))
-                .map(move |slot| {
-                    (
-                        Vpn::new((base << LEAF_SHIFT) + slot as u64),
-                        leaf.ptes[slot],
-                    )
-                })
-        })
-    }
-
     /// Ensures the second-level mapping for the page-table page that holds
     /// `vpn`'s PTE exists, wiring a frame for it on first use.
     ///
@@ -262,11 +238,6 @@ impl PageTable {
             .get(&pt_page)
             .copied()
             .ok_or(Error::NotResident(pt_page))
-    }
-
-    /// Number of wired second-level (page-table) pages.
-    pub fn wired_pt_pages(&self) -> usize {
-        self.second_level.len()
     }
 
     /// Translates a global address to a physical address using the logical
@@ -332,7 +303,7 @@ mod tests {
     fn absent_entries_read_invalid() {
         let pt = PageTable::new();
         assert!(!pt.pte(Vpn::new(77)).valid());
-        assert!(pt.is_empty());
+        assert_eq!(pt.entries, 0);
     }
 
     #[test]
@@ -354,11 +325,10 @@ mod tests {
         let mut pt = PageTable::new();
         let vpn = Vpn::new(2048);
         pt.insert(vpn, Pte::INVALID);
-        assert_eq!(pt.len(), 1, "an explicitly inserted invalid PTE counts");
+        assert_eq!(pt.entries, 1, "an explicitly inserted invalid PTE counts");
         assert!(!pt.pte(vpn).valid());
-        assert_eq!(pt.iter().count(), 1);
         assert_eq!(pt.remove(vpn), Some(Pte::INVALID));
-        assert_eq!(pt.len(), 0);
+        assert_eq!(pt.entries, 0);
         assert_eq!(pt.remove(vpn), None, "second remove finds nothing");
         // Entries one leaf apart don't interfere.
         pt.insert(
@@ -369,7 +339,7 @@ mod tests {
             Vpn::new(5 + PTES_PER_PAGE),
             Pte::resident(Pfn::new(2), Protection::ReadOnly),
         );
-        assert_eq!(pt.len(), 2);
+        assert_eq!(pt.entries, 2);
         assert_eq!(pt.pte(Vpn::new(5)).pfn(), Pfn::new(1));
         assert_eq!(pt.pte(Vpn::new(5 + PTES_PER_PAGE)).pfn(), Pfn::new(2));
     }
@@ -385,7 +355,7 @@ mod tests {
         assert_eq!(f1, f2);
         let (_, new3) = pt.ensure_second_level(Vpn::new(1024), &mut pm).unwrap();
         assert!(new3, "next page-table page wires a new frame");
-        assert_eq!(pt.wired_pt_pages(), 2);
+        assert_eq!(pt.second_level.len(), 2);
         assert_eq!(pm.wired_frames(), 2);
     }
 
@@ -408,22 +378,5 @@ mod tests {
         assert_eq!(pa.pfn(), Pfn::new(7));
         assert_eq!(pa.page_offset(), 0x123);
         assert!(pt.translate(GlobalAddr::new(0)).is_err());
-    }
-
-    #[test]
-    fn iter_yields_explicit_entries() {
-        let mut pt = PageTable::new();
-        pt.insert(
-            Vpn::new(1),
-            Pte::resident(Pfn::new(1), Protection::ReadOnly),
-        );
-        pt.insert(
-            Vpn::new(2),
-            Pte::resident(Pfn::new(2), Protection::ReadOnly),
-        );
-        let mut vpns: Vec<_> = pt.iter().map(|(v, _)| v.index()).collect();
-        vpns.sort_unstable();
-        assert_eq!(vpns, vec![1, 2]);
-        assert_eq!(pt.len(), 2);
     }
 }

@@ -11,7 +11,7 @@ use spur_types::{Error, MemSize, Pfn, Result, Vpn};
 
 /// The state of one physical frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameState {
+pub(crate) enum FrameState {
     /// On the free list.
     Free,
     /// Permanently allocated; never a replacement candidate (kernel,
@@ -116,30 +116,12 @@ impl PhysMemory {
         }
     }
 
-    /// Reassigns an in-use frame to a new virtual page (free-list reuse:
-    /// the previous page's data is overwritten).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is not in use.
-    pub fn reassign(&mut self, pfn: Pfn, vpn: Vpn) {
-        match self.frames[pfn.index()] {
-            FrameState::InUse(_) => self.frames[pfn.index()] = FrameState::InUse(vpn),
-            other => panic!("cannot reassign frame {pfn} in state {other:?}"),
-        }
-    }
-
     /// Returns the virtual page held by a frame, if it holds one.
     pub fn owner(&self, pfn: Pfn) -> Option<Vpn> {
         match self.frames[pfn.index()] {
             FrameState::InUse(vpn) => Some(vpn),
             _ => None,
         }
-    }
-
-    /// Returns the state of a frame.
-    pub fn state(&self, pfn: Pfn) -> FrameState {
-        self.frames[pfn.index()]
     }
 
     /// Iterates over `(pfn, vpn)` pairs for all in-use frames.
@@ -204,7 +186,7 @@ mod tests {
     fn wired_frames_are_tracked() {
         let mut pm = PhysMemory::new(MemSize::new(1));
         let w = pm.allocate_wired().unwrap();
-        assert_eq!(pm.state(w), FrameState::Wired);
+        assert_eq!(pm.frames[w.index()], FrameState::Wired);
         assert_eq!(pm.wired_frames(), 1);
         assert_eq!(pm.owner(w), None);
     }

@@ -7,24 +7,9 @@
 //! 256 one-gigabyte global segments. Sharing is arranged by loading the same
 //! global segment number into two processes' registers.
 
-use core::fmt;
-
 use spur_types::{Error, GlobalAddr, ProcAddr, Result, SegmentId, GLOBAL_SEGMENTS};
 
 use crate::pagetable::PT_GLOBAL_SEGMENT;
-
-/// The global segment shared by every process for the kernel.
-pub const KERNEL_GLOBAL_SEGMENT: u64 = 0;
-
-/// Identifies a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct ProcessId(pub u32);
-
-impl fmt::Display for ProcessId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "pid{}", self.0)
-    }
-}
 
 /// One process's four segment registers.
 ///
@@ -70,16 +55,6 @@ impl SegmentMap {
         Ok(())
     }
 
-    /// Unloads register `seg`.
-    pub fn unload(&mut self, seg: SegmentId) {
-        self.registers[seg.index()] = None;
-    }
-
-    /// Returns the global segment loaded in register `seg`, if any.
-    pub fn global_segment(&self, seg: SegmentId) -> Option<u64> {
-        self.registers[seg.index()]
-    }
-
     /// Translates a process address to its global virtual address.
     ///
     /// # Errors
@@ -93,55 +68,12 @@ impl SegmentMap {
     }
 }
 
-/// Hands out global segments to address-space regions, keeping the kernel
-/// and page-table segments reserved.
-///
-/// Sharing is expressed by handing the same allocation to two processes;
-/// the allocator never reissues a segment.
-#[derive(Debug, Clone)]
-pub struct GlobalSegmentAllocator {
-    next: u64,
-}
-
-impl GlobalSegmentAllocator {
-    /// Creates an allocator; segment 0 (kernel) and 255 (page table) are
-    /// reserved and never allocated.
-    pub fn new() -> Self {
-        GlobalSegmentAllocator { next: 1 }
-    }
-
-    /// Allocates a fresh global segment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BadSegment`] when all 254 allocatable segments are
-    /// taken.
-    pub fn allocate(&mut self) -> Result<u64> {
-        if self.next >= PT_GLOBAL_SEGMENT {
-            return Err(Error::BadSegment(
-                "global segment space exhausted".to_string(),
-            ));
-        }
-        let seg = self.next;
-        self.next += 1;
-        Ok(seg)
-    }
-
-    /// Number of segments still available.
-    pub fn remaining(&self) -> u64 {
-        PT_GLOBAL_SEGMENT - self.next
-    }
-}
-
-impl Default for GlobalSegmentAllocator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The global segment shared by every process for the kernel.
+    const KERNEL_GLOBAL_SEGMENT: u64 = 0;
 
     #[test]
     fn translate_through_loaded_register() {
@@ -159,15 +91,6 @@ mod tests {
     fn unloaded_register_faults() {
         let map = SegmentMap::new();
         assert!(map.translate(ProcAddr::new(0)).is_err());
-    }
-
-    #[test]
-    fn unload_clears_register() {
-        let mut map = SegmentMap::new();
-        map.load(SegmentId::new(1), 5).unwrap();
-        assert_eq!(map.global_segment(SegmentId::new(1)), Some(5));
-        map.unload(SegmentId::new(1));
-        assert_eq!(map.global_segment(SegmentId::new(1)), None);
     }
 
     #[test]
@@ -189,20 +112,5 @@ mod tests {
         let ga = a.translate(ProcAddr::new(0x4000_0888)).unwrap();
         let gb = b.translate(ProcAddr::new(0xC000_0888)).unwrap();
         assert_eq!(ga, gb);
-    }
-
-    #[test]
-    fn allocator_skips_reserved_segments() {
-        let mut alloc = GlobalSegmentAllocator::new();
-        let first = alloc.allocate().unwrap();
-        assert_eq!(first, 1);
-        let mut last = first;
-        while let Ok(seg) = alloc.allocate() {
-            assert_ne!(seg, KERNEL_GLOBAL_SEGMENT);
-            assert_ne!(seg, PT_GLOBAL_SEGMENT);
-            last = seg;
-        }
-        assert_eq!(last, 254);
-        assert_eq!(alloc.remaining(), 0);
     }
 }

@@ -5,9 +5,10 @@
 //! "must flush the page from all the caches", so the `REF` policy's
 //! maintenance bill grows with the processor count while `MISS`'s stays
 //! flat — could only be *argued* on the uniprocessor prototype. This
-//! module measures it: `mp_workers(cpus, shared_pages)` sharded across
-//! a real [`MpSystem`], one private cache per CPU, Berkeley ownership
-//! on the shared region, sweeping policy × CPU count × sharing degree.
+//! module measures it: `mp_workers(cpus, shared_pages)` sharded by the
+//! [`MpScheduler`] across an N-CPU `SpurSystem`, one private cache per
+//! CPU, Berkeley ownership on the shared region, sweeping policy × CPU
+//! count × sharing degree.
 //!
 //! The pre-measurement analytic model ([`mp_model`]) stays as a
 //! cross-check. It takes the measured 1-CPU rows' daemon flush damage
@@ -20,13 +21,13 @@
 
 use spur_cache::counters::CounterEvent;
 use spur_core::experiments::Scale;
-use spur_core::{DirtyPolicy, ObsParams, ObsReport, SimConfig};
+use spur_core::{DirtyPolicy, ObsParams, ObsReport, SimConfig, SpurSystem};
 use spur_harness::Json;
 use spur_trace::workloads::mp_workers;
 use spur_types::MemSize;
 use spur_vm::policy::RefPolicy;
 
-use crate::system::{MpParams, MpSystem};
+use crate::sched::MpScheduler;
 
 /// References between periodic daemon clear passes in the measured
 /// sweep. `mp_workers` fits entirely in 8 MB, so without a periodic
@@ -126,19 +127,17 @@ pub fn measure_mp_obs(
         daemon_period: Some(MP_DAEMON_PERIOD),
         ..SimConfig::default()
     };
-    let mut node = MpSystem::new(config, &workload, scale.seed, MpParams::default())?;
-    if let Some(params) = obs {
-        node.enable_obs(params);
-    }
-    node.run(scale.refs)?;
-    node.check_invariants()?;
-    let sim = node.system();
+    let sched = MpScheduler::new(&workload, cpus, scale.seed)?;
+    let (sim, report) = SpurSystem::new(config)
+        .and_then(|sim| sim.simulate(&workload, sched, scale.refs, obs))
+        .map_err(|e| e.to_string())?;
+    sim.check_invariants()?;
     let stats = sim.vm().stats();
     let row = MpRow {
         cpus,
         policy,
         shared_pages,
-        refs: node.refs(),
+        refs: sim.refs(),
         page_ins: stats.page_ins,
         page_flushes: sim.counters().total(CounterEvent::PageFlush),
         flush_writebacks: stats.flush_writebacks,
@@ -146,7 +145,7 @@ pub fn measure_mp_obs(
         owner_supplies: sim.counters().total(CounterEvent::OwnerSupply),
         elapsed_secs: sim.events().elapsed_seconds(),
     };
-    Ok((row, node.finish_obs()))
+    Ok((row, report))
 }
 
 /// The stable cell key shared by `reproduce_mp`, the serving API, and

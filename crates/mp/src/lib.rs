@@ -28,11 +28,21 @@
 //! CPU.
 
 pub mod experiment;
-pub mod sched;
-pub mod system;
+pub(crate) mod sched;
+pub(crate) mod system;
 
-pub use experiment::{
-    measure_mp, measure_mp_obs, mp_key, mp_model, render_mp, render_mp_model, MpModelRow, MpRow,
-};
-pub use sched::{shard_seed, MpScheduler, DEFAULT_EPOCH};
+pub use experiment::measure_mp;
+
+pub use experiment::measure_mp_obs;
+
+pub use experiment::mp_key;
+
+pub use experiment::mp_model;
+
+pub use experiment::render_mp;
+
+pub use experiment::render_mp_model;
+
+pub use experiment::MpRow;
+pub use sched::MpScheduler;
 pub use system::{MpParams, MpSystem};

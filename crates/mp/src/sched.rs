@@ -36,14 +36,14 @@ use spur_trace::TraceGenerator;
 /// generator's scheduling quantum so a shard's own round-robin over its
 /// processes is never cut mid-quantum more often than on a
 /// uniprocessor.
-pub const DEFAULT_EPOCH: u64 = 4_096;
+pub(crate) const DEFAULT_EPOCH: u64 = 4_096;
 
 /// Spreads the run seed across CPU indices (golden-ratio stride).
 /// CPU 0 multiplies by zero and keeps the base seed.
 const SHARD_SEED_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// The per-shard generator seed.
-pub fn shard_seed(seed: u64, cpu: usize) -> u64 {
+pub(crate) fn shard_seed(seed: u64, cpu: usize) -> u64 {
     seed ^ (cpu as u64).wrapping_mul(SHARD_SEED_STRIDE)
 }
 
@@ -137,16 +137,6 @@ impl MpScheduler {
             exhausted: false,
             issued: 0,
         })
-    }
-
-    /// Number of CPUs (shards).
-    pub fn cpus(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// References handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
     }
 
     /// Single-worker path: pull the next reference straight off the

@@ -11,7 +11,7 @@
 //! workload, so counters, obs events (stamped with their CPU), and the
 //! lockstep oracle all see a genuine per-CPU interleave.
 
-use spur_core::{ObsParams, ObsReport, SimConfig, SpurSystem};
+use spur_core::{SimConfig, SpurSystem};
 use spur_trace::workloads::Workload;
 use spur_types::Cycles;
 
@@ -78,25 +78,10 @@ impl MpSystem {
         sys.run(sched, limit).map_err(|e| e.to_string())
     }
 
-    /// Turns on observability (delegates to the simulator).
-    pub fn enable_obs(&mut self, params: ObsParams) {
-        self.sys.enable_obs(params);
-    }
-
-    /// Finalizes and takes the observability report, if recording.
-    pub fn finish_obs(&mut self) -> Option<ObsReport> {
-        self.sys.finish_obs()
-    }
-
     /// The underlying simulator, for counters, VM stats, and event
     /// totals.
     pub fn system(&self) -> &SpurSystem {
         &self.sys
-    }
-
-    /// Number of simulated CPUs.
-    pub fn cpus(&self) -> usize {
-        self.sched.cpus()
     }
 
     /// References executed.
@@ -107,14 +92,5 @@ impl MpSystem {
     /// Total simulated cycles.
     pub fn cycles(&self) -> Cycles {
         self.sys.cycles()
-    }
-
-    /// Cross-layer invariant check (delegates to the simulator).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.sys.check_invariants()
     }
 }

@@ -51,7 +51,7 @@ impl EpochSeries {
     }
 
     /// The sampling interval in references.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 

@@ -75,7 +75,7 @@ impl EventKind {
     ];
 
     /// Number of kinds (the length of [`EventKind::ALL`]).
-    pub const COUNT: usize = Self::ALL.len();
+    pub(crate) const COUNT: usize = Self::ALL.len();
 
     /// The original uniprocessor kinds, in declaration order. Metrics
     /// artifacts always report these; the coherence kinds that follow
@@ -175,7 +175,7 @@ impl SimEvent {
     /// in cycles: it starts `cost` cycles before it completed
     /// (saturating at 0), and lasts at least one cycle so zero-cost
     /// bookkeeping events stay visible.
-    pub fn extent(&self) -> (u64, u64) {
+    pub(crate) fn extent(&self) -> (u64, u64) {
         (self.cycle.saturating_sub(self.cost), self.cost.max(1))
     }
 }

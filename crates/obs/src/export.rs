@@ -25,7 +25,7 @@ const TRACE_PID: u64 = 1;
 /// The Chrome-trace-event encoder, loadable at <https://ui.perfetto.dev>.
 ///
 /// Each retained event, oldest first, becomes a complete (`"ph": "X"`)
-/// duration event placed by [`SimEvent::extent`]: `ts` is the simulated
+/// duration event placed by `SimEvent::extent`: `ts` is the simulated
 /// cycle the event *started*, so durations nest sensibly on the
 /// timeline, and `dur` is its cost clamped to at least 1. Each
 /// simulated CPU gets its own thread track (`tid` = CPU number), and
@@ -35,8 +35,6 @@ const TRACE_PID: u64 = 1;
 ///
 /// Kind names and categories are plain identifiers, so nothing here
 /// needs JSON escaping.
-///
-/// [`SimEvent::extent`]: crate::SimEvent::extent
 impl ChromeTrace for TraceRecorder {
     fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
         out.write_all(b"{\"traceEvents\":[")?;
@@ -72,19 +70,19 @@ impl TraceRecorder {
 }
 
 /// Process id of the server-span track in [`merged_chrome_trace`].
-pub const MERGED_SERVER_PID: u64 = 0;
+pub(crate) const MERGED_SERVER_PID: u64 = 0;
 /// Process id of the rescaled simulator track in [`merged_chrome_trace`].
-pub const MERGED_SIM_PID: u64 = 1;
+pub(crate) const MERGED_SIM_PID: u64 = 1;
 
 /// Builds a Chrome-trace document from one request's span tree,
 /// optionally merging the job's simulated-time event stream onto the
 /// same timeline.
 ///
-/// Server spans land on pid [`MERGED_SERVER_PID`] with real
+/// Server spans land on pid `MERGED_SERVER_PID` with real
 /// microsecond timestamps (the span sink's clock). If `sim` is the
 /// job's event recorder (timestamped in simulated cycles), its retained
 /// events are linearly rescaled into the `run` span's real-time
-/// interval and placed on pid [`MERGED_SIM_PID`] — so a Perfetto view
+/// interval and placed on pid `MERGED_SIM_PID` — so a Perfetto view
 /// shows queue wait, worker execution, and the individual simulated
 /// faults *inside* that execution, on one coherent axis. Each rescaled
 /// event keeps its original start cycle in `args.cycle`.

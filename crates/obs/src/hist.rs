@@ -8,7 +8,7 @@
 //! (bucket 64 holds `[2^63, u64::MAX]`).
 
 /// Number of buckets: one for zero plus one per bit of `u64`.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A fixed-size log2-bucket histogram over `u64` samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +103,7 @@ impl Histogram {
     }
 
     /// Count in bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
+    pub(crate) fn bucket_count(&self, i: usize) -> u64 {
         self.counts[i]
     }
 

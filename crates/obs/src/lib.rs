@@ -38,12 +38,12 @@
 //! pure function of the cell's inputs: cycle timestamps come from the
 //! simulated clock, never the host's.
 
-pub mod epoch;
-pub mod event;
-pub mod export;
+pub(crate) mod epoch;
+pub(crate) mod event;
+pub(crate) mod export;
 pub mod hist;
 pub mod prometheus;
-pub mod recorder;
+pub(crate) mod recorder;
 pub mod slo;
 pub mod span;
 pub mod validate;
@@ -52,6 +52,4 @@ pub use epoch::EpochSeries;
 pub use event::{EventKind, SimEvent};
 pub use export::{histogram_json, merged_chrome_trace, series_json};
 pub use hist::Histogram;
-pub use recorder::{CpuTag, EventBuf, NoopRecorder, Recorder, TraceRecorder};
-pub use slo::{SloKind, SloReport, SloStatus, SloTarget, SloTracker};
-pub use span::{Span, SpanContext, SpanSink, Trace};
+pub use recorder::{EventBuf, NoopRecorder, Recorder, TraceRecorder};

@@ -27,53 +27,16 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {}
 
-/// A recorder adapter that stamps every event with a CPU number before
-/// forwarding it.
-///
-/// Emitters below `spur-core` (cache translation, the VM layer) don't
-/// know which simulated CPU is driving them; the system wraps its
-/// recorder in a `CpuTag` for the duration of a reference so every
-/// event they emit lands on the right per-CPU track.
-pub struct CpuTag<'a> {
-    inner: &'a mut dyn Recorder,
-    cpu: u32,
-}
-
-impl std::fmt::Debug for CpuTag<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CpuTag").field("cpu", &self.cpu).finish()
-    }
-}
-
-impl<'a> CpuTag<'a> {
-    /// Wraps `inner`, stamping forwarded events with `cpu`.
-    pub fn new(inner: &'a mut dyn Recorder, cpu: u32) -> Self {
-        CpuTag { inner, cpu }
-    }
-}
-
-impl Recorder for CpuTag<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn emit(&mut self, mut event: SimEvent) {
-        event.cpu = self.cpu;
-        self.inner.emit(event);
-    }
-}
-
 /// An append-only batch of events, drained into a [`TraceRecorder`] in
 /// exact emission order.
 ///
-/// This is the hot-path alternative to wrapping the ring in a
-/// [`CpuTag`] for every reference: the system keeps one persistent
-/// buffer, points `cpu` at the CPU driving the reference in flight, and
-/// lower layers emit into it through `&mut dyn Recorder` exactly as
-/// they would into the ring. The system drains the buffer into its
-/// `TraceRecorder` once per batch (and before any read), so ring
-/// contents, per-kind counts, and drop accounting are byte-identical to
-/// unbatched emission — batching is visible only in speed.
+/// The system keeps one persistent buffer, points `cpu` at the CPU
+/// driving the reference in flight, and lower layers emit into it
+/// through `&mut dyn Recorder` exactly as they would into the ring.
+/// The system drains the buffer into its `TraceRecorder` once per batch
+/// (and before any read), so ring contents, per-kind counts, and drop
+/// accounting are byte-identical to unbatched emission — batching is
+/// visible only in speed.
 #[derive(Debug, Default)]
 pub struct EventBuf {
     events: Vec<SimEvent>,
@@ -212,12 +175,12 @@ impl TraceRecorder {
     /// Iterates the retained events oldest first, without copying the
     /// ring. `head` stays 0 until the ring fills, so the split is a
     /// no-op before the first wrap.
-    pub fn iter(&self) -> impl Iterator<Item = &SimEvent> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SimEvent> {
         self.ring[self.head..].iter().chain(&self.ring[..self.head])
     }
 
     /// `[first start, last end]` in simulated cycles over the retained
-    /// events' [`SimEvent::extent`]s; `None` when nothing is retained.
+    /// events' `SimEvent::extent`s; `None` when nothing is retained.
     /// This is the slice of simulated time an exported trace covers.
     pub fn cycle_bounds(&self) -> Option<(u64, u64)> {
         self.iter()
@@ -271,19 +234,6 @@ mod tests {
             cost: 10,
             cpu: 0,
         }
-    }
-
-    #[test]
-    fn cpu_tag_stamps_and_delegates() {
-        let mut inner = TraceRecorder::new(4);
-        {
-            let mut tagged = CpuTag::new(&mut inner, 3);
-            assert!(tagged.enabled());
-            tagged.emit(ev(EventKind::PageIn, 5));
-        }
-        assert_eq!(inner.events()[0].cpu, 3);
-        let mut noop = NoopRecorder;
-        assert!(!CpuTag::new(&mut noop, 1).enabled());
     }
 
     #[test]
@@ -368,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn event_buf_stamps_cpu_like_cpu_tag() {
+    fn event_buf_stamps_cpu() {
         let mut buf = EventBuf {
             cpu: 5,
             ..Default::default()

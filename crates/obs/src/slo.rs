@@ -48,7 +48,7 @@ pub enum SloKind {
 
 impl SloKind {
     /// The flag/metric name, e.g. `p99_submit_ms`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SloKind::P99SubmitMs => "p99_submit_ms",
             SloKind::P99E2eMs => "p99_e2e_ms",
@@ -108,7 +108,7 @@ impl SloTarget {
 /// The verdict on one target at one evaluation instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloStatus {
-    /// Target name (see [`SloKind::name`]).
+    /// Target name (see `SloKind::name`).
     pub name: &'static str,
     /// Declared threshold.
     pub target: f64,
@@ -196,16 +196,6 @@ impl SloTracker {
                 ..SloState::default()
             }),
         }
-    }
-
-    /// The declared targets, in order.
-    pub fn targets(&self) -> &[SloTarget] {
-        &self.targets
-    }
-
-    /// The evaluation window, microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window_us
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SloState> {

@@ -43,7 +43,7 @@ use std::time::Instant;
 use spur_harness::Json;
 
 /// Parent id of a root span.
-pub const NO_PARENT: u64 = 0;
+pub(crate) const NO_PARENT: u64 = 0;
 
 /// A `(trace, span)` handle, valid for the sink that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct SpanContext {
 pub struct Span {
     /// Sink-unique id.
     pub id: u64,
-    /// Parent span id, [`NO_PARENT`] for the root.
+    /// Parent span id, `NO_PARENT` for the root.
     pub parent: u64,
     /// Phase name, e.g. `"queue_wait"`.
     pub name: String,
@@ -79,14 +79,6 @@ impl Span {
     /// The span's duration, if closed.
     pub fn duration_us(&self) -> Option<u64> {
         self.end_us.map(|end| end.saturating_sub(self.start_us))
-    }
-
-    /// First value of an attribute, by exact key.
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -108,7 +100,7 @@ impl Trace {
     }
 
     /// The first span with this name, if any.
-    pub fn span_named(&self, name: &str) -> Option<&Span> {
+    pub(crate) fn span_named(&self, name: &str) -> Option<&Span> {
         self.spans.iter().find(|s| s.name == name)
     }
 
@@ -120,7 +112,7 @@ impl Trace {
     /// Sum of the durations of every closed *direct child* of the root
     /// — the quantity the reconciliation tests compare against the root
     /// duration.
-    pub fn attributed_us(&self) -> u64 {
+    pub(crate) fn attributed_us(&self) -> u64 {
         let root = self.spans[0].id;
         self.spans
             .iter()
@@ -351,24 +343,9 @@ impl SpanSink {
             .cloned()
     }
 
-    /// Traces opened over the sink's lifetime.
-    pub fn started_total(&self) -> u64 {
-        self.lock().started
-    }
-
-    /// Traces sealed over the sink's lifetime.
-    pub fn finished_total(&self) -> u64 {
-        self.lock().finished
-    }
-
     /// Completed traces evicted from the bounded ring.
     pub fn evicted_total(&self) -> u64 {
         self.lock().evicted
-    }
-
-    /// Traces currently open.
-    pub fn active_len(&self) -> usize {
-        self.lock().active.len()
     }
 }
 
@@ -405,8 +382,8 @@ mod tests {
         assert_eq!(trace.attributed_us(), 2000, "phases sum to the wall");
         assert_eq!(trace.phase_us("queue_wait"), Some(500));
         assert_eq!(
-            trace.span_named("queue_wait").unwrap().attr("depth"),
-            Some("3")
+            trace.span_named("queue_wait").unwrap().attrs,
+            vec![("depth".to_string(), "3".to_string())]
         );
     }
 
@@ -468,8 +445,8 @@ mod tests {
         assert!(sink.snapshot(ids[1]).is_none());
         assert!(sink.snapshot(ids[2]).is_some());
         assert!(sink.snapshot(ids[3]).is_some());
-        assert_eq!(sink.started_total(), 4);
-        assert_eq!(sink.finished_total(), 4);
+        assert_eq!(sink.lock().started, 4);
+        assert_eq!(sink.lock().finished, 4);
     }
 
     #[test]
@@ -479,10 +456,10 @@ mod tests {
         let snap = sink.snapshot(root.trace).unwrap();
         assert!(!snap.complete);
         assert_eq!(snap.root().end_us, None);
-        assert_eq!(sink.active_len(), 1);
+        assert_eq!(sink.lock().active.len(), 1);
         sink.abandon(root.trace);
         assert!(sink.snapshot(root.trace).is_none());
-        assert_eq!(sink.finished_total(), 0);
+        assert_eq!(sink.lock().finished, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use spur_harness::Json;
 /// once per level, so an unbounded depth would let one small document
 /// (`"[" × 100 000`) overflow the stack; the deepest document the
 /// workspace writes nests well under ten levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Where and why parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -71,7 +71,7 @@ impl Direction {
 /// A coordinate filter: axis name → required value. A cell matches
 /// when every listed axis has the listed value; unlisted axes are
 /// unconstrained.
-pub type Selector = Vec<(String, Json)>;
+pub(crate) type Selector = Vec<(String, Json)>;
 
 /// One expected-shape assertion.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,7 +194,7 @@ impl Verdict {
 }
 
 /// Follows a dotted path (`data.events.n_ds`) into a document.
-pub fn metric_path<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+pub(crate) fn metric_path<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
     let mut cur = doc;
     for seg in path.split('.') {
         match cur {
@@ -540,7 +540,7 @@ fn parse_selector(doc: &Json, path: &str, axes: &[Axis]) -> Result<Selector, Str
 /// # Errors
 ///
 /// Returns a path-qualified message for the first invalid assertion.
-pub fn parse_assertions(doc: &Json, axes: &[Axis]) -> Result<Vec<Assertion>, String> {
+pub(crate) fn parse_assertions(doc: &Json, axes: &[Axis]) -> Result<Vec<Assertion>, String> {
     let Json::Arr(items) = doc else {
         return Err("assertions: must be an array".into());
     };

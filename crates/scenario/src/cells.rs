@@ -315,35 +315,35 @@ impl Cell {
 }
 
 /// The `flush` kind's cell key (identical to `ablation_flush`).
-pub fn flush_key(pct: u64) -> String {
+pub(crate) fn flush_key(pct: u64) -> String {
     format!("flush/{pct:03}pct")
 }
 
 /// The `assoc` kind's cell key (identical to `ablation_associativity`).
-pub fn assoc_key(workload: &str, ways: usize) -> String {
+pub(crate) fn assoc_key(workload: &str, ways: usize) -> String {
     format!("assoc/{workload}/{ways}way")
 }
 
 /// The `cache_scaling` kind's cell key.
-pub fn cache_scaling_key(kb: usize) -> String {
+pub(crate) fn cache_scaling_key(kb: usize) -> String {
     format!("cache_scaling/{kb:04}KB")
 }
 
 /// The `crossover` kind's cell key (identical to
 /// `ablation_periodic_daemon`).
-pub fn crossover_key(period: Option<u64>, policy: RefPolicy) -> String {
+pub(crate) fn crossover_key(period: Option<u64>, policy: RefPolicy) -> String {
     let p = period.map_or("off".to_string(), |p| format!("{p:07}"));
     format!("crossover/{p}/{policy}")
 }
 
 /// The `events` kind's cell key (`sensitivity/SLC/5MB` with the
 /// matching prefix — identical to `ablation_sensitivity`).
-pub fn events_key(prefix: &str, workload: &str, mb: u32) -> String {
+pub(crate) fn events_key(prefix: &str, workload: &str, mb: u32) -> String {
     format!("{prefix}/{workload}/{mb}MB")
 }
 
 /// The `soft_faults` kind's cell key.
-pub fn soft_faults_key(policy: RefPolicy, enabled: bool) -> String {
+pub(crate) fn soft_faults_key(policy: RefPolicy, enabled: bool) -> String {
     format!(
         "soft_faults/{policy}/{}",
         if enabled { "on" } else { "off" }
@@ -351,13 +351,13 @@ pub fn soft_faults_key(policy: RefPolicy, enabled: bool) -> String {
 }
 
 /// The `watermarks` kind's cell key.
-pub fn watermarks_key(high: u32, policy: RefPolicy) -> String {
+pub(crate) fn watermarks_key(high: u32, policy: RefPolicy) -> String {
     format!("watermarks/{high:03}/{policy}")
 }
 
 /// The `sim` kind's cell key: every effective coordinate appears, so
 /// adding an axis later never re-keys existing cells.
-pub fn sim_key(
+pub(crate) fn sim_key(
     workload: &str,
     mb: u32,
     dirty: DirtyPolicy,
@@ -369,7 +369,7 @@ pub fn sim_key(
 
 /// The `refbit` kind's cell key (identical to `reproduce_all`'s
 /// Table 4.1 cells).
-pub fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
+pub(crate) fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
     format!("table_4_1/{workload}/{mb}MB/{policy}")
 }
 
@@ -377,13 +377,13 @@ pub fn refbit_key(workload: &str, mb: u32, policy: RefPolicy) -> String {
 /// Table 3.5 cells). Keyed by row index as well as name: Table 3.5
 /// samples the machine "mace" twice (two snapshots at different
 /// uptimes).
-pub fn pageout_key(index: usize, host: &str) -> String {
+pub(crate) fn pageout_key(index: usize, host: &str) -> String {
     format!("table_3_5/{index}/{host}")
 }
 
 /// The `tlb` kind's cell key (identical to the retired `sweep_tlb`
 /// binary's).
-pub fn tlb_key(entries: usize, flush_on_switch: bool) -> String {
+pub(crate) fn tlb_key(entries: usize, flush_on_switch: bool) -> String {
     let mode = if flush_on_switch { "flush" } else { "tagged" };
     format!("tlb/{entries:04}/{mode}")
 }

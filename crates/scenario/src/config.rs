@@ -21,30 +21,30 @@ use spur_vm::policy::RefPolicy;
 use crate::asserts::{parse_assertions, Assertion};
 
 /// The scenario schema version this crate reads and writes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Guardrail on a scenario's resolved `scale.refs`.
-pub const MAX_REFS: u64 = 100_000_000;
+pub(crate) const MAX_REFS: u64 = 100_000_000;
 
 /// Guardrail on `scale.reps`.
-pub const MAX_REPS: u32 = 16;
+pub(crate) const MAX_REPS: u32 = 16;
 
 /// Largest accepted memory size in megabytes.
 pub const MAX_MEM_MB: u64 = 4096;
 
 /// Largest matrix a single scenario may expand to.
-pub const MAX_CELLS: usize = 4096;
+pub(crate) const MAX_CELLS: usize = 4096;
 
 /// Largest `shared_pages` coordinate of an `mp` cell.
-pub const MAX_SHARED_PAGES: u64 = 8192;
+pub(crate) const MAX_SHARED_PAGES: u64 = 8192;
 
 /// Largest `entries` coordinate of a `tlb` cell. The baseline TLB is a
 /// linear-scan LRU, so a cell's time grows with its size.
-pub const MAX_TLB_ENTRIES: u64 = 4096;
+pub(crate) const MAX_TLB_ENTRIES: u64 = 4096;
 
 /// Guardrail on `scale.dev_refs_per_hour`: a `pageout` cell simulates
 /// up to 119 hours of uptime at this rate.
-pub const MAX_DEV_REFS_PER_HOUR: u64 = 1_000_000;
+pub(crate) const MAX_DEV_REFS_PER_HOUR: u64 = 1_000_000;
 
 /// Where a scenario's references come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +70,7 @@ impl WorkloadSource {
     /// Resolves the source to the region-defining [`Workload`].
     /// Infallible after validation — builtins were checked at parse
     /// time and spec texts were parsed once already.
-    pub fn workload(&self) -> Workload {
+    pub(crate) fn workload(&self) -> Workload {
         match self {
             WorkloadSource::Builtin(name) => match name.as_str() {
                 "SLC" => slc(),
@@ -95,7 +95,7 @@ impl WorkloadSource {
     }
 
     /// The recorded-trace path, when this source replays one.
-    pub fn trace_path(&self) -> Option<&str> {
+    pub(crate) fn trace_path(&self) -> Option<&str> {
         match self {
             WorkloadSource::Trace { path, .. } => Some(path),
             _ => None,
@@ -143,7 +143,7 @@ pub enum Kind {
 
 impl Kind {
     /// Every kind, in config-documentation order.
-    pub const ALL: [Kind; 12] = [
+    pub(crate) const ALL: [Kind; 12] = [
         Kind::Flush,
         Kind::Assoc,
         Kind::CacheScaling,
@@ -226,7 +226,7 @@ impl Default for RunOptions {
 /// A parsed, validated scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
-    /// Schema version (currently always [`SCHEMA_VERSION`]).
+    /// Schema version (currently always `SCHEMA_VERSION`).
     pub schema_version: u64,
     /// Scenario name — the artifact run directory is
     /// `<name>-<scale>/`, so legacy configs carry the binary's name.
@@ -285,7 +285,7 @@ impl Scenario {
     }
 
     /// The axis with the given name, if declared.
-    pub fn axis(&self, name: &str) -> Option<&Axis> {
+    pub(crate) fn axis(&self, name: &str) -> Option<&Axis> {
         self.axes.iter().find(|a| a.name == name)
     }
 

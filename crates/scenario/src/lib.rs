@@ -34,10 +34,12 @@ pub mod config;
 pub mod render;
 pub mod run;
 
-pub use asserts::{Assertion, CellResult, Verdict};
+pub use asserts::CellResult;
+
+pub use asserts::Verdict;
 pub use cells::{Cell, CellValue};
-pub use config::{Kind, Scenario, WorkloadSource, SCHEMA_VERSION};
+pub use config::{Kind, Scenario, WorkloadSource};
 pub use run::{
-    export_traces, parse_run_flags, persist_run, run_flags, run_legacy, run_scenario, scale_name,
-    RunFlags, RunnerOptions, ScenarioRun, RUN_FLAGS_USAGE,
+    export_traces, persist_run, run_flags, run_legacy, run_scenario, scale_name, RunnerOptions,
+    RUN_FLAGS_USAGE,
 };

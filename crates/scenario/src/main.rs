@@ -196,7 +196,11 @@ fn run(args: &[String]) -> ExitCode {
 }
 
 fn list(args: &[String]) -> ExitCode {
-    let dir = args.first().map(String::as_str).unwrap_or("scenarios");
+    let dir = match args {
+        [] => "scenarios",
+        [dir] if !dir.starts_with("--") => dir,
+        _ => return usage_error("list: at most one directory, and no flags"),
+    };
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) => {

@@ -58,7 +58,7 @@ pub fn legacy_banner(scenario: &Scenario, scale: &Scale) -> Option<String> {
 }
 
 /// The stderr prefix each legacy binary used on a missing/failed cell.
-pub fn error_prefix(kind: Kind) -> &'static str {
+pub(crate) fn error_prefix(kind: Kind) -> &'static str {
     match kind {
         Kind::Flush
         | Kind::Assoc

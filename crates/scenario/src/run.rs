@@ -1,7 +1,7 @@
 //! The scenario runner: resolve the scale, expand the matrix, run the
 //! jobs, persist artifacts, evaluate assertions.
 //!
-//! [`parse_run_flags`] is the one parser of the run flags: `spur-scenario
+//! `parse_run_flags` is the one parser of the run flags: `spur-scenario
 //! run` and every experiment binary in spur-bench read their command
 //! lines through it, so a bad value is a usage error everywhere.
 //!
@@ -64,7 +64,7 @@ impl Default for RunnerOptions {
     }
 }
 
-/// Usage text for the run flags [`parse_run_flags`] reads.
+/// Usage text for the run flags `parse_run_flags` reads.
 pub const RUN_FLAGS_USAGE: &str =
     "  --scale quick|default|full   scale preset (default: the scenario's, else default)
   --jobs N                     worker threads (default: $SPUR_JOBS, else all cores)
@@ -73,12 +73,12 @@ pub const RUN_FLAGS_USAGE: &str =
   --trace-out DIR              export Chrome traces under DIR
   --progress                   stderr heartbeat while the pool runs (or $SPUR_PROGRESS)";
 
-/// [`parse_run_flags`] over `args` and the process's `SPUR_JOBS` and
+/// `parse_run_flags` over `args` and the process's `SPUR_JOBS` and
 /// `SPUR_PROGRESS`.
 ///
 /// # Errors
 ///
-/// As [`parse_run_flags`].
+/// As `parse_run_flags`.
 pub fn run_flags(args: impl IntoIterator<Item = String>) -> RunFlags {
     let var = |name| std::env::var(name).ok();
     parse_run_flags(
@@ -89,7 +89,7 @@ pub fn run_flags(args: impl IntoIterator<Item = String>) -> RunFlags {
 }
 
 /// The options the run flags set, and the other arguments in order.
-pub type RunFlags = Result<(RunnerOptions, Vec<String>), String>;
+pub(crate) type RunFlags = Result<(RunnerOptions, Vec<String>), String>;
 
 /// Reads the run flags (`--scale`, `--jobs`, `--no-obs`, `--epoch`,
 /// `--trace-out`, `--progress`) out of `args`, given the `SPUR_JOBS`
@@ -102,7 +102,7 @@ pub type RunFlags = Result<(RunnerOptions, Vec<String>), String>;
 ///
 /// A usage message for a missing or bad value, or for a non-empty
 /// `SPUR_JOBS` that is not a positive integer.
-pub fn parse_run_flags(
+pub(crate) fn parse_run_flags(
     args: impl IntoIterator<Item = String>,
     jobs_env: Option<&str>,
     progress_env: Option<&str>,
@@ -162,7 +162,7 @@ pub struct ScenarioRun {
 
 impl ScenarioRun {
     /// Keys of cells that failed (error or panic).
-    pub fn failed_cells(&self) -> Vec<&str> {
+    pub(crate) fn failed_cells(&self) -> Vec<&str> {
         self.report
             .jobs()
             .iter()
@@ -172,7 +172,7 @@ impl ScenarioRun {
     }
 
     /// Whether every assertion passed.
-    pub fn assertions_passed(&self) -> bool {
+    pub(crate) fn assertions_passed(&self) -> bool {
         self.verdicts.iter().all(|v| v.passed)
     }
 
@@ -306,7 +306,7 @@ pub fn run_legacy(scenario: &Scenario, opts: &RunnerOptions) -> i32 {
 
 /// Prints every failed assertion (name plus per-cell failures) to
 /// stderr.
-pub fn report_failed_assertions(run: &ScenarioRun) {
+pub(crate) fn report_failed_assertions(run: &ScenarioRun) {
     for v in run.verdicts.iter().filter(|v| !v.passed) {
         eprintln!("assertion failed: {}", v.name);
         for f in &v.failures {

@@ -1,6 +1,7 @@
-//! The `spur-scenario` binary's flag parsing: a bad `run` flag is a
-//! usage error (exit 2) before any cell runs, and `--trace-out` exports
-//! traces whether or not the run persists its artifacts.
+//! The `spur-scenario` binary's flag parsing: a bad `run` flag or a
+//! `list` argument past the one directory is a usage error (exit 2)
+//! before anything runs, and `--trace-out` exports traces whether or
+//! not the run persists its artifacts.
 
 use std::process::{Command, Output};
 
@@ -50,9 +51,12 @@ fn scenario(args: &[&str]) -> Output {
         .expect("spur-scenario starts")
 }
 
+/// The committed scenario configs.
+const SCENARIOS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+
 #[test]
 fn bad_run_flags_print_usage_and_exit_2() {
-    let cases: [(&str, Output); 7] = [
+    let cases: [(&str, Output); 9] = [
         ("--scale bogus", run(&["--scale", "bogus"])),
         ("trailing --scale", run(&["--scale"])),
         ("--jobs 0", run(&["--jobs", "0"])),
@@ -63,6 +67,11 @@ fn bad_run_flags_print_usage_and_exit_2() {
             "no scenario path",
             scenario(&["run", "--no-persist", "--jobs", "1"]),
         ),
+        (
+            "list with two paths",
+            scenario(&["list", SCENARIOS, "extra"]),
+        ),
+        ("list --bogus", scenario(&["list", "--bogus"])),
     ];
     for (case, out) in cases {
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -77,6 +86,13 @@ fn bad_run_flags_print_usage_and_exit_2() {
             String::from_utf8_lossy(&out.stdout)
         );
     }
+}
+
+#[test]
+fn list_summarizes_one_directory() {
+    let out = scenario(&["list", SCENARIOS]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ablation_flush.json"));
 }
 
 /// The files under `dir`, by name, with their bytes.

@@ -55,7 +55,7 @@ impl JobSpec {
     /// The experiment family name (`refbit`, `events`, `mp`), used as
     /// the `experiment` label on span-derived Prometheus histograms (a
     /// closed, static set so label cardinality stays bounded).
-    pub fn experiment(&self) -> &'static str {
+    pub(crate) fn experiment(&self) -> &'static str {
         self.cell.kind.as_str()
     }
 
@@ -67,7 +67,7 @@ impl JobSpec {
 
     /// The submission's priority lane (`"priority"` field, default
     /// normal).
-    pub fn priority(&self) -> Priority {
+    pub(crate) fn priority(&self) -> Priority {
         self.priority
     }
 
@@ -75,7 +75,7 @@ impl JobSpec {
     /// references across repetitions, the one knob that scales run
     /// time. A greedy client submitting huge cells burns its deficit
     /// proportionally faster than one submitting quick cells.
-    pub fn cost(&self) -> u64 {
+    pub(crate) fn cost(&self) -> u64 {
         self.cell
             .scale
             .refs
@@ -91,7 +91,7 @@ impl JobSpec {
     }
 
     /// The compiled cell, whose [`Cell::job`] the worker runs.
-    pub fn into_cell(self) -> Cell {
+    pub(crate) fn into_cell(self) -> Cell {
         self.cell
     }
 }

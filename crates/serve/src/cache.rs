@@ -9,22 +9,13 @@
 //! capacity. Only successful single-job runs are cached: failures must
 //! re-run (the fault may have been chaos), and scenario cells carry
 //! matrix context that isn't identity-addressable.
-//!
-//! Counters live here (not in the metrics registry) so a cache and its
-//! accounting can never drift: every `get` is exactly one hit or one
-//! miss, every capacity overflow is one eviction.
 
 use std::collections::HashMap;
 
 /// A cached completed run: everything `job_result` and `job_status`
 /// need to answer without touching a worker.
 #[derive(Debug, Clone)]
-pub struct CachedResult {
-    /// The harness key (`table_4_1/SLC/5MB/MISS`) — kept for the
-    /// status body and the experiment label.
-    pub key: String,
-    /// The experiment family, a static label for metrics.
-    pub experiment: &'static str,
+pub(crate) struct CachedResult {
     /// The artifact JSON, byte-identical to the leader's persisted
     /// file.
     pub artifact: String,
@@ -39,77 +30,37 @@ pub struct CachedResult {
 /// small (hundreds), so the O(n) recency splice on hit is noise next
 /// to the simulation it saves. Capacity 0 disables caching entirely —
 /// every lookup is a miss and nothing is stored.
-pub struct ResultsCache {
+pub(crate) struct ResultsCache {
     entries: HashMap<String, CachedResult>,
     /// Identities from least- to most-recently used.
     order: std::collections::VecDeque<String>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl ResultsCache {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ResultsCache {
             entries: HashMap::new(),
             order: std::collections::VecDeque::new(),
             capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Looks up an identity, counting a hit (and refreshing recency)
-    /// or a miss.
-    pub fn get(&mut self, identity: &str) -> Option<CachedResult> {
-        match self.entries.get(identity) {
-            Some(found) => {
-                let found = found.clone();
-                self.hits += 1;
-                if let Some(pos) = self.order.iter().position(|k| k == identity) {
-                    self.order.remove(pos);
-                }
-                self.order.push_back(identity.to_string());
-                Some(found)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// Looks up an identity, refreshing its recency on a hit.
+    pub(crate) fn get(&mut self, identity: &str) -> Option<CachedResult> {
+        let found = self.entries.get(identity)?.clone();
+        if let Some(pos) = self.order.iter().position(|k| k == identity) {
+            self.order.remove(pos);
         }
+        self.order.push_back(identity.to_string());
+        Some(found)
     }
 
     /// Stores a completed result, evicting the least-recently-used
     /// entry if at capacity. Re-inserting an existing identity (two
     /// leaders can race across instances) refreshes value and recency
     /// without an eviction. Returns `true` when an entry was evicted.
-    pub fn insert(&mut self, identity: String, result: CachedResult) -> bool {
+    pub(crate) fn insert(&mut self, identity: String, result: CachedResult) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -121,7 +72,6 @@ impl ResultsCache {
         } else if self.entries.len() > self.capacity {
             if let Some(oldest) = self.order.pop_front() {
                 self.entries.remove(&oldest);
-                self.evictions += 1;
                 evicted = true;
             }
         }
@@ -136,22 +86,19 @@ mod tests {
 
     fn result(tag: &str) -> CachedResult {
         CachedResult {
-            key: format!("key/{tag}"),
-            experiment: "refbit",
             artifact: format!("{{\"artifact\":\"{tag}\"}}"),
             wall_ms: 7,
         }
     }
 
     #[test]
-    fn hit_returns_the_stored_bytes_and_counts() {
+    fn hit_returns_the_stored_bytes() {
         let mut c = ResultsCache::new(4);
         assert!(c.get("a").is_none());
-        c.insert("a".into(), result("a"));
+        assert!(!c.insert("a".into(), result("a")));
         let hit = c.get("a").unwrap();
         assert_eq!(hit.artifact, "{\"artifact\":\"a\"}");
-        assert_eq!(hit.key, "key/a");
-        assert_eq!((c.hits(), c.misses(), c.evictions()), (1, 1, 0));
+        assert_eq!(hit.wall_ms, 7);
     }
 
     #[test]
@@ -161,16 +108,15 @@ mod tests {
         c.insert("b".into(), result("b"));
         // Touch "a" so "b" becomes the LRU victim.
         c.get("a").unwrap();
-        c.insert("c".into(), result("c"));
+        assert!(c.insert("c".into(), result("c")), "one eviction");
         assert!(c.get("b").is_none(), "b was least recently used");
         assert!(c.get("a").is_some());
         assert!(c.get("c").is_some());
-        assert_eq!(c.evictions(), 1);
         // Next insert evicts "a" (touched before c was inserted, but
         // the gets above refreshed both a and c — oldest is now a).
-        c.insert("d".into(), result("d"));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 2);
+        assert!(c.insert("d".into(), result("d")), "a second eviction");
+        assert_eq!(c.entries.len(), 2);
+        assert!(c.get("a").is_none());
     }
 
     #[test]
@@ -178,9 +124,8 @@ mod tests {
         let mut c = ResultsCache::new(2);
         c.insert("a".into(), result("a"));
         c.insert("b".into(), result("b"));
-        c.insert("a".into(), result("a2"));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 0);
+        assert!(!c.insert("a".into(), result("a2")), "no eviction");
+        assert_eq!(c.entries.len(), 2);
         assert_eq!(c.get("a").unwrap().artifact, "{\"artifact\":\"a2\"}");
         // "b" is now the LRU.
         c.insert("c".into(), result("c"));
@@ -188,11 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_storage_but_still_counts_misses() {
+    fn zero_capacity_disables_storage() {
         let mut c = ResultsCache::new(0);
-        c.insert("a".into(), result("a"));
-        assert!(c.is_empty());
+        assert!(!c.insert("a".into(), result("a")));
+        assert!(c.entries.is_empty());
         assert!(c.get("a").is_none());
-        assert_eq!((c.hits(), c.misses()), (0, 1));
     }
 }

@@ -43,7 +43,7 @@ fn bad_input(message: String) -> std::io::Error {
 /// Issues one request and reads the full response.
 ///
 /// `timeout` applies to connect, read, and write independently.
-pub fn http_request(
+pub(crate) fn http_request(
     addr: &str,
     method: &str,
     path: &str,
@@ -53,7 +53,7 @@ pub fn http_request(
     http_request_headers(addr, method, path, body, &[], timeout)
 }
 
-/// Like [`http_request`], with extra request headers — how a caller
+/// Like `http_request`, with extra request headers — how a caller
 /// identifies itself (`x-client-id`) or a proxying instance marks a
 /// forwarded hop (`x-spur-forwarded`).
 pub fn http_request_headers(

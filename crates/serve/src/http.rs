@@ -12,11 +12,11 @@
 use std::io::{Read, Write};
 
 /// Largest request head (request line + headers) accepted, in bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Upper-cased method, e.g. `"POST"`.
     pub method: String,
     /// The request target with any query string stripped, e.g.
@@ -30,7 +30,7 @@ pub struct Request {
 
 impl Request {
     /// First value of a header, by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()
@@ -41,9 +41,9 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// The socket failed or timed out; there is nobody to answer.
-    Io(std::io::Error),
+    Io,
     /// The bytes were not a well-formed request (answer 400).
     Malformed(&'static str),
     /// Head or declared body exceeded its cap (answer 431/413).
@@ -51,8 +51,8 @@ pub enum ReadError {
 }
 
 impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        ReadError::Io(e)
+    fn from(_: std::io::Error) -> Self {
+        ReadError::Io
     }
 }
 
@@ -60,7 +60,7 @@ impl From<std::io::Error> for ReadError {
 ///
 /// `max_body` caps the `Content-Length` the server is willing to
 /// buffer. The head is capped at [`MAX_HEAD_BYTES`].
-pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ReadError> {
+pub(crate) fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, ReadError> {
     // Accumulate until the blank line ending the head.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let head_end = loop {
@@ -76,10 +76,7 @@ pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, 
             if buf.is_empty() {
                 // Peer connected and said nothing: not an attack, just
                 // a probe (health checks do this). Report cleanly.
-                return Err(ReadError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "empty connection",
-                )));
+                return Err(ReadError::Io);
             }
             return Err(ReadError::Malformed("truncated request head"));
         }
@@ -158,7 +155,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// One response ready to write.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// `Content-Type` of the body.
@@ -171,7 +168,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Self {
+    pub(crate) fn json(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "application/json",
@@ -181,7 +178,7 @@ impl Response {
     }
 
     /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Self {
+    pub(crate) fn text(status: u16, body: String) -> Self {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -191,14 +188,14 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: String) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: String) -> Self {
         self.extra_headers.push((name.to_string(), value));
         self
     }
 }
 
 /// The reason phrase for the status codes this server emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+pub(crate) fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -216,7 +213,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Serializes `response` onto `stream` with `Connection: close`.
-pub fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
+pub(crate) fn write_response(stream: &mut impl Write, response: &Response) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         response.status,

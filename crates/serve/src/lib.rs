@@ -19,14 +19,14 @@
 //! deterministic and byte-reproducible, which is what makes the cache
 //! and coalescing *correct*, not merely fast: a cached or coalesced
 //! answer is provably the same bytes a fresh run would produce. See
-//! [`queue::FairQueue`], [`cache::ResultsCache`], [`ring::HashRing`].
+//! `queue::FairQueue`, `cache::ResultsCache`, [`ring::HashRing`].
 //!
 //! # API
 //!
 //! | route | effect |
 //! |---|---|
-//! | `POST /v1/jobs` | submit a cell (JSON body, see [`api`]) → `202` with id |
-//! | `POST /v1/scenarios` | submit a whole scenario matrix (see [`scenario`]) → `202` |
+//! | `POST /v1/jobs` | submit a cell (JSON body, see `api`) → `202` with id |
+//! | `POST /v1/scenarios` | submit a whole scenario matrix (see `scenario`) → `202` |
 //! | `GET /v1/scenarios/{id}` | per-cell status; assertion verdicts once done |
 //! | `GET /v1/jobs/{id}` | poll status (`queued`/`running`/`done`/`failed`) |
 //! | `GET /v1/jobs/{id}/result` | the job's artifact document |
@@ -62,21 +62,19 @@
 //!
 //! See `docs/SERVING.md` for the operational guide.
 
-pub mod api;
-pub mod cache;
+pub(crate) mod api;
+pub(crate) mod cache;
 pub mod client;
-pub mod http;
-pub mod metrics;
-pub mod queue;
-pub mod ring;
-pub mod scenario;
-pub mod server;
+pub(crate) mod http;
+pub(crate) mod metrics;
+pub(crate) mod queue;
+pub(crate) mod ring;
+pub(crate) mod scenario;
+pub(crate) mod server;
 
-pub use api::{parse_job_spec, JobSpec};
-pub use cache::{CachedResult, ResultsCache};
-pub use client::{get, http_request, http_request_headers, post_json, HttpResponse};
+pub use api::parse_job_spec;
+
+pub use client::HttpResponse;
 pub use metrics::{PhaseSample, ServeMetrics};
-pub use queue::{retry_after_secs, Admission, FairPushError, FairQueue, Priority};
 pub use ring::HashRing;
-pub use scenario::MAX_SCENARIO_CELLS;
-pub use server::{ChaosConfig, DrainSummary, ServeConfig, Server};
+pub use server::{ChaosConfig, ServeConfig, Server};

@@ -158,7 +158,7 @@ impl ServeMetrics {
     /// completion/failure totals and the e2e latency summary, but not
     /// the phase histograms — those measure actual work, and a
     /// follower's queue_wait/run phases would be fiction.
-    pub fn observe_logical(&self, e2e_ms: u64, ok: bool) {
+    pub(crate) fn observe_logical(&self, e2e_ms: u64, ok: bool) {
         if ok {
             self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         } else {

@@ -27,7 +27,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// a greedy client never jumps another client's queue, it only jumps
 /// that client's own lower-priority jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Priority {
+pub(crate) enum Priority {
     High,
     Normal,
     Low,
@@ -41,20 +41,11 @@ impl Priority {
             Priority::Low => 2,
         }
     }
-
-    /// The wire name, as accepted in the submission body.
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::High => "high",
-            Priority::Normal => "normal",
-            Priority::Low => "low",
-        }
-    }
 }
 
 /// Why a fair push was refused.
 #[derive(Debug, PartialEq, Eq)]
-pub enum FairPushError<T> {
+pub(crate) enum FairPushError<T> {
     /// The queue is at its global bound.
     Full(T),
     /// The queue is draining and accepts nothing new.
@@ -69,7 +60,7 @@ pub enum FairPushError<T> {
 /// bills to, its lane priority, and its DRR cost (simulated refs —
 /// see `JobSpec::cost`).
 #[derive(Debug, PartialEq, Eq)]
-pub struct Admission<T> {
+pub(crate) struct Admission<T> {
     pub shard: usize,
     pub client: String,
     pub priority: Priority,
@@ -201,7 +192,7 @@ struct FairState<T> {
 /// Workers pin to a shard and call [`pop`](FairQueue::pop) with it;
 /// each shard has its own condvar so a push only wakes workers that
 /// can actually serve it.
-pub struct FairQueue<T> {
+pub(crate) struct FairQueue<T> {
     state: Mutex<FairState<T>>,
     available: Vec<Condvar>,
     bound: usize,
@@ -214,7 +205,7 @@ impl<T> FairQueue<T> {
     /// holding at most `bound` items total (clamped ≥ 1). `quantum`
     /// is the DRR refill per lane per rotation, in the same unit as
     /// admission costs (simulated refs).
-    pub fn new(shards: usize, bound: usize, client_quota: usize, quantum: u64) -> Self {
+    pub(crate) fn new(shards: usize, bound: usize, client_quota: usize, quantum: u64) -> Self {
         let shards = shards.max(1);
         FairQueue {
             state: Mutex::new(FairState {
@@ -241,32 +232,27 @@ impl<T> FairQueue<T> {
     }
 
     /// The configured global capacity.
-    pub fn bound(&self) -> usize {
+    pub(crate) fn bound(&self) -> usize {
         self.bound
     }
 
     /// The number of worker shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.available.len()
     }
 
     /// The per-client quota (0 = unlimited).
-    pub fn client_quota(&self) -> usize {
+    pub(crate) fn client_quota(&self) -> usize {
         self.client_quota
     }
 
     /// Items currently queued across all shards.
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.lock().total
     }
 
-    /// Items currently queued for one client.
-    pub fn client_depth(&self, client: &str) -> usize {
-        self.lock().per_client.get(client).copied().unwrap_or(0)
-    }
-
     /// Whether the queue has stopped accepting new items.
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.lock().draining
     }
 
@@ -282,7 +268,7 @@ impl<T> FairQueue<T> {
     /// sharding. Quotas are checked against the batch's own tallies
     /// too: a 10-cell scenario from a client with 4 quota slots left is
     /// refused whole. A single submission is a batch of one.
-    pub fn try_push_many(
+    pub(crate) fn try_push_many(
         &self,
         admissions: Vec<Admission<T>>,
     ) -> Result<usize, FairPushError<Vec<Admission<T>>>> {
@@ -335,7 +321,7 @@ impl<T> FairQueue<T> {
     /// Dequeues from one shard, blocking until an item is available
     /// there. Returns `None` once the queue is draining and the shard
     /// is empty — the pinned worker's exit condition.
-    pub fn pop(&self, shard: usize) -> Option<T> {
+    pub(crate) fn pop(&self, shard: usize) -> Option<T> {
         let shard_idx = shard % self.shard_count();
         let mut state = self.lock();
         loop {
@@ -361,7 +347,7 @@ impl<T> FairQueue<T> {
     /// Stops accepting new items and wakes every blocked
     /// [`pop`](FairQueue::pop) so pinned workers can finish their
     /// shard's backlog and exit.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         self.lock().draining = true;
         for cv in &self.available {
             cv.notify_all();
@@ -380,7 +366,7 @@ impl<T> FairQueue<T> {
 /// 60 s (past that the estimate is noise and clients should just
 /// re-probe), and 60 s when the drain rate is unknown or zero (no
 /// workers / none finished yet — the pessimistic honest answer).
-pub fn retry_after_secs(queue_depth: usize, drain_per_sec: f64) -> u64 {
+pub(crate) fn retry_after_secs(queue_depth: usize, drain_per_sec: f64) -> u64 {
     if queue_depth == 0 {
         return 1;
     }
@@ -396,6 +382,11 @@ pub fn retry_after_secs(queue_depth: usize, drain_per_sec: f64) -> u64 {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Items currently queued for one client.
+    fn client_depth<T>(q: &FairQueue<T>, client: &str) -> usize {
+        q.lock().per_client.get(client).copied().unwrap_or(0)
+    }
 
     fn adm(client: &str, item: u32) -> Admission<u32> {
         Admission {
@@ -439,7 +430,7 @@ mod tests {
             assert_eq!(q.pop(0), Some(i));
         }
         assert_eq!(q.depth(), 0);
-        assert_eq!(q.client_depth("a"), 0);
+        assert_eq!(client_depth(&q, "a"), 0);
     }
 
     #[test]
@@ -539,8 +530,8 @@ mod tests {
         // The queue itself has room: another client sails through.
         push(&q, adm("polite", 4)).unwrap();
         assert_eq!(q.depth(), 3);
-        assert_eq!(q.client_depth("greedy"), 2);
-        assert_eq!(q.client_depth("polite"), 1);
+        assert_eq!(client_depth(&q, "greedy"), 2);
+        assert_eq!(client_depth(&q, "polite"), 1);
         // Draining the offender frees its quota.
         q.pop(0);
         push(&q, adm("greedy", 5)).unwrap();

@@ -53,7 +53,7 @@ impl HashRing {
         }
     }
 
-    pub fn peers(&self) -> &[String] {
+    pub(crate) fn peers(&self) -> &[String] {
         &self.peers
     }
 
@@ -66,7 +66,7 @@ impl HashRing {
 
     /// Like [`owner`](HashRing::owner), as an index into the peer
     /// list.
-    pub fn owner_index(&self, key: &str) -> usize {
+    pub(crate) fn owner_index(&self, key: &str) -> usize {
         assert!(!self.points.is_empty(), "ring has no peers");
         let h = hash64(key.as_bytes());
         let at = self.points.partition_point(|&(p, _)| p < h);

@@ -26,13 +26,13 @@ use spur_scenario::{Cell, CellResult, RunnerOptions, Scenario, Verdict, Workload
 /// occupies queue slots for every cell at once (admission is
 /// all-or-nothing), so this also bounds how much of the queue a single
 /// request can claim.
-pub const MAX_SCENARIO_CELLS: usize = 64;
+pub(crate) const MAX_SCENARIO_CELLS: usize = 64;
 
 /// A validated scenario submission: the parsed document plus its
 /// cells, in expansion order (which is also key order for the scenario
 /// result's cell list).
 #[derive(Debug)]
-pub struct ScenarioSubmission {
+pub(crate) struct ScenarioSubmission {
     /// The parsed, validated scenario.
     pub scenario: Scenario,
     /// The matrix cells, ready to queue.
@@ -41,7 +41,7 @@ pub struct ScenarioSubmission {
 
 /// Parses and validates a `POST /v1/scenarios` body. Every failure is
 /// a caller-readable, path-qualified message destined for a 400.
-pub fn parse_scenario_submission(body: &[u8]) -> Result<ScenarioSubmission, String> {
+pub(crate) fn parse_scenario_submission(body: &[u8]) -> Result<ScenarioSubmission, String> {
     let scenario = Scenario::parse_bytes(body)?;
     if matches!(scenario.workload, Some(WorkloadSource::Trace { .. })) {
         return Err(
@@ -70,7 +70,7 @@ pub fn parse_scenario_submission(body: &[u8]) -> Result<ScenarioSubmission, Stri
 /// whose job failed (those simply produce no `CellResult`; an
 /// assertion whose selector needs a missing cell fails with a message
 /// saying so, which is the honest verdict).
-pub fn evaluate_finished(
+pub(crate) fn evaluate_finished(
     scenario: &Scenario,
     finished: &[(&Cell, Option<String>)],
 ) -> Vec<Verdict> {

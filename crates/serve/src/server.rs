@@ -688,8 +688,6 @@ fn worker_loop(shared: &Shared, shard: usize) {
                     let evicted = dedup.cache.insert(
                         identity.clone(),
                         CachedResult {
-                            key: queued.cell.key.clone(),
-                            experiment: queued.experiment,
                             artifact: artifact.clone(),
                             wall_ms,
                         },
@@ -818,7 +816,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         }
         // Socket-level failure (timeout, reset, empty probe): nobody
         // is listening for an answer.
-        Err(ReadError::Io(_)) => return,
+        Err(ReadError::Io) => return,
         Err(ReadError::Malformed(what)) => {
             shared.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
             error_response(400, what).into()

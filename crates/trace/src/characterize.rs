@@ -41,22 +41,13 @@ pub struct Characterization {
 
 impl Characterization {
     /// Footprint in megabytes (4 KB pages).
-    pub fn footprint_mb(&self) -> f64 {
+    pub(crate) fn footprint_mb(&self) -> f64 {
         self.distinct_pages as f64 * 4096.0 / (1024.0 * 1024.0)
     }
 
     /// Mean working set in megabytes.
-    pub fn working_set_mb(&self) -> f64 {
+    pub(crate) fn working_set_mb(&self) -> f64 {
         self.mean_working_set_pages * 4096.0 / (1024.0 * 1024.0)
-    }
-
-    /// Write fraction of all references.
-    pub fn write_fraction(&self) -> f64 {
-        if self.refs == 0 {
-            0.0
-        } else {
-            self.writes as f64 / self.refs as f64
-        }
     }
 
     /// Renders a human-readable report.
@@ -167,7 +158,7 @@ mod tests {
         assert_eq!(c.refs, 500_000);
         assert_eq!(c.refs, c.ifetches + c.reads + c.writes);
         // The calibrated mix: ~half ifetches, writes in the mid-teens.
-        let wf = c.write_fraction();
+        let wf = c.writes as f64 / c.refs as f64;
         assert!((0.08..0.25).contains(&wf), "write fraction {wf}");
         assert!(c.distinct_pages > 100);
         assert!(c.distinct_blocks >= c.distinct_pages);

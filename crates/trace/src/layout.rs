@@ -29,16 +29,6 @@ pub enum SegKind {
     FileData,
 }
 
-impl SegKind {
-    /// All four kinds.
-    pub const ALL: [SegKind; 4] = [
-        SegKind::Code,
-        SegKind::Heap,
-        SegKind::Stack,
-        SegKind::FileData,
-    ];
-}
-
 impl fmt::Display for SegKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -64,37 +54,14 @@ pub struct Region {
     pub pages: u64,
 }
 
-impl Region {
-    /// The `i`-th page of this region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= pages`.
-    pub fn page(&self, i: u64) -> Vpn {
-        assert!(i < self.pages, "page index out of region");
-        self.start.offset(i)
-    }
-}
-
 /// Pages per 32-byte PTE block; regions are aligned to this so processes
 /// do not share PTE blocks (Sprite allocates at coarser granularity
 /// anyway).
 const ALIGN_PAGES: u64 = 8;
 
 /// The global-address-space layout of a workload.
-///
-/// ```
-/// use spur_trace::layout::{Layout, SegKind};
-/// use spur_trace::stream::Pid;
-///
-/// let mut layout = Layout::new();
-/// let code = layout.add(Pid(0), SegKind::Code, 20).unwrap();
-/// let heap = layout.add(Pid(0), SegKind::Heap, 100).unwrap();
-/// assert!(heap.start.index() >= code.start.index() + 20);
-/// assert_eq!(layout.regions().len(), 2);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct Layout {
+pub(crate) struct Layout {
     regions: Vec<Region>,
     next_page: u64,
 }
@@ -109,7 +76,7 @@ const LIMIT_PAGE: u64 = 255 << 18;
 
 impl Layout {
     /// Creates an empty layout.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Layout {
             regions: Vec::new(),
             next_page: FIRST_PAGE,
@@ -122,7 +89,7 @@ impl Layout {
     ///
     /// Returns [`Error::BadWorkload`] if `pages == 0` or the global space
     /// is exhausted.
-    pub fn add(&mut self, pid: Pid, kind: SegKind, pages: u64) -> Result<Region> {
+    pub(crate) fn add(&mut self, pid: Pid, kind: SegKind, pages: u64) -> Result<Region> {
         if pages == 0 {
             return Err(Error::BadWorkload(format!(
                 "empty {kind} segment for {pid}"
@@ -147,17 +114,17 @@ impl Layout {
     }
 
     /// All allocated regions in allocation order.
-    pub fn regions(&self) -> &[Region] {
+    pub(crate) fn regions(&self) -> &[Region] {
         &self.regions
     }
 
     /// Total pages allocated (excluding alignment padding).
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.regions.iter().map(|r| r.pages).sum()
     }
 
     /// Total footprint in megabytes (excluding padding).
-    pub fn footprint_mb(&self) -> f64 {
+    pub(crate) fn footprint_mb(&self) -> f64 {
         self.total_pages() as f64 * 4096.0 / (1024.0 * 1024.0)
     }
 }
@@ -177,22 +144,6 @@ mod tests {
         assert_eq!(b.start.index() % ALIGN_PAGES, 0);
         assert!(c.start.index() >= b.start.index() + 3);
         assert_eq!(layout.total_pages(), 16);
-    }
-
-    #[test]
-    fn region_page_accessor() {
-        let mut layout = Layout::new();
-        let r = layout.add(Pid(0), SegKind::Stack, 4).unwrap();
-        assert_eq!(r.page(0), r.start);
-        assert_eq!(r.page(3).index(), r.start.index() + 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of region")]
-    fn region_page_bounds_checked() {
-        let mut layout = Layout::new();
-        let r = layout.add(Pid(0), SegKind::Stack, 4).unwrap();
-        let _ = r.page(4);
     }
 
     #[test]

@@ -28,20 +28,15 @@
 //! repeated with different paging policies and memory sizes").
 
 pub mod characterize;
-pub mod gen;
+pub(crate) mod gen;
 pub mod layout;
-pub mod locality;
+pub(crate) mod locality;
 pub mod process;
 pub mod record;
 pub mod spec;
 pub mod stream;
 pub mod workloads;
 
-pub use characterize::{characterize, Characterization};
 pub use gen::TraceGenerator;
-pub use layout::{Layout, SegKind};
-pub use process::{BehaviorSpec, ProcessSpec};
-pub use record::RecordedTrace;
-pub use spec::{format_workload, parse_workload};
-pub use stream::{RefMix, TraceRef};
-pub use workloads::{devmachine, slc, workload1, DevHost, Workload};
+pub use process::ProcessSpec;
+pub use stream::TraceRef;

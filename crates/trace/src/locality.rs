@@ -17,16 +17,8 @@ use spur_types::rng::SmallRng;
 /// table.
 ///
 /// θ = 0 degenerates to uniform; θ ≈ 1 gives classic heavy skew.
-///
-/// ```
-/// use spur_trace::locality::Zipf;
-///
-/// let z = Zipf::new(16, 1.0);
-/// assert_eq!(z.len(), 16);
-/// assert_eq!(z.sample_at(0.0), 0); // the head of the CDF is rank 0
-/// ```
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -36,7 +28,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0` or `theta` is negative or non-finite.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf needs at least one rank");
         assert!(theta.is_finite() && theta >= 0.0, "theta must be >= 0");
         let mut cdf = Vec::with_capacity(n);
@@ -52,18 +44,8 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always at least one rank.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Maps a uniform sample in `[0, 1)` to a rank.
-    pub fn sample_at(&self, u: f64) -> usize {
+    pub(crate) fn sample_at(&self, u: f64) -> usize {
         debug_assert!((0.0..1.0).contains(&u));
         match self
             .cdf
@@ -76,7 +58,7 @@ impl Zipf {
     }
 
     /// Samples a rank using `rng`.
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> usize {
         self.sample_at(rng.random::<f64>())
     }
 }
@@ -91,7 +73,7 @@ impl Zipf {
 /// O(capacity) shift — promotions run on every cold reference, and the
 /// generator has to outrun five simulated caches.
 #[derive(Debug, Clone)]
-pub struct HotSet {
+pub(crate) struct HotSet {
     /// Page indices (within some segment); rank order starts at `head`.
     pages: Vec<u64>,
     /// Physical slot of the hottest page (rank 0).
@@ -106,7 +88,7 @@ impl HotSet {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, first_page: u64, theta: f64) -> Self {
+    pub(crate) fn new(capacity: usize, first_page: u64, theta: f64) -> Self {
         assert!(capacity > 0, "hot set needs capacity");
         HotSet {
             pages: (0..capacity as u64).map(|i| first_page + i).collect(),
@@ -137,23 +119,18 @@ impl HotSet {
     }
 
     /// Number of hot pages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pages.len()
     }
 
-    /// Never empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Samples a hot page with Zipf-ranked popularity.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> u64 {
         self.pages[self.slot(self.zipf.sample(rng))]
     }
 
     /// Promotes `page` to rank 0, evicting the coldest page. Returns the
     /// evicted page.
-    pub fn promote(&mut self, page: u64) -> u64 {
+    pub(crate) fn promote(&mut self, page: u64) -> u64 {
         // The coldest slot (rank len-1) is exactly the slot rank 0 moves
         // into when the ring rotates back one step, so the promotion is a
         // single overwrite.
@@ -167,7 +144,7 @@ impl HotSet {
 
     /// Replaces the coldest `count` pages with `fresh` ones (a phase
     /// shift). `fresh` yields the replacement page indices.
-    pub fn shift<I: Iterator<Item = u64>>(&mut self, count: usize, fresh: I) {
+    pub(crate) fn shift<I: Iterator<Item = u64>>(&mut self, count: usize, fresh: I) {
         self.normalize();
         let n = count.min(self.pages.len());
         let keep = self.pages.len() - n;
@@ -178,63 +155,6 @@ impl HotSet {
             let pos = (i * 2).min(self.pages.len());
             self.pages.insert(pos, page);
         }
-    }
-
-    /// Whether `page` is currently hot.
-    pub fn contains(&self, page: u64) -> bool {
-        self.pages.contains(&page)
-    }
-
-    /// The current hot pages, hottest first.
-    pub fn pages(&mut self) -> &[u64] {
-        self.normalize();
-        &self.pages
-    }
-}
-
-/// A sequential-with-jumps cursor over the blocks of a region.
-#[derive(Debug, Clone)]
-pub struct SeqCursor {
-    pos: u64,
-    len: u64,
-    seq_prob: f64,
-}
-
-impl SeqCursor {
-    /// Creates a cursor over `len` positions that advances sequentially
-    /// with probability `seq_prob` and jumps uniformly otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0` or `seq_prob` is outside `[0, 1]`.
-    pub fn new(len: u64, seq_prob: f64) -> Self {
-        assert!(len > 0, "cursor needs a nonempty range");
-        assert!((0.0..=1.0).contains(&seq_prob));
-        SeqCursor {
-            pos: 0,
-            len,
-            seq_prob,
-        }
-    }
-
-    /// Current position.
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// Advances and returns the new position.
-    pub fn next(&mut self, rng: &mut SmallRng) -> u64 {
-        if rng.random::<f64>() < self.seq_prob {
-            self.pos = (self.pos + 1) % self.len;
-        } else {
-            self.pos = rng.random_range(0..self.len);
-        }
-        self.pos
-    }
-
-    /// Jumps to a specific position (e.g. a function call target).
-    pub fn jump_to(&mut self, pos: u64) {
-        self.pos = pos % self.len;
     }
 }
 
@@ -288,16 +208,19 @@ mod tests {
         let _ = Zipf::new(0, 1.0);
     }
 
+    /// The current hot pages, hottest first.
+    fn hottest_first(hs: &HotSet) -> Vec<u64> {
+        let (tail, head) = hs.pages.split_at(hs.head);
+        head.iter().chain(tail).copied().collect()
+    }
+
     #[test]
     fn hot_set_promote_evicts_coldest() {
         let mut hs = HotSet::new(4, 100, 0.8);
-        assert_eq!(hs.pages(), &[100, 101, 102, 103]);
+        assert_eq!(hottest_first(&hs), [100, 101, 102, 103]);
         let evicted = hs.promote(999);
         assert_eq!(evicted, 103);
-        assert_eq!(hs.pages()[0], 999);
-        assert_eq!(hs.len(), 4);
-        assert!(hs.contains(999));
-        assert!(!hs.contains(103));
+        assert_eq!(hottest_first(&hs), [999, 100, 101, 102]);
     }
 
     #[test]
@@ -305,8 +228,11 @@ mod tests {
         let mut hs = HotSet::new(4, 0, 0.8);
         hs.shift(2, 50..);
         assert_eq!(hs.len(), 4);
-        assert!(hs.contains(50) && hs.contains(51));
-        assert!(hs.contains(0) && hs.contains(1), "hot head survives");
+        assert!(hs.pages.contains(&50) && hs.pages.contains(&51));
+        assert!(
+            hs.pages.contains(&0) && hs.pages.contains(&1),
+            "hot head survives"
+        );
     }
 
     #[test]
@@ -316,26 +242,6 @@ mod tests {
         for _ in 0..1000 {
             let p = hs.sample(&mut rng);
             assert!((40..48).contains(&p));
-        }
-    }
-
-    #[test]
-    fn seq_cursor_mostly_advances() {
-        let mut c = SeqCursor::new(1000, 1.0);
-        let mut rng = rng();
-        assert_eq!(c.next(&mut rng), 1);
-        assert_eq!(c.next(&mut rng), 2);
-        c.jump_to(998);
-        assert_eq!(c.next(&mut rng), 999);
-        assert_eq!(c.next(&mut rng), 0, "wraps at the end");
-    }
-
-    #[test]
-    fn seq_cursor_jumps_stay_in_range() {
-        let mut c = SeqCursor::new(10, 0.0);
-        let mut rng = rng();
-        for _ in 0..100 {
-            assert!(c.next(&mut rng) < 10);
         }
     }
 }

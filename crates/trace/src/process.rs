@@ -101,7 +101,7 @@ impl BehaviorSpec {
     /// # Errors
     ///
     /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("phase_shift_frac", self.phase_shift_frac),
             ("seq_prob", self.seq_prob),
@@ -180,17 +180,9 @@ pub(crate) struct Activation {
 }
 
 impl Schedule {
-    /// Whether the process is active at the generator's global time `t`
-    /// (references issued by every process, plus the quanta that pass
-    /// while all of them idle; not the process's own count), and which
-    /// activation burst (instance number) it is in.
-    pub fn instance_at(&self, t: u64) -> Option<u64> {
-        self.activation_at(t).map(|a| a.instance)
-    }
-
     /// The activation burst running at global time `t`, if any, with
-    /// the time it ends: [`Schedule::instance_at`] holds its
-    /// value on `t..end` and changes at `end`.
+    /// the time it ends: the burst's instance number holds on
+    /// `t..end` and changes at `end`.
     pub(crate) fn activation_at(&self, t: u64) -> Option<Activation> {
         match *self {
             Schedule::AlwaysOn => Some(Activation {
@@ -218,7 +210,7 @@ impl Schedule {
     /// # Errors
     ///
     /// Returns a message for a zero `active` or an overflowing cycle.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             Schedule::AlwaysOn => Ok(()),
             Schedule::Periodic {
@@ -280,18 +272,13 @@ impl ProcessSpec {
         }
     }
 
-    /// Total declared pages.
-    pub fn total_pages(&self) -> u64 {
-        self.code_pages + self.heap_pages + self.stack_pages + self.file_pages
-    }
-
     /// Checks the weight, the behavior and the schedule.
     ///
     /// # Errors
     ///
     /// Returns a message naming the broken rule. A zero weight gives a
     /// zero quantum, which would never yield the CPU.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.weight == 0 {
             return Err("weight must be positive".into());
         }
@@ -313,6 +300,11 @@ impl fmt::Display for ProcessSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Which activation burst `s` is in at global time `t`, if active.
+    fn instance_at(s: &Schedule, t: u64) -> Option<u64> {
+        s.activation_at(t).map(|a| a.instance)
+    }
 
     #[test]
     fn baseline_is_valid() {
@@ -419,10 +411,10 @@ mod tests {
             };
             let t = rng.random_range(0u64..=500);
             match s.activation_at(t) {
-                None => assert_eq!(s.instance_at(t), None),
+                None => assert_eq!(instance_at(&s, t), None),
                 Some(a) => {
-                    assert_eq!(Some(a.instance), s.instance_at(t));
-                    let changes = (t + 1..).find(|&u| s.instance_at(u) != Some(a.instance));
+                    assert_eq!(Some(a.instance), instance_at(&s, t));
+                    let changes = (t + 1..).find(|&u| instance_at(&s, u) != Some(a.instance));
                     assert_eq!(changes, Some(a.end), "{s:?} at {t}");
                 }
             }
@@ -433,8 +425,8 @@ mod tests {
 
     #[test]
     fn always_on_is_always_instance_zero() {
-        assert_eq!(Schedule::AlwaysOn.instance_at(0), Some(0));
-        assert_eq!(Schedule::AlwaysOn.instance_at(1 << 40), Some(0));
+        assert_eq!(instance_at(&Schedule::AlwaysOn, 0), Some(0));
+        assert_eq!(instance_at(&Schedule::AlwaysOn, 1 << 40), Some(0));
     }
 
     #[test]
@@ -444,13 +436,13 @@ mod tests {
             idle: 5,
             offset: 0,
         };
-        assert_eq!(s.instance_at(0), Some(0));
-        assert_eq!(s.instance_at(9), Some(0));
-        assert_eq!(s.instance_at(10), None);
-        assert_eq!(s.instance_at(14), None);
-        assert_eq!(s.instance_at(15), Some(1));
-        assert_eq!(s.instance_at(29), None);
-        assert_eq!(s.instance_at(30), Some(2));
+        assert_eq!(instance_at(&s, 0), Some(0));
+        assert_eq!(instance_at(&s, 9), Some(0));
+        assert_eq!(instance_at(&s, 10), None);
+        assert_eq!(instance_at(&s, 14), None);
+        assert_eq!(instance_at(&s, 15), Some(1));
+        assert_eq!(instance_at(&s, 29), None);
+        assert_eq!(instance_at(&s, 30), Some(2));
     }
 
     #[test]
@@ -460,14 +452,13 @@ mod tests {
             idle: 10,
             offset: 10,
         };
-        assert_eq!(s.instance_at(0), None, "starts idle");
-        assert_eq!(s.instance_at(10), Some(1));
+        assert_eq!(instance_at(&s, 0), None, "starts idle");
+        assert_eq!(instance_at(&s, 10), Some(1));
     }
 
     #[test]
-    fn process_spec_totals() {
+    fn process_spec_display_names_the_process() {
         let p = ProcessSpec::new("cc1", 10, 20, 3, 5);
-        assert_eq!(p.total_pages(), 38);
         assert!(p.to_string().contains("cc1"));
     }
 }

@@ -6,9 +6,8 @@ use spur_types::{AccessKind, GlobalAddr};
 
 /// The id of a simulated process within a workload.
 ///
-/// (Distinct from `spur_mem::segmap::ProcessId` to keep this crate's
-/// dependencies minimal; the simulator treats the trace's global addresses
-/// as already segment-mapped.)
+/// The simulator treats the trace's global addresses as already
+/// segment-mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(pub u32);
 
@@ -82,7 +81,7 @@ impl RefMix {
 
     /// The default SPUR-ish mix: half instruction fetches, 35% reads,
     /// 15% writes.
-    pub const fn default_mix() -> Self {
+    pub(crate) const fn default_mix() -> Self {
         RefMix::new(50, 35, 15)
     }
 
@@ -91,12 +90,12 @@ impl RefMix {
     }
 
     /// Fraction of references that are instruction fetches.
-    pub fn ifetch_fraction(&self) -> f64 {
+    pub(crate) fn ifetch_fraction(&self) -> f64 {
         self.ifetch as f64 / self.total() as f64
     }
 
     /// Fraction of references that are data reads.
-    pub fn read_fraction(&self) -> f64 {
+    pub(crate) fn read_fraction(&self) -> f64 {
         self.read as f64 / self.total() as f64
     }
 
@@ -105,25 +104,14 @@ impl RefMix {
         self.write as f64 / self.total() as f64
     }
 
-    /// The two cut points [`RefMix::pick`] compares a sample against:
-    /// the instruction-fetch fraction, and that plus the read fraction.
+    /// The two cut points a uniform sample in `[0, 1)` is compared
+    /// against: the instruction-fetch fraction, and that plus the read
+    /// fraction.
     pub(crate) fn cut_points(&self) -> (f64, f64) {
         let t = self.total() as f64;
         let fi = self.ifetch as f64 / t;
         let fr = self.read as f64 / t;
         (fi, fi + fr)
-    }
-
-    /// Picks a kind from a uniform sample in `[0, 1)`.
-    pub fn pick(&self, u: f64) -> AccessKind {
-        let (ifetch, read) = self.cut_points();
-        if u < ifetch {
-            AccessKind::InstrFetch
-        } else if u < read {
-            AccessKind::Read
-        } else {
-            AccessKind::Write
-        }
     }
 }
 
@@ -145,14 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn pick_respects_boundaries() {
-        let mix = RefMix::new(50, 35, 15);
-        assert_eq!(mix.pick(0.0), AccessKind::InstrFetch);
-        assert_eq!(mix.pick(0.49), AccessKind::InstrFetch);
-        assert_eq!(mix.pick(0.51), AccessKind::Read);
-        assert_eq!(mix.pick(0.84), AccessKind::Read);
-        assert_eq!(mix.pick(0.86), AccessKind::Write);
-        assert_eq!(mix.pick(0.999), AccessKind::Write);
+    fn cut_points_split_the_unit_interval() {
+        let (ifetch, read) = RefMix::new(50, 35, 15).cut_points();
+        assert!((ifetch - 0.50).abs() < 1e-12);
+        assert!((read - 0.85).abs() < 1e-12);
     }
 
     #[test]
@@ -168,9 +152,7 @@ mod tests {
 
     #[test]
     fn degenerate_mixes() {
-        let w = RefMix::new(0, 0, 1);
-        assert_eq!(w.pick(0.0), AccessKind::Write);
-        assert_eq!(w.pick(0.99), AccessKind::Write);
+        assert_eq!(RefMix::new(0, 0, 1).cut_points(), (0.0, 0.0));
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Workload {
     ///
     /// Returns [`Error::BadWorkload`] if there are no processes, a
     /// process's behavior or schedule is invalid
-    /// ([`BehaviorSpec::validate`], [`Schedule::validate`]), a segment
+    /// (`BehaviorSpec::validate`, `Schedule::validate`), a segment
     /// is empty, or the address space is exhausted.
     pub fn build(name: &str, specs: Vec<ProcessSpec>) -> Result<Workload> {
         Self::build_with_shared(name, specs, 0)

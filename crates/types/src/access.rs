@@ -22,9 +22,6 @@ impl AccessKind {
     pub const fn is_write(self) -> bool {
         matches!(self, AccessKind::Write)
     }
-
-    /// All three reference kinds, in counter order.
-    pub const ALL: [AccessKind; 3] = [AccessKind::InstrFetch, AccessKind::Read, AccessKind::Write];
 }
 
 impl fmt::Display for AccessKind {

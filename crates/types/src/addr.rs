@@ -21,8 +21,8 @@ use crate::{BLOCKS_PER_PAGE, BLOCK_SHIFT, GLOBAL_ADDR_BITS, PAGE_SHIFT, SEGMENT_
 
 /// A 32-bit per-process virtual address.
 ///
-/// The top [`crate::SEGMENTS_PER_PROCESS`]-selecting two bits name a segment
-/// register; the low 30 bits are the offset within that segment.
+/// The top two bits select one of the process's four segment registers;
+/// the low 30 bits are the offset within that segment.
 ///
 /// # Example
 ///
@@ -40,11 +40,6 @@ impl ProcAddr {
     /// Creates a process address from its raw 32-bit value.
     pub const fn new(raw: u32) -> Self {
         ProcAddr(raw)
-    }
-
-    /// Returns the raw 32-bit value.
-    pub const fn raw(self) -> u32 {
-        self.0
     }
 
     /// Returns which of the four segment registers this address selects.

@@ -19,8 +19,6 @@
 
 use core::fmt;
 
-use crate::cycles::Cycles;
-
 /// Per-event cycle costs.
 ///
 /// [`CostParams::paper`] gives the Table 3.2 values; every field can be
@@ -121,11 +119,6 @@ impl CostParams {
         let writebacks = lines_per_page / 5 * self.flush_writeback;
         loop_cost + writebacks * 5
     }
-
-    /// Returns these costs as [`Cycles`] for a count of events.
-    pub const fn total(events: u64, per_event: u64) -> Cycles {
-        Cycles::new(events * per_event)
-    }
 }
 
 impl Default for CostParams {
@@ -190,11 +183,6 @@ mod tests {
             (1500..=2500).contains(&blind),
             "blind flush {blind} ~ 2000 cycles"
         );
-    }
-
-    #[test]
-    fn total_multiplies() {
-        assert_eq!(CostParams::total(7, 1000).raw(), 7000);
     }
 
     #[test]

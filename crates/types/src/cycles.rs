@@ -51,14 +51,6 @@ impl Cycles {
         Cycles(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    pub const fn checked_add(self, rhs: Cycles) -> Option<Cycles> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Cycles(v)),
-            None => None,
-        }
-    }
-
     /// Ratio of this count to another, as used by Table 3.4's
     /// "(relative to MIN)" rows.
     ///
@@ -139,13 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn saturating_and_checked() {
+    fn saturating_sub_stops_at_zero() {
         assert_eq!(Cycles::new(3).saturating_sub(Cycles::new(10)), Cycles::ZERO);
-        assert_eq!(Cycles::new(u64::MAX).checked_add(Cycles::new(1)), None);
-        assert_eq!(
-            Cycles::new(1).checked_add(Cycles::new(2)),
-            Some(Cycles::new(3))
-        );
     }
 
     #[test]

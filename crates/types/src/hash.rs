@@ -103,7 +103,7 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`].
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;

@@ -11,13 +11,13 @@
 //!
 //! * [`addr`] — process virtual, global virtual, and physical addresses,
 //!   page and block numbers, and the arithmetic between them;
-//! * [`access`] — reference kinds (instruction fetch / read / write) and the
+//! * `access` — reference kinds (instruction fetch / read / write) and the
 //!   two-bit protection field stored in PTEs and cache lines;
 //! * [`config`] — the prototype configuration of Table 2.1 and the
 //!   simulated-machine configuration knobs;
-//! * [`costs`] — the cycle-cost parameters of Table 3.2 plus the memory and
+//! * `costs` — the cycle-cost parameters of Table 3.2 plus the memory and
 //!   paging costs used by the elapsed-time model;
-//! * [`cycles`] — a cycle-count newtype and its conversion to wall time.
+//! * `cycles` — a cycle-count newtype and its conversion to wall time.
 //!
 //! # Example
 //!
@@ -37,50 +37,47 @@
 //! assert_eq!(ga.segment_offset(), pa.segment_offset());
 //! ```
 
-pub mod access;
+pub(crate) mod access;
 pub mod addr;
 pub mod config;
-pub mod costs;
-pub mod cycles;
-pub mod error;
+pub(crate) mod costs;
+pub(crate) mod cycles;
+pub(crate) mod error;
 pub mod hash;
 pub mod rng;
 
-pub use access::{AccessKind, Protection};
+pub use access::AccessKind;
+
+pub use access::Protection;
 pub use addr::{BlockNum, GlobalAddr, Pfn, PhysAddr, ProcAddr, SegmentId, Vpn};
 pub use config::{MemSize, SystemConfig};
 pub use costs::CostParams;
 pub use cycles::Cycles;
 pub use error::{Error, Result};
-pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use hash::{FastMap, FastSet};
 
 /// Base-2 logarithm of the virtual-memory page size (4 KB pages).
 pub const PAGE_SHIFT: u32 = 12;
 /// Virtual-memory page size in bytes (Table 2.1: 4 Kbytes).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// Base-2 logarithm of the cache block size (32-byte blocks).
-pub const BLOCK_SHIFT: u32 = 5;
+pub(crate) const BLOCK_SHIFT: u32 = 5;
 /// Cache block size in bytes (Table 2.1: 32 bytes).
 pub const BLOCK_SIZE: u64 = 1 << BLOCK_SHIFT;
 /// Number of cache blocks per virtual-memory page (4096 / 32 = 128).
 pub const BLOCKS_PER_PAGE: u64 = PAGE_SIZE / BLOCK_SIZE;
 /// Total cache capacity in bytes (Table 2.1: 128 Kbytes).
-pub const CACHE_SIZE: u64 = 128 * 1024;
+pub(crate) const CACHE_SIZE: u64 = 128 * 1024;
 /// Number of lines in the direct-mapped cache (128 KB / 32 B = 4096).
 pub const CACHE_LINES: u64 = CACHE_SIZE / BLOCK_SIZE;
 /// Width of the global virtual address space in bits.
 ///
 /// SPUR maps 32-bit per-process addresses onto a 38-bit global virtual
 /// space through four per-process segment registers.
-pub const GLOBAL_ADDR_BITS: u32 = 38;
-/// Number of segment registers per process (the top two bits of a process
-/// address select one).
-pub const SEGMENTS_PER_PROCESS: u32 = 4;
+pub(crate) const GLOBAL_ADDR_BITS: u32 = 38;
 /// Base-2 logarithm of a segment's size (each segment covers 1 GB of the
 /// process address space).
-pub const SEGMENT_SHIFT: u32 = 30;
-/// Segment size in bytes (1 GB).
-pub const SEGMENT_SIZE: u64 = 1 << SEGMENT_SHIFT;
+pub(crate) const SEGMENT_SHIFT: u32 = 30;
 /// Number of global segments (38-bit global space / 1 GB segments = 256).
 pub const GLOBAL_SEGMENTS: u64 = 1 << (GLOBAL_ADDR_BITS - SEGMENT_SHIFT);
 

@@ -16,7 +16,7 @@
 //! * [`swap`] — backing-store accounting, including Sprite's quirk of
 //!   always writing a zero-filled page to swap on its first replacement
 //!   (footnote 4) and the Table 3.5 modified/not-modified bookkeeping;
-//! * [`system`] — the [`VmSystem`]: page-fault handling, the free list,
+//! * [`system`] — the [`VmSystem`](system::VmSystem): page-fault handling, the free list,
 //!   and the clock page daemon that clears reference bits and reclaims
 //!   unreferenced pages.
 //!
@@ -26,17 +26,8 @@
 //! controller's performance counters.
 
 pub mod policy;
-pub mod proc;
 pub mod region;
 pub mod residency;
 pub mod stats;
 pub mod swap;
 pub mod system;
-
-pub use policy::RefPolicy;
-pub use proc::ProcessManager;
-pub use region::{PageKind, RegionMap};
-pub use residency::ResidencyStats;
-pub use stats::VmStats;
-pub use swap::Swap;
-pub use system::{FaultInOutcome, VmConfig, VmCtx, VmSystem};

@@ -38,7 +38,7 @@ impl RefPolicy {
     pub const ALL: [RefPolicy; 3] = [RefPolicy::Miss, RefPolicy::Ref, RefPolicy::Noref];
 
     /// The machine-dependent "read the hardware reference bit" routine.
-    pub fn read_ref(self, pte: Pte) -> bool {
+    pub(crate) fn read_ref(self, pte: Pte) -> bool {
         match self {
             RefPolicy::Miss | RefPolicy::Ref => pte.referenced(),
             RefPolicy::Noref => false,
@@ -46,12 +46,12 @@ impl RefPolicy {
     }
 
     /// Whether the daemon's clear should actually clear the PTE bit.
-    pub const fn clear_clears_bit(self) -> bool {
+    pub(crate) const fn clear_clears_bit(self) -> bool {
         !matches!(self, RefPolicy::Noref)
     }
 
     /// Whether clearing the bit must also flush the page from the cache.
-    pub const fn clear_flushes_page(self) -> bool {
+    pub(crate) const fn clear_flushes_page(self) -> bool {
         matches!(self, RefPolicy::Ref)
     }
 

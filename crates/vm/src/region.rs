@@ -58,25 +58,15 @@ impl fmt::Display for PageKind {
 }
 
 /// A map from page ranges to their kinds.
-///
-/// ```
-/// use spur_vm::region::{PageKind, RegionMap};
-/// use spur_types::Vpn;
-///
-/// let mut map = RegionMap::new();
-/// map.register(Vpn::new(100), 10, PageKind::Code).unwrap();
-/// assert_eq!(map.kind_of(Vpn::new(105)), Some(PageKind::Code));
-/// assert_eq!(map.kind_of(Vpn::new(110)), None);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct RegionMap {
+pub(crate) struct RegionMap {
     /// start VPN → (page count, kind); ranges never overlap.
     regions: BTreeMap<u64, (u64, PageKind)>,
 }
 
 impl RegionMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -86,7 +76,7 @@ impl RegionMap {
     ///
     /// Returns [`Error::BadWorkload`] if the range is empty or overlaps an
     /// existing region.
-    pub fn register(&mut self, start: Vpn, pages: u64, kind: PageKind) -> Result<()> {
+    pub(crate) fn register(&mut self, start: Vpn, pages: u64, kind: PageKind) -> Result<()> {
         if pages == 0 {
             return Err(Error::BadWorkload("empty region".to_string()));
         }
@@ -113,32 +103,10 @@ impl RegionMap {
     }
 
     /// Looks up the kind of the region containing `vpn`.
-    pub fn kind_of(&self, vpn: Vpn) -> Option<PageKind> {
+    pub(crate) fn kind_of(&self, vpn: Vpn) -> Option<PageKind> {
         let v = vpn.index();
         let (&s, &(len, kind)) = self.regions.range(..=v).next_back()?;
         (v < s + len).then_some(kind)
-    }
-
-    /// Number of registered regions.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether no regions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
-    }
-
-    /// Total pages covered by all regions.
-    pub fn total_pages(&self) -> u64 {
-        self.regions.values().map(|(len, _)| len).sum()
-    }
-
-    /// Iterates over `(start, pages, kind)` triples in address order.
-    pub fn iter(&self) -> impl Iterator<Item = (Vpn, u64, PageKind)> + '_ {
-        self.regions
-            .iter()
-            .map(|(&s, &(len, kind))| (Vpn::new(s), len, kind))
     }
 }
 
@@ -165,8 +133,7 @@ mod tests {
         assert_eq!(map.kind_of(Vpn::new(3)), Some(PageKind::Code));
         assert_eq!(map.kind_of(Vpn::new(4)), Some(PageKind::Heap));
         assert_eq!(map.kind_of(Vpn::new(8)), None);
-        assert_eq!(map.total_pages(), 8);
-        assert_eq!(map.len(), 2);
+        assert_eq!(map.regions.len(), 2);
     }
 
     #[test]
@@ -190,14 +157,5 @@ mod tests {
     fn empty_region_is_rejected() {
         let mut map = RegionMap::new();
         assert!(map.register(Vpn::new(0), 0, PageKind::Code).is_err());
-    }
-
-    #[test]
-    fn iter_in_address_order() {
-        let mut map = RegionMap::new();
-        map.register(Vpn::new(100), 1, PageKind::Stack).unwrap();
-        map.register(Vpn::new(0), 1, PageKind::Code).unwrap();
-        let starts: Vec<u64> = map.iter().map(|(s, _, _)| s.index()).collect();
-        assert_eq!(starts, vec![0, 100]);
     }
 }

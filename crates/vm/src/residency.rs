@@ -66,11 +66,6 @@ impl ResidencyStats {
         }
     }
 
-    /// Longest lifetime observed.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     /// Fraction of residencies shorter than `faults`.
     pub fn fraction_shorter_than(&self, faults: u64) -> f64 {
         if self.count == 0 {
@@ -81,15 +76,6 @@ impl ResidencyStats {
         let threshold = (64 - faults.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
         let below: u64 = self.buckets[..threshold].iter().sum();
         below as f64 / self.count as f64
-    }
-
-    /// Iterates non-empty `(bucket_floor, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
     }
 }
 
@@ -115,13 +101,23 @@ impl fmt::Display for ResidencyStats {
 mod tests {
     use super::*;
 
+    /// Non-empty `(bucket_floor, count)` pairs.
+    fn buckets(rs: &ResidencyStats) -> Vec<(u64, u64)> {
+        rs.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (1u64 << i, c))
+            .collect()
+    }
+
     #[test]
     fn empty_is_zero() {
         let rs = ResidencyStats::new();
         assert_eq!(rs.count(), 0);
         assert_eq!(rs.mean(), 0.0);
         assert_eq!(rs.fraction_shorter_than(100), 0.0);
-        assert_eq!(rs.iter().count(), 0);
+        assert_eq!(buckets(&rs).len(), 0);
     }
 
     #[test]
@@ -131,7 +127,7 @@ mod tests {
         rs.record(2); // bucket 1 (floor 2)
         rs.record(3); // bucket 1
         rs.record(1024); // bucket 10
-        let pairs: Vec<_> = rs.iter().collect();
+        let pairs = buckets(&rs);
         assert_eq!(pairs, vec![(1, 1), (2, 2), (1024, 1)]);
     }
 
@@ -151,14 +147,14 @@ mod tests {
         let mut rs = ResidencyStats::new();
         rs.record(0);
         assert_eq!(rs.count(), 1);
-        assert_eq!(rs.iter().next(), Some((1, 1)));
+        assert_eq!(buckets(&rs).first().copied(), Some((1, 1)));
     }
 
     #[test]
     fn huge_lifetimes_clamp_to_the_top_bucket() {
         let mut rs = ResidencyStats::new();
         rs.record(u64::MAX);
-        assert_eq!(rs.max(), u64::MAX);
-        assert_eq!(rs.iter().next(), Some((1 << 31, 1)));
+        assert_eq!(rs.max, u64::MAX);
+        assert_eq!(buckets(&rs).first().copied(), Some((1 << 31, 1)));
     }
 }

@@ -78,7 +78,7 @@ impl Swap {
     /// Code and file pages always read from their file. A zero-fill page
     /// reads from swap only if it has been swapped out before; otherwise
     /// its first touch is satisfied by zeroing a frame.
-    pub fn fault_in_reads(&self, vpn: Vpn, kind: PageKind) -> bool {
+    pub(crate) fn fault_in_reads(&self, vpn: Vpn, kind: PageKind) -> bool {
         if kind.zero_fill() {
             self.on_swap.contains(&vpn)
         } else {
@@ -115,11 +115,6 @@ impl Swap {
             self.not_modified += 1;
         }
         outcome
-    }
-
-    /// Whether `vpn` currently has a swap copy.
-    pub fn has_copy(&self, vpn: Vpn) -> bool {
-        self.on_swap.contains(&vpn)
     }
 
     /// Table 3.5 "Percent Not Modified": the fraction of potentially
@@ -198,7 +193,7 @@ mod tests {
         let vpn = Vpn::new(9);
         let first = swap.replace(vpn, PageKind::Heap, false);
         assert!(first.wrote && first.forced, "footnote 4: forced write");
-        assert!(swap.has_copy(vpn));
+        assert!(swap.on_swap.contains(&vpn));
         // The forced write saved nothing, so it is not "not modified".
         assert_eq!(swap.not_modified, 0);
         // Second clean replacement is a genuinely saved write.

@@ -77,7 +77,7 @@ impl VmConfig {
     ///
     /// Returns [`Error::InvalidConfig`] if the watermarks are inverted or
     /// the kernel reservation exceeds memory.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.free_low_water >= self.free_high_water {
             return Err(Error::InvalidConfig(
                 "low watermark must be below high watermark".to_string(),
@@ -179,7 +179,7 @@ impl<'a> VmCtx<'a> {
     }
 
     /// Total cycles charged through this context.
-    pub fn total(&self) -> Cycles {
+    pub(crate) fn total(&self) -> Cycles {
         self.paging_cycles + self.daemon_cycles + self.ref_flush_cycles
     }
 
@@ -307,7 +307,7 @@ impl VmSystem {
         })
     }
 
-    /// Registers an address-space region; see [`RegionMap::register`].
+    /// Registers an address-space region; see `RegionMap::register`.
     ///
     /// # Errors
     ///
@@ -368,18 +368,8 @@ impl VmSystem {
 
     /// Frames available for allocation: truly free plus reclaimable from
     /// the free queue (tombstones of soft-faulted pages excluded).
-    pub fn available_frames(&self) -> usize {
+    pub(crate) fn available_frames(&self) -> usize {
         self.phys.free_frames() + self.queued.len()
-    }
-
-    /// Pages currently on the free queue (soft-faultable).
-    pub fn queued_pages(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Pages currently resident and replaceable.
-    pub fn resident_pages(&self) -> usize {
-        self.clock.len()
     }
 
     /// Handles a page fault on `vpn`, making it resident with protection
@@ -540,7 +530,7 @@ impl VmSystem {
     /// watermark (or everything reclaimable is reclaimed).
     ///
     /// `fault_in` invokes this automatically on free-list pressure.
-    pub fn sweep(&mut self, ctx: &mut VmCtx<'_>) {
+    pub(crate) fn sweep(&mut self, ctx: &mut VmCtx<'_>) {
         self.sweep_target(ctx, self.config.free_high_water as usize);
     }
 
@@ -794,7 +784,7 @@ mod tests {
         }
         assert!(vm.stats().reclaims > 0, "daemon must have reclaimed");
         assert!(vm.stats().sweeps > 0);
-        assert!(vm.resident_pages() < 256);
+        assert!(vm.clock.len() < 256);
         assert!(vm.available_frames() >= 1);
     }
 
@@ -891,7 +881,7 @@ mod tests {
         let mut ctx = VmCtx::new(&mut cache, &mut ctrs);
         let target = vm.available_frames() + 1;
         vm.sweep_target(&mut ctx, target); // reclaims, writes to swap
-        assert_eq!(vm.queued_pages(), 1);
+        assert_eq!(vm.queued.len(), 1);
 
         // Faulting immediately finds the page still on the free queue:
         // a soft fault, no I/O.

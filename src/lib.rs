@@ -1,9 +1,9 @@
 //! Umbrella crate for the SPUR reference/dirty-bit reproduction
 //! (Wood & Katz, ISCA 1989).
 //!
-//! Re-exports every workspace crate and provides a [`prelude`] with the
-//! handful of types most programs need. See `README.md` for the tour and
-//! `EXPERIMENTS.md` for the paper-vs-measured results.
+//! Provides a [`prelude`] with the types one simulation needs. See
+//! `README.md` for the tour and `EXPERIMENTS.md` for the
+//! paper-vs-measured results.
 //!
 //! # Example
 //!
@@ -23,21 +23,11 @@
 //! # Ok::<(), spur_types::Error>(())
 //! ```
 
-pub use spur_cache as cache;
-pub use spur_core as core_sim;
-pub use spur_mem as mem;
-pub use spur_trace as trace;
-pub use spur_types as types;
-pub use spur_vm as vm;
-
-/// The types most users need, in one import.
+/// The types the example above needs, in one import.
 pub mod prelude {
     pub use spur_core::dirty::DirtyPolicy;
-    pub use spur_core::events::EventCounts;
-    pub use spur_core::experiments::Scale;
-    pub use spur_core::model::ExcessFaultModel;
     pub use spur_core::system::{SimConfig, SpurSystem};
-    pub use spur_trace::workloads::{devmachine, slc, workload1, DevHost, Workload};
-    pub use spur_types::{CostParams, Cycles, GlobalAddr, MemSize, Protection, Vpn};
+    pub use spur_trace::workloads::slc;
+    pub use spur_types::MemSize;
     pub use spur_vm::policy::RefPolicy;
 }

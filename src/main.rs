@@ -34,25 +34,34 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The flags `run` takes.
+const RUN_FLAGS: [&str; 7] = ["workload", "mem", "dirty", "refbit", "refs", "seed", "cpus"];
+
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, String)>,
 }
 
 impl Args {
+    /// Splits `raw` into one command word and `--flag value` pairs;
+    /// `None` for a flag `run` does not take, a flag without a value,
+    /// or any argument besides the command word.
     fn parse(raw: Vec<String>) -> Option<Args> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.into_iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
+                if !RUN_FLAGS.contains(&name) {
+                    return None;
+                }
                 let value = it.next()?;
                 flags.push((name.to_string(), value));
             } else {
                 positional.push(a);
             }
         }
-        Some(Args { positional, flags })
+        (positional.len() == 1).then_some(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
@@ -77,7 +86,13 @@ fn workload_of(name: &str) -> Option<Workload> {
         // Anything else is tried as a workload spec file (see
         // `spur_trace::spec` for the format).
         path => {
-            let text = std::fs::read_to_string(path).ok()?;
+            let text = match std::fs::read_to_string(path) {
+                Ok(text) => text,
+                Err(e) => {
+                    eprintln!("error reading {path}: {e}");
+                    return None;
+                }
+            };
             match spur_trace::spec::parse_workload(&text) {
                 Ok(w) => Some(w),
                 Err(e) => {

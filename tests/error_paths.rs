@@ -134,13 +134,37 @@ fn spur_repro_rejects_bad_flag_values_with_usage() {
         ["--seed", "x"],
         ["--cpus", "-1"],
     ] {
-        let out = spur_repro_run(&bad);
-        assert_eq!(out.status.code(), Some(2), "{bad:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stderr = spur_repro_refuses(&bad);
         assert!(stderr.starts_with("usage:"), "{bad:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{bad:?} ran a simulation");
     }
+    // A flag `run` does not take and an argument it does not expect are
+    // refused the same way, not ignored.
+    for bad in [
+        &["--refbits", "noref"][..],
+        &["extra"],
+        &["--refs", "1000", "extra"],
+    ] {
+        let stderr = spur_repro_refuses(bad);
+        assert!(stderr.starts_with("usage:"), "{bad:?}: {stderr}");
+    }
+    // An unreadable spec file is named, with the I/O error.
+    let stderr = spur_repro_refuses(&["--workload", "/nonexistent/spec.wl"]);
+    assert!(
+        stderr.starts_with("error reading /nonexistent/spec.wl: "),
+        "{stderr}"
+    );
+    assert!(stderr.contains("\nusage:"), "{stderr}");
+}
+
+/// Asserts that `spur-repro run --workload slc ARGS` exits 2 without
+/// running a simulation, and returns its stderr.
+fn spur_repro_refuses(args: &[&str]) -> String {
+    let out = spur_repro_run(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+    stderr
 }
 
 #[test]
