@@ -53,9 +53,7 @@ pub struct FlushStats {
 pub(crate) struct CacheStats {
     /// Block fills (by read or write miss).
     pub fills: u64,
-    /// Valid blocks displaced by fills.
-    pub evictions: u64,
-    /// Displaced blocks that were dirty (write-back traffic).
+    /// Displaced or flushed blocks that were dirty (write-back traffic).
     pub writebacks: u64,
 }
 
@@ -185,7 +183,6 @@ impl VirtualCache {
                 block: line.block,
                 block_dirty: line.block_dirty,
             };
-            self.stats.evictions += 1;
             if ev.block_dirty {
                 self.stats.writebacks += 1;
             }
@@ -348,6 +345,11 @@ mod tests {
         );
         assert!(!c.probe(a).hit);
         assert!(c.probe(b).hit);
+        assert_eq!((c.stats.fills, c.stats.writebacks), (2, 1));
+        assert_eq!(
+            c.to_string(),
+            "cache[4096 lines, 1 valid, 2 fills, 1 writebacks]"
+        );
     }
 
     #[test]

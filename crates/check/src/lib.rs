@@ -32,16 +32,9 @@ pub(crate) mod fuzz;
 pub mod lockstep;
 pub(crate) mod oracle;
 
-pub use fuzz::mutation_selftest;
-
-pub use fuzz::run_case;
-
-pub use fuzz::run_case_with;
-
-pub use fuzz::shrink;
-
-pub use fuzz::FuzzCase;
-
-pub use fuzz::FuzzOutcome;
+pub use fuzz::{
+    mutation_selftest, run_case, run_case_with, shrink, FuzzCase, FuzzOutcome, FuzzRef, FuzzRegion,
+    MutationSelftest,
+};
 pub use lockstep::Lockstep;
 pub use oracle::Mutation;

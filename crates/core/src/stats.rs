@@ -22,8 +22,6 @@ pub struct Sample {
     n: usize,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Sample {
@@ -33,8 +31,6 @@ impl Sample {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -53,8 +49,6 @@ impl Sample {
         let d = v - self.mean;
         self.mean += d / self.n as f64;
         self.m2 += d * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
     }
 
     /// Number of observations.

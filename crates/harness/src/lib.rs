@@ -36,11 +36,7 @@ pub(crate) mod job;
 pub(crate) mod json;
 pub(crate) mod run;
 
-pub use artifacts::default_root;
-
-pub use artifacts::job_artifact_json;
-
-pub use artifacts::write_run;
-pub use job::{ChromeTrace, CompletedJob, FailureKind, Job, JobOutput};
+pub use artifacts::{default_root, job_artifact_json, write_run};
+pub use job::{ChromeTrace, CompletedJob, FailureKind, Job, JobFailure, JobOutput};
 pub use json::Json;
 pub use run::{run_jobs, run_jobs_with_progress, run_one, RunReport};

@@ -54,8 +54,6 @@ pub struct PageTable {
     /// small-map hash plus an array index instead of a per-VPN hash
     /// over every entry.
     leaves: FastMap<u64, Box<PteLeaf>>,
-    /// Explicitly present first-level entries (maintains `len`).
-    entries: usize,
     /// Second level: page of the first-level table → wired frame.
     second_level: FastMap<Vpn, Pfn>,
 }
@@ -166,7 +164,6 @@ impl PageTable {
             leaf.ptes[slot]
         } else {
             leaf.mark(slot);
-            self.entries += 1;
             Pte::INVALID
         };
         leaf.ptes[slot] = pte;
@@ -183,7 +180,6 @@ impl PageTable {
         let slot = (vpn.index() & LEAF_MASK) as usize;
         if !leaf.is_present(slot) {
             leaf.mark(slot);
-            self.entries += 1;
         }
         f(&mut leaf.ptes[slot]);
         leaf.ptes[slot]
@@ -199,7 +195,6 @@ impl PageTable {
         }
         let prev = std::mem::replace(&mut leaf.ptes[slot], Pte::INVALID);
         leaf.clear(slot);
-        self.entries -= 1;
         if leaf.is_empty() {
             self.leaves.remove(&key);
         }
@@ -303,7 +298,7 @@ mod tests {
     fn absent_entries_read_invalid() {
         let pt = PageTable::new();
         assert!(!pt.pte(Vpn::new(77)).valid());
-        assert_eq!(pt.entries, 0);
+        assert!(pt.leaves.is_empty());
     }
 
     #[test]
@@ -325,10 +320,16 @@ mod tests {
         let mut pt = PageTable::new();
         let vpn = Vpn::new(2048);
         pt.insert(vpn, Pte::INVALID);
-        assert_eq!(pt.entries, 1, "an explicitly inserted invalid PTE counts");
         assert!(!pt.pte(vpn).valid());
-        assert_eq!(pt.remove(vpn), Some(Pte::INVALID));
-        assert_eq!(pt.entries, 0);
+        assert_eq!(
+            pt.remove(vpn),
+            Some(Pte::INVALID),
+            "an explicitly inserted invalid PTE is present"
+        );
+        assert!(
+            pt.leaves.is_empty(),
+            "removing the last entry drops its leaf"
+        );
         assert_eq!(pt.remove(vpn), None, "second remove finds nothing");
         // Entries one leaf apart don't interfere.
         pt.insert(
@@ -339,7 +340,7 @@ mod tests {
             Vpn::new(5 + PTES_PER_PAGE),
             Pte::resident(Pfn::new(2), Protection::ReadOnly),
         );
-        assert_eq!(pt.entries, 2);
+        assert_eq!(pt.leaves.len(), 2);
         assert_eq!(pt.pte(Vpn::new(5)).pfn(), Pfn::new(1));
         assert_eq!(pt.pte(Vpn::new(5 + PTES_PER_PAGE)).pfn(), Pfn::new(2));
     }

@@ -31,18 +31,8 @@ pub mod experiment;
 pub(crate) mod sched;
 pub(crate) mod system;
 
-pub use experiment::measure_mp;
-
-pub use experiment::measure_mp_obs;
-
-pub use experiment::mp_key;
-
-pub use experiment::mp_model;
-
-pub use experiment::render_mp;
-
-pub use experiment::render_mp_model;
-
-pub use experiment::MpRow;
+pub use experiment::{
+    measure_mp, measure_mp_obs, mp_key, mp_model, render_mp, render_mp_model, MpRow,
+};
 pub use sched::MpScheduler;
 pub use system::{MpParams, MpSystem};

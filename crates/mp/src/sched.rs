@@ -72,7 +72,6 @@ pub struct MpScheduler {
     row_produced: bool,
     epoch_produced: bool,
     exhausted: bool,
-    issued: u64,
 }
 
 impl MpScheduler {
@@ -135,7 +134,6 @@ impl MpScheduler {
             row_produced: false,
             epoch_produced: false,
             exhausted: false,
-            issued: 0,
         })
     }
 
@@ -240,9 +238,7 @@ impl Iterator for MpScheduler {
             if self.exhausted {
                 return None;
             }
-            let r = self.next_direct()?;
-            self.issued += 1;
-            return Some(r);
+            return self.next_direct();
         }
         while self.pos == self.buf.len() {
             if self.exhausted {
@@ -252,7 +248,6 @@ impl Iterator for MpScheduler {
         }
         let r = self.buf[self.pos];
         self.pos += 1;
-        self.issued += 1;
         Some(r)
     }
 }

@@ -48,7 +48,7 @@ pub mod slo;
 pub mod span;
 pub mod validate;
 
-pub use epoch::EpochSeries;
+pub use epoch::{EpochRow, EpochSeries};
 pub use event::{EventKind, SimEvent};
 pub use export::{histogram_json, merged_chrome_trace, series_json};
 pub use hist::Histogram;

@@ -34,9 +34,7 @@ pub mod config;
 pub mod render;
 pub mod run;
 
-pub use asserts::CellResult;
-
-pub use asserts::Verdict;
+pub use asserts::{CellResult, Verdict};
 pub use cells::{Cell, CellValue};
 pub use config::{Kind, Scenario, WorkloadSource};
 pub use run::{

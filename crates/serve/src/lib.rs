@@ -72,9 +72,8 @@ pub(crate) mod ring;
 pub(crate) mod scenario;
 pub(crate) mod server;
 
-pub use api::parse_job_spec;
-
+pub use api::{parse_job_spec, JobSpec};
 pub use client::HttpResponse;
 pub use metrics::{PhaseSample, ServeMetrics};
 pub use ring::HashRing;
-pub use server::{ChaosConfig, ServeConfig, Server};
+pub use server::{ChaosConfig, DrainSummary, ServeConfig, Server};

@@ -46,9 +46,7 @@ pub(crate) mod error;
 pub mod hash;
 pub mod rng;
 
-pub use access::AccessKind;
-
-pub use access::Protection;
+pub use access::{AccessKind, Protection};
 pub use addr::{BlockNum, GlobalAddr, Pfn, PhysAddr, ProcAddr, SegmentId, Vpn};
 pub use config::{MemSize, SystemConfig};
 pub use costs::CostParams;

@@ -41,8 +41,6 @@ pub struct VmStats {
     pub soft_faults: u64,
     /// Total page faults handled (page-ins + zero-fills + soft faults).
     pub page_faults: u64,
-    /// Daemon sweeps triggered by free-list pressure.
-    pub sweeps: u64,
     /// High-water mark of simultaneously resident (replaceable) pages.
     pub resident_high_water: u64,
 }

@@ -52,9 +52,6 @@ pub struct Swap {
     /// Actual write-backs performed (dirty pages plus forced first-time
     /// zero-fill writes).
     pub page_outs: u64,
-    /// Forced first-replacement writes of never-modified zero-fill pages
-    /// (footnote 4).
-    pub forced_zero_fill_writes: u64,
 }
 
 /// What replacing a page required of the backing store.
@@ -107,7 +104,6 @@ impl Swap {
             // Footnote 4: the first replacement of a zero-fill page writes
             // regardless of the dirty bit, so nothing was saved here.
             self.page_outs += 1;
-            self.forced_zero_fill_writes += 1;
             self.on_swap.insert(vpn);
             outcome.wrote = true;
             outcome.forced = true;
@@ -199,7 +195,6 @@ mod tests {
         // Second clean replacement is a genuinely saved write.
         let second = swap.replace(vpn, PageKind::Heap, false);
         assert!(!second.wrote);
-        assert_eq!(swap.forced_zero_fill_writes, 1);
         assert_eq!(swap.page_outs, 1);
         assert_eq!(swap.not_modified, 1);
     }
