@@ -17,8 +17,9 @@
 //! * [`translate`] — in-cache address translation: on a miss the controller
 //!   looks for the first-level PTE *in the cache*, falling back to the
 //!   wired second-level table;
-//! * [`coherence`] — the Berkeley Ownership protocol on a snooping bus
-//!   (present on the prototype; the paper's measurements are uniprocessor);
+//! * [`coherence`] — the Berkeley Ownership line states and a cache's
+//!   response to a snooped bus transaction (present on the prototype;
+//!   the paper's measurements are uniprocessor);
 //! * [`counters`] — the cache controller's 16 × 32-bit performance
 //!   counters with their mode register.
 //!

@@ -1,9 +1,9 @@
-//! Randomized tests: direct-mapping laws and coherence safety, driven
+//! Randomized tests: direct-mapping and set-associative laws, driven
 //! by the repository's deterministic [`SmallRng`] instead of an
-//! external property-testing framework.
+//! external property-testing framework. The coherence safety property
+//! runs on the N-CPU `SpurSystem` (`crates/mp/tests/coherence_corners.rs`).
 
 use spur_cache::cache::VirtualCache;
-use spur_cache::coherence::Bus;
 use spur_types::rng::SmallRng;
 use spur_types::{BlockNum, GlobalAddr, Protection, Vpn, CACHE_LINES};
 
@@ -93,31 +93,6 @@ fn tag_checked_flush_is_precise() {
         assert_eq!(c.resident_blocks_of_page(target), 0);
         for b in others {
             assert!(c.find(b).is_some(), "non-target block {b} was flushed");
-        }
-    }
-}
-
-/// The Berkeley protocol safety invariant holds under arbitrary
-/// interleavings of reads and writes from multiple processors.
-#[test]
-fn coherence_safety_under_random_ops() {
-    let mut rng = SmallRng::seed_from_u64(0xcac4_0005);
-    for _ in 0..32 {
-        let n_ops = rng.random_range(1usize..200);
-        let mut bus = Bus::new(3);
-        for _ in 0..n_ops {
-            let cpu = rng.random_range(0usize..3);
-            let block = rng.random_range(0u64..64);
-            let is_write: bool = rng.random();
-            let addr = GlobalAddr::new(block * 32);
-            if is_write {
-                bus.processor_write(cpu, addr, Protection::ReadWrite, false);
-            } else {
-                bus.processor_read(cpu, addr, Protection::ReadWrite, false);
-            }
-            if let Err(msg) = bus.check_invariants() {
-                panic!("{msg}");
-            }
         }
     }
 }

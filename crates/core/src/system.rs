@@ -1226,11 +1226,13 @@ impl SpurSystem {
     }
 
     /// Audits cross-component invariants (tests): every valid non-PTE
-    /// cache line belongs to a resident page, and the VM's own invariants
-    /// hold.
+    /// cache line belongs to a resident page, at most one cache owns a
+    /// block, an `OwnedExclusive` block is cached by no other CPU, and
+    /// the VM's own invariants hold.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         self.vm.check_invariants()?;
-        let mut owners: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+        let mut owners: HashMap<u64, usize> = HashMap::new();
+        let mut exclusive = Vec::new();
         for (cpu, cache) in self.caches.iter().enumerate() {
             for (idx, line) in cache.iter_valid() {
                 let vpn = line.block.vpn();
@@ -1250,6 +1252,18 @@ impl SpurSystem {
                             line.block
                         ));
                     }
+                }
+                if line.state == CoherencyState::OwnedExclusive {
+                    exclusive.push((cpu, line.block));
+                }
+            }
+        }
+        for (cpu, block) in exclusive {
+            for (other, cache) in self.caches.iter().enumerate() {
+                if other != cpu && cache.find(block).is_some() {
+                    return Err(format!(
+                        "block {block} is exclusive in cpu{cpu} but also cached by cpu{other}"
+                    ));
                 }
             }
         }

@@ -5,14 +5,20 @@
 //!   copy (fan-out);
 //! * a read of a remotely-written block is owner-supplied and the
 //!   ownership event names the peer;
-//! * evicting an owned (dirty) line writes the block back to memory.
+//! * evicting an owned (dirty) line writes the block back to memory;
+//! * clearing a reference bit under `REF` flushes the page from every
+//!   cache;
+//! * the protocol's safety invariant (one owner, an exclusive block
+//!   cached nowhere else) holds under random interleavings.
 
 use spur_cache::counters::CounterEvent;
 use spur_core::{ObsParams, SimConfig, SpurSystem};
 use spur_obs::EventKind;
 use spur_trace::stream::Pid;
 use spur_trace::TraceRef;
+use spur_types::rng::SmallRng;
 use spur_types::{AccessKind, GlobalAddr, MemSize, Vpn};
+use spur_vm::policy::RefPolicy;
 use spur_vm::region::PageKind;
 
 /// A shared heap page every test references. Far from any workload's
@@ -139,4 +145,62 @@ fn evicting_an_owned_line_writes_the_block_back() {
         "evicting the dirty owned line must write the block back"
     );
     sys.check_invariants().unwrap();
+}
+
+#[test]
+fn ref_clear_flushes_the_page_from_every_cache() {
+    let mut sys = SpurSystem::new(SimConfig {
+        mem: MemSize::MB8,
+        ref_policy: RefPolicy::Ref,
+        cpus: 2,
+        ..SimConfig::default()
+    })
+    .expect("valid config");
+    sys.register_region(Vpn::new(SHARED_PAGE), 4, PageKind::Heap)
+        .expect("valid region");
+    let page = Vpn::new(SHARED_PAGE);
+    // CPU 0 owns one block of the page; CPU 1 shares it and caches a
+    // second block.
+    sys.reference(r(0, block_addr(0), AccessKind::Write))
+        .unwrap();
+    sys.reference(r(1, block_addr(0), AccessKind::Read))
+        .unwrap();
+    sys.reference(r(1, block_addr(1), AccessKind::Read))
+        .unwrap();
+    assert_eq!(sys.cache_of(0).resident_blocks_of_page(page), 1);
+    assert_eq!(sys.cache_of(1).resident_blocks_of_page(page), 2);
+    // Clearing the page's reference bit must flush it everywhere.
+    sys.daemon_clear_pass();
+    for cpu in 0..2 {
+        assert_eq!(
+            sys.cache_of(cpu).resident_blocks_of_page(page),
+            0,
+            "cpu{cpu} still caches the flushed page"
+        );
+    }
+    sys.check_invariants().unwrap();
+}
+
+/// The Berkeley protocol's safety invariant holds under arbitrary
+/// interleavings of reads and writes from several processors.
+#[test]
+fn coherence_safety_under_random_ops() {
+    let mut rng = SmallRng::seed_from_u64(0xcac4_0005);
+    for _ in 0..32 {
+        let n_ops = rng.random_range(1usize..200);
+        let mut sys = node(3);
+        for _ in 0..n_ops {
+            let pid = rng.random_range(0u64..3);
+            let block = rng.random_range(0u64..64);
+            let kind = if rng.random() {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            sys.reference(r(pid, block_addr(block), kind)).unwrap();
+            if let Err(msg) = sys.check_invariants() {
+                panic!("{msg}");
+            }
+        }
+    }
 }

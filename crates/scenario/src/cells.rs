@@ -15,7 +15,6 @@
 use std::sync::Arc;
 
 use spur_cache::assoc::SetAssocCache;
-use spur_cache::cache::VirtualCache;
 use spur_check::lockstep::Lockstep;
 use spur_core::dirty::DirtyPolicy;
 use spur_core::experiments::ablation::{
@@ -477,23 +476,14 @@ impl Cell {
                 let ways = self.u64_at("ways") as usize;
                 measurement_job(key, move || {
                     let workload = source.workload();
+                    // One way is the direct-mapped prototype
+                    // (`one_way_equals_direct_map` pins the two equal).
+                    let mut cache = SetAssocCache::new(CACHE_LINES as usize, ways);
                     let mut misses = 0u64;
-                    if ways == 1 {
-                        // Direct-mapped reference point.
-                        let mut cache = VirtualCache::prototype();
-                        for r in workload.generator(scale.seed).take(scale.refs as usize) {
-                            if !cache.probe(r.addr).hit {
-                                misses += 1;
-                                cache.fill_for_read(r.addr, Protection::ReadWrite, false);
-                            }
-                        }
-                    } else {
-                        let mut cache = SetAssocCache::new(CACHE_LINES as usize, ways);
-                        for r in workload.generator(scale.seed).take(scale.refs as usize) {
-                            if !cache.probe(r.addr) {
-                                misses += 1;
-                                cache.fill(r.addr, Protection::ReadWrite, false, false);
-                            }
+                    for r in workload.generator(scale.seed).take(scale.refs as usize) {
+                        if !cache.probe(r.addr) {
+                            misses += 1;
+                            cache.fill(r.addr, Protection::ReadWrite, false, false);
                         }
                     }
                     let ratio = misses as f64 / scale.refs as f64;
