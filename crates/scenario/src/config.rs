@@ -309,7 +309,8 @@ impl Scenario {
 // Strict parsing
 // ---------------------------------------------------------------------------
 
-fn fields(doc: &Json) -> &[(String, Json)] {
+/// The fields of an object (none for any other value).
+pub(crate) fn fields(doc: &Json) -> &[(String, Json)] {
     match doc {
         Json::Obj(fields) => fields,
         _ => &[],
@@ -322,7 +323,7 @@ pub fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
 }
 
 /// Rejects object fields outside `allowed`, naming the path.
-fn check_unknown(doc: &Json, path: &str, allowed: &[&str]) -> Result<(), String> {
+pub fn check_unknown(doc: &Json, path: &str, allowed: &[&str]) -> Result<(), String> {
     let place = if path.is_empty() { "scenario" } else { path };
     for (key, _) in fields(doc) {
         if !allowed.contains(&key.as_str()) {
@@ -447,10 +448,7 @@ fn parse_scenario(doc: &Json) -> Result<Scenario, String> {
     let axes = parse_matrix(require(doc, "", "matrix")?, kind)?;
 
     let scale = field(doc, "scale")
-        .map(|v| {
-            check_unknown(v, "scale", &["refs", "seed", "reps", "dev_refs_per_hour"])?;
-            parse_scale(v, Scale::default_scale())
-        })
+        .map(|v| parse_scale(v, Scale::default_scale()))
         .transpose()?;
     let max_refs = match opt_u64(doc, "", "max_refs")? {
         None => None,
@@ -710,8 +708,8 @@ pub fn parse_axis_value(kind: Kind, axis: &str, v: &Json, path: &str) -> Result<
 ///
 /// # Errors
 ///
-/// Returns a `scale`-qualified message for an unknown preset, a
-/// mistyped value, or a value outside the guardrails.
+/// Returns a `scale`-qualified message for an unknown preset, an
+/// unknown field, a mistyped value, or a value outside the guardrails.
 pub fn parse_scale(v: &Json, base: Scale) -> Result<Scale, String> {
     match v {
         Json::Str(preset) => match preset.as_str() {
@@ -723,6 +721,7 @@ pub fn parse_scale(v: &Json, base: Scale) -> Result<Scale, String> {
             )),
         },
         Json::Obj(_) => {
+            check_unknown(v, "scale", &["refs", "seed", "reps", "dev_refs_per_hour"])?;
             let mut scale = base;
             if let Some(refs) = opt_u64(v, "scale", "refs")? {
                 if refs == 0 || refs > MAX_REFS {

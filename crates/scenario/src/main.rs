@@ -54,8 +54,8 @@ fn load_cells(path: &str) -> Result<(Scenario, Vec<Cell>), String> {
 }
 
 fn validate(files: &[String]) -> ExitCode {
-    if files.is_empty() {
-        return usage_error("validate: at least one file required");
+    if files.is_empty() || files.iter().any(|f| f.starts_with('-')) {
+        return usage_error("validate: at least one file required, and no flags");
     }
     each_config(files, |path, s, cells| {
         format!(
@@ -89,8 +89,9 @@ fn each_config(paths: &[String], line: impl Fn(&str, &Scenario, usize) -> String
 }
 
 fn explain(files: &[String]) -> ExitCode {
-    let [path] = files else {
-        return usage_error("explain: exactly one file required");
+    let path = match files {
+        [path] if !path.starts_with('-') => path,
+        _ => return usage_error("explain: exactly one file required, and no flags"),
     };
     let (scenario, cells) = match load_cells(path) {
         Ok(loaded) => loaded,

@@ -1,7 +1,8 @@
-//! The `spur-scenario` binary's flag parsing: a bad `run` flag or a
-//! `list` argument past the one directory is a usage error (exit 2)
-//! before anything runs, and `--trace-out` exports traces whether or
-//! not the run persists its artifacts.
+//! The `spur-scenario` binary's flag parsing: a bad `run` flag, a
+//! `list` argument past the one directory, or a flag given to
+//! `validate` or `explain` is a usage error (exit 2) before anything
+//! runs, and `--trace-out` exports traces whether or not the run
+//! persists its artifacts.
 
 use std::process::{Command, Output};
 
@@ -56,7 +57,7 @@ const SCENARIOS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
 
 #[test]
 fn bad_run_flags_print_usage_and_exit_2() {
-    let cases: [(&str, Output); 9] = [
+    let cases: [(&str, Output); 12] = [
         ("--scale bogus", run(&["--scale", "bogus"])),
         ("trailing --scale", run(&["--scale"])),
         ("--jobs 0", run(&["--jobs", "0"])),
@@ -72,6 +73,12 @@ fn bad_run_flags_print_usage_and_exit_2() {
             scenario(&["list", SCENARIOS, "extra"]),
         ),
         ("list --bogus", scenario(&["list", "--bogus"])),
+        ("validate --bogus", scenario(&["validate", "--bogus"])),
+        (
+            "validate with a flag after a file",
+            scenario(&["validate", FLUSH, "--bogus"]),
+        ),
+        ("explain --bogus", scenario(&["explain", "--bogus"])),
     ];
     for (case, out) in cases {
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -31,6 +31,10 @@
 //! derives its workload and memory itself, so it refuses `workload`,
 //! `workload_spec`, `mem_mb` and `overrides`. Everything but
 //! `experiment`, `workload`/`workload_spec`, and `mem_mb` is optional.
+//! A field the experiment does not read (`policy` on an `events` job, a
+//! misspelt name) is refused by name, and so is an unknown field of
+//! `scale`, `obs` or `overrides`: a typo never silently runs the
+//! default cell.
 
 use spur_core::experiments::Scale;
 use spur_core::obs::ObsParams;
@@ -38,7 +42,7 @@ use spur_core::system::SimOverrides;
 use spur_harness::Json;
 use spur_obs::validate::parse;
 use spur_scenario::config::{
-    as_str, as_u64, field, opt_u64, parse_axis_value, parse_scale, require,
+    as_str, as_u64, check_unknown, field, opt_u64, parse_axis_value, parse_scale, require,
 };
 use spur_scenario::{Cell, Kind, WorkloadSource};
 
@@ -113,6 +117,49 @@ pub fn parse_job_spec(body: &[u8]) -> Result<JobSpec, String> {
             ))
         }
     };
+    let allowed: &[&str] = match kind {
+        Kind::Mp => {
+            // The mp cell derives its workload (`mp_workers`) and memory
+            // size itself, exactly as `reproduce_mp` does — accepting a
+            // workload here would break the shared-key determinism story.
+            for name in ["workload", "workload_spec", "mem_mb", "overrides"] {
+                if field(&doc, name).is_some() {
+                    return Err(format!("{name} is not accepted for experiment \"mp\""));
+                }
+            }
+            &[
+                "experiment",
+                "policy",
+                "cpus",
+                "shared_pages",
+                "scale",
+                "obs",
+                "priority",
+            ]
+        }
+        Kind::Refbit => &[
+            "experiment",
+            "workload",
+            "workload_spec",
+            "mem_mb",
+            "policy",
+            "overrides",
+            "scale",
+            "obs",
+            "priority",
+        ],
+        _ => &[
+            "experiment",
+            "workload",
+            "workload_spec",
+            "mem_mb",
+            "overrides",
+            "scale",
+            "obs",
+            "priority",
+        ],
+    };
+    check_unknown(&doc, &format!("{experiment} job"), allowed)?;
     // The flat fields are the one-cell matrix's coordinates, each
     // validated as the scenario engine validates that axis.
     let coord = |axis: &str, name: &str, value: &Json| -> Result<(String, Json), String> {
@@ -126,14 +173,6 @@ pub fn parse_job_spec(body: &[u8]) -> Result<JobSpec, String> {
     let mut workload = None;
     let mut overrides = SimOverrides::default();
     if kind == Kind::Mp {
-        // The mp cell derives its workload (`mp_workers`) and memory
-        // size itself, exactly as `reproduce_mp` does — accepting a
-        // workload here would break the shared-key determinism story.
-        for name in ["workload", "workload_spec", "mem_mb", "overrides"] {
-            if field(&doc, name).is_some() {
-                return Err(format!("{name} is not accepted for experiment \"mp\""));
-            }
-        }
         coords.push(coord("ref", "policy", &policy)?);
         let cpus = field(&doc, "cpus").cloned().unwrap_or(Json::UInt(2));
         coords.push(coord("cpus", "cpus", &cpus)?);
@@ -196,6 +235,7 @@ fn parse_obs(doc: &Json) -> Result<Option<ObsParams>, String> {
         Some(Json::Bool(false)) => Ok(None),
         Some(Json::Bool(true)) => Ok(Some(ObsParams::default())),
         Some(v @ Json::Obj(_)) => {
+            check_unknown(v, "obs", &["epoch"])?;
             let mut params = ObsParams::default();
             if let Some(epoch) = opt_u64(v, "obs", "epoch")? {
                 if epoch == 0 {
@@ -217,6 +257,18 @@ fn parse_overrides(doc: &Json) -> Result<SimOverrides, String> {
         return Err("overrides must be an object".into());
     }
     let path = "overrides";
+    check_unknown(
+        value,
+        path,
+        &[
+            "cpus",
+            "soft_faults",
+            "daemon_period",
+            "kernel_reserved_frames",
+            "free_low_water",
+            "free_high_water",
+        ],
+    )?;
     let mut ov = SimOverrides::default();
     if let Some(cpus) = opt_u64(value, path, "cpus")? {
         if cpus == 0 {
@@ -486,6 +538,28 @@ mod tests {
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":5,"overrides":{"cpus":0}}"#,
                 "cpus",
+            ),
+            // A misspelt or misplaced field is refused by name, not
+            // dropped in favour of its default.
+            (
+                r#"{"experiment":"refbit","workload":"SLC","mem_mb":5,"polcy":"REF"}"#,
+                "refbit job: unknown field \"polcy\"",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"policy":"REF"}"#,
+                "events job: unknown field \"policy\"",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"obs":{"epcoh":5000}}"#,
+                "obs: unknown field \"epcoh\"",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"overrides":{"soft_fault":false}}"#,
+                "overrides: unknown field \"soft_fault\"",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"scale":{"ref":1000}}"#,
+                "scale: unknown field \"ref\"",
             ),
         ] {
             let err = spec(body).unwrap_err();
