@@ -234,10 +234,13 @@ impl FuzzCase {
         Json::object([
             ("seed", Json::UInt(self.seed)),
             ("mem_mb", Json::UInt(self.mem_mb as u64)),
-            ("dirty", Json::Str(dirty_name(self.dirty).to_string())),
+            (
+                "dirty",
+                Json::Str(self.dirty.to_string().to_ascii_lowercase()),
+            ),
             (
                 "ref_policy",
-                Json::Str(ref_name(self.ref_policy).to_string()),
+                Json::Str(self.ref_policy.to_string().to_ascii_lowercase()),
             ),
             ("cpus", Json::UInt(self.cpus as u64)),
             ("soft_faults", Json::Bool(self.soft_faults)),
@@ -331,8 +334,12 @@ impl FuzzCase {
         Ok(FuzzCase {
             seed: uint(field(doc, "seed")?, "seed")?,
             mem_mb: uint(field(doc, "mem_mb")?, "mem_mb")? as u32,
-            dirty: parse_dirty(str_field(doc, "dirty")?)?,
-            ref_policy: parse_ref(str_field(doc, "ref_policy")?)?,
+            dirty: str_field(doc, "dirty")?
+                .parse::<DirtyPolicy>()
+                .map_err(|e| e.to_string())?,
+            ref_policy: str_field(doc, "ref_policy")?
+                .parse::<RefPolicy>()
+                .map_err(|e| e.to_string())?,
             cpus: uint(field(doc, "cpus")?, "cpus")? as usize,
             soft_faults: match field(doc, "soft_faults")? {
                 Json::Bool(b) => *b,
@@ -486,44 +493,6 @@ pub fn mutation_selftest() -> Result<MutationSelftest, String> {
         }
     }
     Err("no generated case tripped the injected SPUR mutation".to_string())
-}
-
-fn dirty_name(d: DirtyPolicy) -> &'static str {
-    match d {
-        DirtyPolicy::Min => "min",
-        DirtyPolicy::Fault => "fault",
-        DirtyPolicy::Flush => "flush",
-        DirtyPolicy::Spur => "spur",
-        DirtyPolicy::Write => "write",
-    }
-}
-
-fn parse_dirty(name: &str) -> Result<DirtyPolicy, String> {
-    match name {
-        "min" => Ok(DirtyPolicy::Min),
-        "fault" => Ok(DirtyPolicy::Fault),
-        "flush" => Ok(DirtyPolicy::Flush),
-        "spur" => Ok(DirtyPolicy::Spur),
-        "write" => Ok(DirtyPolicy::Write),
-        other => Err(format!("unknown dirty policy {other:?}")),
-    }
-}
-
-fn ref_name(r: RefPolicy) -> &'static str {
-    match r {
-        RefPolicy::Miss => "miss",
-        RefPolicy::Ref => "ref",
-        RefPolicy::Noref => "noref",
-    }
-}
-
-fn parse_ref(name: &str) -> Result<RefPolicy, String> {
-    match name {
-        "miss" => Ok(RefPolicy::Miss),
-        "ref" => Ok(RefPolicy::Ref),
-        "noref" => Ok(RefPolicy::Noref),
-        other => Err(format!("unknown ref policy {other:?}")),
-    }
 }
 
 fn kind_name(k: PageKind) -> &'static str {

@@ -11,7 +11,7 @@
 
 use spur_harness::Json;
 
-use crate::config::Axis;
+use crate::config::{as_str, check_unknown, field, fields, require, Axis};
 
 /// How a relation compares its two sides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -437,35 +437,8 @@ fn evaluate_one(assertion: &Assertion, cells: &[CellResult]) -> Verdict {
 // Parsing (strict, path-qualified — the same discipline as config.rs)
 // ---------------------------------------------------------------------------
 
-fn fields(doc: &Json) -> &[(String, Json)] {
-    match doc {
-        Json::Obj(fields) => fields,
-        _ => &[],
-    }
-}
-
-fn field<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    fields(doc).iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn check_unknown(doc: &Json, path: &str, allowed: &[&str]) -> Result<(), String> {
-    for (key, _) in fields(doc) {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "{path}: unknown field {key:?} (allowed: {})",
-                allowed.join(", ")
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn str_field(doc: &Json, path: &str, key: &str) -> Result<String, String> {
-    match field(doc, key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(_) => Err(format!("{path}.{key}: must be a string")),
-        None => Err(format!("{path}.{key}: missing required field")),
-    }
+    as_str(require(doc, path, key)?, &format!("{path}.{key}")).map(str::to_owned)
 }
 
 fn num_field(doc: &Json, path: &str, key: &str) -> Result<Option<f64>, String> {
@@ -617,17 +590,9 @@ fn parse_assertion(doc: &Json, path: &str, axes: &[Axis]) -> Result<Assertion, S
                     ))
                 }
             };
-            let left = parse_selector(
-                field(doc, "left").ok_or_else(|| format!("{path}.left: missing required field"))?,
-                &format!("{path}.left"),
-                axes,
-            )?;
-            let right = parse_selector(
-                field(doc, "right")
-                    .ok_or_else(|| format!("{path}.right: missing required field"))?,
-                &format!("{path}.right"),
-                axes,
-            )?;
+            let left = parse_selector(require(doc, path, "left")?, &format!("{path}.left"), axes)?;
+            let right =
+                parse_selector(require(doc, path, "right")?, &format!("{path}.right"), axes)?;
             if left.is_empty() || right.is_empty() {
                 return Err(format!(
                     "{path}: left and right must each pin at least one axis"
