@@ -55,7 +55,7 @@ fn main() {
         jobs.extend(cells.iter().map(|cell| cell.job()));
     }
     let report = run_jobs_with_progress(jobs, opts.workers, opts.progress);
-    persist_run("reproduce_all", &scale, &report, opts.trace_out.as_deref());
+    let persisted = persist_run("reproduce_all", &scale, &report, opts.trace_out.as_deref());
 
     let rows = match event_rows(&events, &report) {
         Ok(rows) => rows,
@@ -85,4 +85,7 @@ fn main() {
     }
 
     println!("done; see EXPERIMENTS.md for paper-vs-measured commentary.");
+    if !persisted {
+        std::process::exit(1);
+    }
 }

@@ -35,7 +35,7 @@ fn main() {
         opts.workers,
         opts.progress,
     );
-    persist_run("sweep_memory", &scale, &report, opts.trace_out.as_deref());
+    let persisted = persist_run("sweep_memory", &scale, &report, opts.trace_out.as_deref());
     match assemble_memory_sweep(&report, &SIZES) {
         Ok(rows) => {
             if csv {
@@ -61,15 +61,18 @@ fn main() {
                     t.row(cells);
                 }
                 print!("{}", t.to_csv());
-                return;
+            } else {
+                println!("{}", render_memory_sweep(&rows));
+                println!("Paper's closing claim: the benefits of reference bits decline as");
+                println!("memory grows and eventually the maintenance overhead dominates.");
             }
-            println!("{}", render_memory_sweep(&rows));
-            println!("Paper's closing claim: the benefits of reference bits decline as");
-            println!("memory grows and eventually the maintenance overhead dominates.");
         }
         Err(e) => {
             eprintln!("experiment failed: {e}");
             std::process::exit(1);
         }
+    }
+    if !persisted {
+        std::process::exit(1);
     }
 }

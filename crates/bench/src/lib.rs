@@ -1,8 +1,8 @@
 //! The experiment binaries' shared command line.
 //!
-//! `reproduce_all`, `reproduce_mp`, `sweep_memory` and the studies read
-//! the run flags through [`parse_args`], the parser `spur-scenario run`
-//! uses, plus a few bare flags of their own:
+//! `reproduce_all`, `sweep_memory` and the studies read the run flags
+//! through [`parse_args`], the parser `spur-scenario run` uses, plus a
+//! bare flag of their own:
 //!
 //! ```text
 //! cargo run --release -p spur-bench --bin reproduce_all -- --scale quick --jobs 8
@@ -14,7 +14,8 @@
 //! 4.1 have no binary of their own: their cells are committed scenario
 //! configs, run on their own by
 //! `spur-scenario run scenarios/table_*.json --legacy-stdout` and all
-//! together by `reproduce_all`. Timing lives in `perfbench/`, the
+//! together by `reproduce_all`. So does the multiprocessor sweep
+//! (`scenarios/mp_refbit.json`). Timing lives in `perfbench/`, the
 //! repository's one benchmark.
 
 use std::path::Path;

@@ -2,7 +2,8 @@
 //! argument the binary does not take, or a bad `SPUR_JOBS` prints the
 //! usage text and exits 2 before any cell runs; `spur-fuzz` and
 //! `check_obs` answer a bad number, an unknown flag or a stray argument
-//! the same way.
+//! the same way. A failed artifact write exits 1 once stdout is
+//! complete.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -14,14 +15,11 @@ macro_rules! bins {
 }
 
 /// Every binary that reads the run flags, with its own extra flags.
-const BINARIES: [(&str, &str); 11] = bins!(
+const BINARIES: [(&str, &str); 8] = bins!(
     "reproduce_all",
-    "reproduce_mp",
     "sweep_memory",
     "baseline_tlb",
-    "counters_dump",
     "elapsed_breakdown",
-    "probe_breakdown",
     "residency_study",
     "table_3_4_direct",
     "translation_study",
@@ -107,18 +105,8 @@ fn each_binary_takes_only_its_own_extra_flags() {
     // A binary's own flag passes the check, so the argument after it
     // is the one named; a flag of another binary is refused.
     for (bin, exe) in BINARIES {
-        let own = match bin {
-            "reproduce_mp" => Some("--verify"),
-            "sweep_memory" => Some("--csv"),
-            _ => None,
-        };
-        for flag in [
-            "--verify",
-            "--csv",
-            "--legacy-stdout",
-            "--no-persist",
-            "--json",
-        ] {
+        let own = (bin == "sweep_memory").then_some("--csv");
+        for flag in ["--csv", "--legacy-stdout", "--no-persist", "--json"] {
             let out = run(bin, exe, &[flag, "--frobnicate"], None);
             let named = if own == Some(flag) {
                 "--frobnicate"
@@ -129,6 +117,28 @@ fn each_binary_takes_only_its_own_extra_flags() {
             assert_usage_error(bin, flag, &out, &needle);
         }
     }
+}
+
+#[test]
+fn a_failed_artifact_write_exits_1_after_the_tables() {
+    // A results root under a regular file cannot be created.
+    let file = results_dir("file");
+    std::fs::write(&file, "").expect("temp file");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce_all"))
+        .args(["--scale", "quick", "--jobs", "2"])
+        .env("SPUR_RESULTS_DIR", file.join("json"))
+        .env_remove("SPUR_JOBS")
+        .env_remove("SPUR_PROGRESS")
+        .output()
+        .expect("reproduce_all starts");
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("artifact write FAILED: "), "{stderr}");
+    assert!(
+        out.stdout == include_bytes!("../../../results/reproduce_all-quick.txt"),
+        "stdout differs from results/reproduce_all-quick.txt"
+    );
 }
 
 #[test]

@@ -57,8 +57,7 @@ impl CounterMode {
     /// The events wired to this mode's counter slots, in slot order.
     ///
     /// The wiring is fixed at design time, so the listings are `const`
-    /// slices — callers on hot paths (and `dump()`, which walks all
-    /// four modes) pay no allocation or sort.
+    /// slices: callers pay no allocation or sort.
     pub fn events(self) -> &'static [CounterEvent] {
         use CounterEvent::*;
         const REFERENCES: &[CounterEvent] = &[
@@ -329,29 +328,6 @@ impl PerfCounters {
     }
 }
 
-impl PerfCounters {
-    /// Renders every mode's slot wiring and current totals — the view a
-    /// diagnostic monitor program (the paper's workloads included two!)
-    /// would print.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for mode in CounterMode::ALL {
-            out.push_str(&format!(
-                "mode {mode}{}:\n",
-                if mode == self.mode { " (selected)" } else { "" }
-            ));
-            for (slot, event) in mode.events().iter().copied().enumerate() {
-                out.push_str(&format!(
-                    "  [{slot:>2}] {:<22} {:>12}\n",
-                    event.to_string(),
-                    self.total(event)
-                ));
-            }
-        }
-        out
-    }
-}
-
 impl Default for PerfCounters {
     fn default() -> Self {
         Self::promiscuous()
@@ -460,18 +436,6 @@ mod tests {
             for (i, e) in events.iter().enumerate() {
                 assert_eq!(e.mode_slot(), (mode, i), "{mode} slot {i}");
             }
-        }
-    }
-
-    #[test]
-    fn dump_lists_every_wired_event() {
-        let mut pc = PerfCounters::promiscuous();
-        pc.record(CounterEvent::DirtyFault);
-        let text = pc.dump();
-        assert!(text.contains("DirtyFault"));
-        assert!(text.contains("(selected)"));
-        for mode in CounterMode::ALL {
-            assert!(text.contains(&format!("mode {mode}")));
         }
     }
 }

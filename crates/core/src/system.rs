@@ -195,16 +195,6 @@ pub struct SpurSystem {
     whit: u64,
     wmiss: u64,
     zfod_faults: u64,
-    /// Necessary-fault attribution: (page kind, residency-was-zero-fill)
-    /// → count. Diagnostic surface for workload tuning and tests.
-    fault_breakdown: FastMap<(PageKind, bool), u64>,
-    /// Excess-fault / dirty-bit-miss attribution by page kind.
-    excess_breakdown: HashMap<PageKind, u64>,
-    /// Diagnostic: cumulative count of clean blocks already cached at the
-    /// moment of each necessary fault (the excess-fault candidates).
-    stale_at_fault: u64,
-    /// The same count, restricted to faults on zero-filled residencies.
-    stale_at_fault_zfod: u64,
     /// Write-hit handler for the configured dirty policy, resolved at
     /// construction (see [`SpurSystem::write_hit_handler`]).
     write_hit_fn: WriteHitFn,
@@ -288,10 +278,6 @@ impl SpurSystem {
             whit: 0,
             wmiss: 0,
             zfod_faults: 0,
-            fault_breakdown: FastMap::default(),
-            excess_breakdown: HashMap::new(),
-            stale_at_fault: 0,
-            stale_at_fault_zfod: 0,
             obs: None,
             cur_cpu: 0,
             block_dir: FastMap::default(),
@@ -877,9 +863,6 @@ impl SpurSystem {
                 self.counters.record(CounterEvent::DirtyBitMiss);
                 self.charge(CycleCategory::DirtyBit, costs.t_dm);
                 self.obs_emit(EventKind::DirtyBitMiss, vpn.index(), costs.t_dm);
-                if let Some(k) = self.vm.kind_of(vpn) {
-                    *self.excess_breakdown.entry(k).or_insert(0) += 1;
-                }
             } else if !self.necessary_fault(vpn, costs.t_ds + costs.t_dm)? {
                 // First write to the page faults; a true
                 // protection violation aborts the write.
@@ -909,9 +892,6 @@ impl SpurSystem {
                 self.counters.record(CounterEvent::ExcessFault);
                 self.charge(CycleCategory::DirtyBit, costs.t_ds);
                 self.obs_emit(EventKind::ExcessFault, vpn.index(), costs.t_ds);
-                if let Some(k) = self.vm.kind_of(vpn) {
-                    *self.excess_breakdown.entry(k).or_insert(0) += 1;
-                }
                 self.caches[cpu].line_mut(index).prot = pte.protection();
             } else if self.emulation_fault(vpn)? {
                 self.caches[cpu].line_mut(index).prot = Protection::ReadWrite;
@@ -1094,20 +1074,8 @@ impl SpurSystem {
         self.counters.record(CounterEvent::DirtyFault);
         self.charge(CycleCategory::DirtyBit, cost);
         self.obs_emit(EventKind::DirtyFault, vpn.index(), cost);
-        let zf = self.vm.residency_zero_filled(vpn);
-        if zf {
+        if self.vm.residency_zero_filled(vpn) {
             self.zfod_faults += 1;
-        }
-        *self.fault_breakdown.entry((kind, zf)).or_insert(0) += 1;
-        let stale: u64 = self
-            .caches
-            .iter()
-            .map(|c| c.resident_blocks_of_page(vpn))
-            .sum::<u64>()
-            .saturating_sub(1);
-        self.stale_at_fault += stale;
-        if zf {
-            self.stale_at_fault_zfod += stale;
         }
         self.vm.mark_dirty(vpn);
         Ok(true)
@@ -1130,11 +1098,9 @@ impl SpurSystem {
         self.counters.record(CounterEvent::DirtyFault);
         self.charge(CycleCategory::DirtyBit, self.config.costs.t_ds);
         self.obs_emit(EventKind::DirtyFault, vpn.index(), self.config.costs.t_ds);
-        let zf = self.vm.residency_zero_filled(vpn);
-        if zf {
+        if self.vm.residency_zero_filled(vpn) {
             self.zfod_faults += 1;
         }
-        *self.fault_breakdown.entry((kind, zf)).or_insert(0) += 1;
         self.vm.mark_dirty(vpn);
         self.vm
             .update_pte(vpn, |p| p.set_protection(Protection::ReadWrite));
@@ -1173,26 +1139,6 @@ impl SpurSystem {
                 );
             }
         }
-    }
-
-    /// Necessary-fault attribution: (page kind, was-zero-fill) → count.
-    pub fn fault_breakdown(&self) -> &FastMap<(PageKind, bool), u64> {
-        &self.fault_breakdown
-    }
-
-    /// Excess-fault / dirty-bit-miss attribution by page kind.
-    pub fn excess_breakdown(&self) -> &HashMap<PageKind, u64> {
-        &self.excess_breakdown
-    }
-
-    /// Diagnostic: total clean blocks cached at necessary-fault time.
-    pub fn stale_at_fault(&self) -> u64 {
-        self.stale_at_fault
-    }
-
-    /// Diagnostic: stale blocks at fault time on zero-filled residencies.
-    pub fn stale_at_fault_zfod(&self) -> u64 {
-        self.stale_at_fault_zfod
     }
 
     /// Runs one clear-only daemon pass over every resident page (the

@@ -148,8 +148,8 @@ pub fn measure_mp_obs(
     Ok((row, report))
 }
 
-/// The stable cell key shared by `reproduce_mp`, the serving API, and
-/// the tests: `mp/04cpu/0256sh/REF`.
+/// The stable cell key shared by the `mp` scenario kind, the serving
+/// API, and the tests: `mp/04cpu/0256sh/REF`.
 pub fn mp_key(cpus: usize, shared_pages: u64, policy: RefPolicy) -> String {
     format!("mp/{cpus:02}cpu/{shared_pages:04}sh/{policy}")
 }

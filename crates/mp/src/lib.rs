@@ -18,9 +18,9 @@
 //!   owner-supplies-data) over a shared Sprite-like VM, fed by the
 //!   scheduler.
 //! * [`experiment`] — the measured policy × CPU count × sharing-degree
-//!   cells behind `reproduce_mp` and the `mp` scenario kind, plus the
-//!   pre-measurement analytic model, now a pure function of the
-//!   measured 1-CPU rows and printed as a cross-check.
+//!   cells behind the `mp` scenario kind (`scenarios/mp_refbit.json`),
+//!   plus the pre-measurement analytic model, now a pure function of
+//!   the measured 1-CPU rows and printed as a cross-check.
 //!
 //! Because [`MpScheduler`] is just an `Iterator<Item = TraceRef>`, the
 //! spur-check `Lockstep` driver verifies the multiprocessor system

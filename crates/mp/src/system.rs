@@ -23,7 +23,7 @@ pub struct MpParams {
     /// References per CPU per epoch (barrier interval).
     pub epoch: u64,
     /// Harness-pool workers for slice generation. Keep at 1 when the
-    /// run itself executes inside a harness job (e.g. `reproduce_mp`
+    /// run itself executes inside a harness job (e.g. `mp` scenario
     /// cells) so nested pools don't multiply threads; the stream is
     /// identical either way.
     pub workers: usize,

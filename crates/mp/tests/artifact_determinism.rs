@@ -1,7 +1,8 @@
 //! The reproducibility contract, end to end: the same seed must yield
 //! byte-identical per-cell artifacts no matter how many host workers
-//! run the sweep. (CI enforces the same property on `reproduce_mp`'s
-//! on-disk output by diffing two runs with different `--jobs`.)
+//! run the sweep. (CI enforces the same property on the on-disk output
+//! of `scenarios/mp_refbit.json` by diffing two runs with different
+//! `--jobs`.)
 
 use spur_core::experiments::Scale;
 use spur_harness::{job_artifact_json, run_jobs, Job, JobOutput};

@@ -248,9 +248,9 @@ impl Cell {
     }
 
     /// The workload the cell simulates, if it has one. An `mp` cell's
-    /// is derived from its coordinates, exactly as `reproduce_mp`
-    /// derives it (and its memory is `spur-mp`'s fixed 8 MB node); a
-    /// `pageout` cell's is its host's development-machine workload.
+    /// is derived from its coordinates (and its memory is `spur-mp`'s
+    /// fixed 8 MB node); a `pageout` cell's is its host's
+    /// development-machine workload.
     fn simulated_workload(&self) -> Option<Workload> {
         match self.kind {
             Kind::Mp => Some(mp_workers(self.cpus(), self.u64_at("shared_pages"))),

@@ -30,7 +30,7 @@ pub(crate) const MAX_REFS: u64 = 100_000_000;
 pub(crate) const MAX_REPS: u32 = 16;
 
 /// Largest accepted memory size in megabytes.
-pub const MAX_MEM_MB: u64 = 4096;
+pub(crate) const MAX_MEM_MB: u64 = 4096;
 
 /// Largest matrix a single scenario may expand to.
 pub(crate) const MAX_CELLS: usize = 4096;

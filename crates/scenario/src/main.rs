@@ -19,7 +19,7 @@ const USAGE: &str = "usage: spur-scenario <command> [args]
 commands:
   validate <file>...   strict-parse each config; non-zero exit on any error
   explain <file>       show the resolved scale, expanded cells, and assertions
-  run <file> [flags]   run the scenario; non-zero exit on cell or assertion failure
+  run <file> [flags]   run the scenario; non-zero exit on a cell, assertion or write failure
   list [dir]           summarize the scenario configs in a directory (default: scenarios)
 
 run flags:
@@ -189,7 +189,7 @@ fn run(args: &[String]) -> ExitCode {
         }
         println!("result: {}", if run.passed() { "PASS" } else { "FAIL" });
     }
-    if run.passed() {
+    if run.passed() && run.writes_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

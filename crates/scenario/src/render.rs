@@ -9,10 +9,9 @@
 //! what they printed. The parity tests diff this output against an
 //! inline reconstruction of the original code — so "the folded
 //! binaries still print the same thing" is a tested claim, not a
-//! code-review hope. `reproduce_all` and `reproduce_mp` assemble
-//! their tables from the same row collectors ([`event_rows`],
-//! [`pageout_rows`], [`refbit_rows`], [`mp_rows`]) and print the same
-//! [`banner`].
+//! code-review hope. `reproduce_all` assembles its tables from the
+//! same row collectors ([`event_rows`], [`pageout_rows`],
+//! [`refbit_rows`]) and prints the same [`banner`].
 
 use spur_core::experiments::ablation::{
     handler_tuning, render_cache_scaling, render_handler_tuning, tdc_sensitivity,
@@ -203,7 +202,10 @@ pub fn refbit_rows(
 /// # Errors
 ///
 /// Returns the first missing or failed cell's description.
-pub fn mp_rows(scenario: &Scenario, report: &RunReport<CellValue>) -> Result<Vec<MpRow>, String> {
+pub(crate) fn mp_rows(
+    scenario: &Scenario,
+    report: &RunReport<CellValue>,
+) -> Result<Vec<MpRow>, String> {
     let mut rows = Vec::new();
     for shared_pages in axis_u64s(scenario, "shared_pages") {
         for cpus in axis_u64s(scenario, "cpus") {

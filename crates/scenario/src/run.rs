@@ -158,6 +158,10 @@ pub struct ScenarioRun {
     pub report: RunReport<CellValue>,
     /// One verdict per declared assertion, in declaration order.
     pub verdicts: Vec<Verdict>,
+    /// Whether every artifact, trace and verdict file the run wrote
+    /// was written; each failure is on stderr. The CLI exits non-zero
+    /// when it is not, after its stdout is complete.
+    pub writes_ok: bool,
 }
 
 impl ScenarioRun {
@@ -237,11 +241,13 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<Scenari
             .into_iter()
             .unzip();
     let report = run_jobs_with_progress(jobs, opts.workers, opts.progress);
-    if opts.persist {
-        persist_run(&scenario.name, &scale, &report, opts.trace_out.as_deref());
+    let writes_ok = if opts.persist {
+        persist_run(&scenario.name, &scale, &report, opts.trace_out.as_deref())
     } else if let Some(root) = &opts.trace_out {
-        report_traces(root, &run_name(&scenario.name, &scale), &report);
-    }
+        report_traces(root, &run_name(&scenario.name, &scale), &report)
+    } else {
+        true
+    };
 
     let results: Vec<CellResult> = cells
         .iter()
@@ -259,14 +265,15 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<Scenari
         .collect();
     let verdicts = evaluate(&scenario.assertions, &results);
 
-    let run = ScenarioRun {
+    let mut run = ScenarioRun {
         scale,
         cells,
         report,
         verdicts,
+        writes_ok,
     };
     if opts.persist && !scenario.assertions.is_empty() {
-        write_scenario_result(scenario, &run);
+        run.writes_ok &= write_scenario_result(scenario, &run);
     }
     Ok(run)
 }
@@ -275,9 +282,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunnerOptions) -> Result<Scenari
 /// first, then the run (artifacts + stderr epilogue), then the legacy
 /// stdout tables, byte-for-byte. Returns the process exit code.
 ///
-/// Assertion failures exit non-zero *after* the tables print, so the
-/// legacy stdout stays complete even when a scenario adds expectations
-/// the old binary never checked.
+/// Assertion failures and failed writes exit non-zero *after* the
+/// tables print, so the legacy stdout stays complete even when a
+/// scenario adds expectations the old binary never checked.
 pub fn run_legacy(scenario: &Scenario, opts: &RunnerOptions) -> i32 {
     let scale = scenario.resolve_scale(opts.scale);
     if let Some(banner) = crate::render::legacy_banner(scenario, &scale) {
@@ -299,6 +306,9 @@ pub fn run_legacy(scenario: &Scenario, opts: &RunnerOptions) -> i32 {
     }
     if !run.assertions_passed() {
         report_failed_assertions(&run);
+        return 1;
+    }
+    if !run.writes_ok {
         return 1;
     }
     0
@@ -336,7 +346,16 @@ pub fn scale_name(scale: &Scale) -> &'static str {
 /// wall-time histogram, and export Chrome traces under `trace_out`
 /// on request — all on stderr, leaving stdout to the tables. Wall
 /// times are nondeterministic, so they never enter the artifacts.
-pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_out: Option<&Path>) {
+///
+/// Returns whether every write succeeded; a failed one is reported on
+/// stderr, and the caller exits non-zero once its stdout is complete.
+#[must_use]
+pub fn persist_run<T>(
+    name: &str,
+    scale: &Scale,
+    report: &RunReport<T>,
+    trace_out: Option<&Path>,
+) -> bool {
     let run_name = run_name(name, scale);
     let meta = [
         ("refs", Json::from(scale.refs)),
@@ -344,14 +363,14 @@ pub fn persist_run<T>(name: &str, scale: &Scale, report: &RunReport<T>, trace_ou
         ("seed", Json::from(scale.seed)),
         ("dev_refs_per_hour", Json::from(scale.dev_refs_per_hour)),
     ];
-    match write_run(&default_root(), &run_name, report, &meta) {
+    let written = write_run(&default_root(), &run_name, report, &meta);
+    match &written {
         Ok(art) => eprintln!("{}\nartifacts: {}", report.summary(), art.dir.display()),
         Err(e) => eprintln!("{}\nartifact write FAILED: {e}", report.summary()),
     }
     eprintln!("{}", wall_histogram_line(report));
-    if let Some(root) = trace_out {
-        report_traces(root, &run_name, report);
-    }
+    let traced = trace_out.is_none_or(|root| report_traces(root, &run_name, report));
+    written.is_ok() && traced
 }
 
 /// The run directory name: `<name>-<scale>`.
@@ -360,22 +379,27 @@ fn run_name(name: &str, scale: &Scale) -> String {
 }
 
 /// Exports the run's Chrome traces under `root` and prints the
-/// `traces:` line on stderr.
-fn report_traces<T>(root: &Path, run_name: &str, report: &RunReport<T>) {
+/// `traces:` line on stderr. Returns whether the export succeeded.
+fn report_traces<T>(root: &Path, run_name: &str, report: &RunReport<T>) -> bool {
     match export_traces(root, run_name, report) {
         Ok(0) => eprintln!("traces: none to export (observability off or no trace data)"),
         Ok(n) => eprintln!(
             "traces: {n} file(s) under {}",
             root.join(run_name).display()
         ),
-        Err(e) => eprintln!("trace export FAILED: {e}"),
+        Err(e) => {
+            eprintln!("trace export FAILED: {e}");
+            return false;
+        }
     }
+    true
 }
 
 /// Writes the scenario-level verdict document next to the per-job
 /// artifacts, as `<run dir>/scenario.json`. Purely additive: the
 /// per-job files and manifest stay byte-identical to a legacy run.
-fn write_scenario_result(scenario: &Scenario, run: &ScenarioRun) {
+/// Returns whether the write succeeded.
+fn write_scenario_result(scenario: &Scenario, run: &ScenarioRun) -> bool {
     let dir = default_root().join(run_name(&scenario.name, &run.scale));
     let doc = run.to_json(&scenario.name);
     let path = dir.join("scenario.json");
@@ -383,9 +407,10 @@ fn write_scenario_result(scenario: &Scenario, run: &ScenarioRun) {
         .and_then(|()| std::fs::write(&path, doc.encode_pretty() + "\n"))
     {
         eprintln!("scenario verdict write FAILED: {e}");
-    } else {
-        eprintln!("scenario verdicts: {}", path.display());
+        return false;
     }
+    eprintln!("scenario verdicts: {}", path.display());
+    true
 }
 
 fn wall_histogram_line<T>(report: &RunReport<T>) -> String {

@@ -2,7 +2,8 @@
 //! `list` argument past the one directory, or a flag given to
 //! `validate` or `explain` is a usage error (exit 2) before anything
 //! runs, and `--trace-out` exports traces whether or not the run
-//! persists its artifacts.
+//! persists its artifacts. A failed artifact, verdict or trace write
+//! exits 1 once stdout is complete.
 
 use std::process::{Command, Output};
 
@@ -168,4 +169,71 @@ fn trace_out_exports_without_persisting() {
         ]
     );
     assert!(bare == persisted, "the two runs' traces differ");
+}
+
+/// A regular file to put results under: nothing can be created there.
+fn regular_file(tag: &str) -> std::path::PathBuf {
+    let file = std::env::temp_dir().join(format!("spur-scenario-cli-{}-{tag}", std::process::id()));
+    std::fs::write(&file, "").expect("temp file");
+    file
+}
+
+#[test]
+fn failed_artifact_and_verdict_writes_exit_1() {
+    let file = regular_file("artifacts");
+    for mode in [None, Some("--legacy-stdout")] {
+        let written = Command::new(env!("CARGO_BIN_EXE_spur-scenario"))
+            .args(["run", FLUSH, "--jobs", "1"])
+            .args(mode)
+            .env("SPUR_RESULTS_DIR", file.join("json"))
+            .output()
+            .expect("spur-scenario starts");
+        let stderr = String::from_utf8_lossy(&written.stderr);
+        assert_eq!(written.status.code(), Some(1), "{mode:?}: {stderr}");
+        assert!(
+            stderr.contains("artifact write FAILED: "),
+            "{mode:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("scenario verdict write FAILED: "),
+            "{mode:?}: {stderr}"
+        );
+        // Stdout is what a run that writes nothing prints.
+        let hermetic = run(&mode.into_iter().collect::<Vec<_>>());
+        assert_eq!(hermetic.status.code(), Some(0), "{mode:?}");
+        assert!(
+            written.stdout == hermetic.stdout,
+            "{mode:?}: stdout differs"
+        );
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
+fn a_failed_trace_export_exits_1() {
+    let file = regular_file("traces");
+    let config = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/ablation_soft_faults.json"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_spur-scenario"))
+        .args([
+            "run",
+            config,
+            "--scale",
+            "quick",
+            "--jobs",
+            "2",
+            "--no-persist",
+        ])
+        .arg("--trace-out")
+        .arg(file.join("sub"))
+        .output()
+        .expect("spur-scenario starts");
+    std::fs::remove_file(&file).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("trace export FAILED: "), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.ends_with("result: PASS\n"), "{stdout}");
 }

@@ -207,8 +207,8 @@ fn mp_refbit_config_replaces_the_mp_refbit_binary() {
         render_mp(&rows),
     );
 
-    // `mp_refbit` wrote no artifacts; the config's are `reproduce_mp`'s
-    // cells of the same keys, observability on as there.
+    // `mp_refbit` wrote no artifacts; the config's are the `mp` cells
+    // of the same keys, observability on.
     let obs = Some(ObsParams::default());
     let legacy_jobs: Vec<_> = CPUS
         .iter()

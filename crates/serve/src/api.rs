@@ -120,8 +120,9 @@ pub fn parse_job_spec(body: &[u8]) -> Result<JobSpec, String> {
     let allowed: &[&str] = match kind {
         Kind::Mp => {
             // The mp cell derives its workload (`mp_workers`) and memory
-            // size itself, exactly as `reproduce_mp` does — accepting a
-            // workload here would break the shared-key determinism story.
+            // size from its coordinates, as the `mp` scenario kind does —
+            // accepting a workload here would break the shared-key
+            // determinism story.
             for name in ["workload", "workload_spec", "mem_mb", "overrides"] {
                 if field(&doc, name).is_some() {
                     return Err(format!("{name} is not accepted for experiment \"mp\""));

@@ -3,6 +3,7 @@
 
 use spur_core::baseline::{TlbConfig, TlbSystem};
 use spur_core::system::{SimConfig, SpurSystem};
+use spur_scenario::{run_scenario, RunnerOptions, Scenario};
 use spur_trace::process::ProcessSpec;
 use spur_trace::stream::{Pid, TraceRef};
 use spur_trace::workloads::Workload;
@@ -110,75 +111,48 @@ fn workload_builders_validate_specs() {
     assert!(Workload::build("zeroseg", vec![zero_seg]).is_err());
 }
 
-/// Runs the `spur-repro` binary with `args` after `run --workload slc`.
-fn spur_repro_run(args: &[&str]) -> std::process::Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_spur-repro"))
-        .args(["run", "--workload", "slc"])
-        .args(args)
-        .output()
-        .expect("spur-repro starts")
-}
-
+// `MemSize::new` panics on 0 MB and `Pte::resident` on frame numbers
+// past 20 bits (more than 4096 MB), so scenario configs, and `POST
+// /v1/jobs` bodies through the same matrix parser, refuse memory sizes
+// outside 1..=4096 MB before either runs.
 #[test]
-fn spur_repro_rejects_bad_flag_values_with_usage() {
-    // `MemSize::new` panics on 0 MB and `Pte::resident` on frame
-    // numbers past 20 bits (more than 4096 MB), so memory sizes are
-    // checked before either runs; an unparsable value must not fall
-    // back to the default.
-    for bad in [
-        ["--mem", "0"],
-        ["--mem", "100000"],
-        ["--mem", "4097"],
-        ["--mem", "six"],
-        ["--refs", "abc"],
-        ["--seed", "x"],
-        ["--cpus", "-1"],
-    ] {
-        let stderr = spur_repro_refuses(&bad);
-        assert!(stderr.starts_with("usage:"), "{bad:?}: {stderr}");
+fn memory_sizes_outside_1_to_4096_mb_are_refused() {
+    for mb in [0, 4097] {
+        let config = format!(
+            r#"{{"schema_version": 1, "name": "mem", "experiment": "sim",
+                "matrix": {{"mem_mb": [{mb}]}}}}"#
+        );
+        assert_eq!(
+            Scenario::parse_str(&config).unwrap_err(),
+            format!("matrix.mem_mb[0]: must be in 1..=4096, got {mb}")
+        );
     }
-    // A flag `run` does not take and an argument it does not expect are
-    // refused the same way, not ignored.
-    for bad in [
-        &["--refbits", "noref"][..],
-        &["extra"],
-        &["--refs", "1000", "extra"],
-    ] {
-        let stderr = spur_repro_refuses(bad);
-        assert!(stderr.starts_with("usage:"), "{bad:?}: {stderr}");
-    }
-    // An unreadable spec file is named, with the I/O error.
-    let stderr = spur_repro_refuses(&["--workload", "/nonexistent/spec.wl"]);
-    assert!(
-        stderr.starts_with("error reading /nonexistent/spec.wl: "),
-        "{stderr}"
-    );
-    assert!(stderr.contains("\nusage:"), "{stderr}");
-}
-
-/// Asserts that `spur-repro run --workload slc ARGS` exits 2 without
-/// running a simulation, and returns its stderr.
-fn spur_repro_refuses(args: &[&str]) -> String {
-    let out = spur_repro_run(args);
-    assert_eq!(out.status.code(), Some(2), "{args:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
-    stderr
-}
-
-#[test]
-fn spur_repro_runs_at_the_largest_memory() {
-    let out = spur_repro_run(&["--mem", "4096", "--refs", "1000"]);
+    let config = r#"{"schema_version": 1, "name": "mem", "experiment": "cache_scaling",
+                     "mem_mb": 4097, "matrix": {"cache_kb": [32]}}"#;
     assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        Scenario::parse_str(config).unwrap_err(),
+        "mem_mb: must be in 1..=4096, got 4097"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+}
+
+#[test]
+fn a_cell_runs_at_the_largest_memory() {
+    let scenario = Scenario::parse_str(
+        r#"{"schema_version": 1, "name": "largest_memory", "experiment": "sim",
+            "workload": "SLC", "scale": {"refs": 1000}, "matrix": {"mem_mb": [4096]}}"#,
+    )
+    .expect("4096 MB is in range");
+    let opts = RunnerOptions {
+        workers: 1,
+        persist: false,
+        ..RunnerOptions::default()
+    };
+    let run = run_scenario(&scenario, &opts).expect("the cell expands");
+    let keys: Vec<&str> = run.cells.iter().map(|c| c.key.as_str()).collect();
+    assert_eq!(keys, ["sim/SLC/4096MB/SPUR/MISS/1cpu"]);
     assert!(
-        stdout.starts_with("running 1000 refs of SLC @ 4096 MB"),
-        "{stdout}"
+        run.passed(),
+        "{:?}",
+        run.report.jobs()[0].outcome.as_ref().err()
     );
 }
