@@ -12,8 +12,6 @@
 //! page-dirty bit into the line — the copies whose staleness drives the
 //! whole study.
 
-use core::fmt;
-
 use spur_types::{BlockNum, GlobalAddr, Protection, Vpn, BLOCKS_PER_PAGE, CACHE_LINES};
 
 use crate::coherence::CoherencyState;
@@ -48,15 +46,6 @@ pub struct FlushStats {
     pub written_back: u64,
 }
 
-/// Cumulative cache activity statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CacheStats {
-    /// Block fills (by read or write miss).
-    pub fills: u64,
-    /// Displaced or flushed blocks that were dirty (write-back traffic).
-    pub writebacks: u64,
-}
-
 /// The direct-mapped virtual-address cache.
 ///
 /// ```
@@ -76,7 +65,6 @@ pub(crate) struct CacheStats {
 pub struct VirtualCache {
     lines: Vec<CacheLine>,
     mask: u64,
-    stats: CacheStats,
 }
 
 impl VirtualCache {
@@ -100,7 +88,6 @@ impl VirtualCache {
         VirtualCache {
             lines: vec![CacheLine::empty(); n],
             mask: n as u64 - 1,
-            stats: CacheStats::default(),
         }
     }
 
@@ -178,18 +165,10 @@ impl VirtualCache {
             !line.matches(block),
             "filling a block that is already cached: {block}"
         );
-        let evicted = if line.valid {
-            let ev = EvictedBlock {
-                block: line.block,
-                block_dirty: line.block_dirty,
-            };
-            if ev.block_dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(ev)
-        } else {
-            None
-        };
+        let evicted = line.valid.then_some(EvictedBlock {
+            block: line.block,
+            block_dirty: line.block_dirty,
+        });
         *line = CacheLine {
             valid: true,
             block,
@@ -203,7 +182,6 @@ impl VirtualCache {
             },
             filled_by_write: by_write,
         };
-        self.stats.fills += 1;
         evicted
     }
 
@@ -222,7 +200,6 @@ impl VirtualCache {
                 stats.flushed += 1;
                 if line.block_dirty {
                     stats.written_back += 1;
-                    self.stats.writebacks += 1;
                 }
                 *line = CacheLine::empty();
             }
@@ -244,7 +221,6 @@ impl VirtualCache {
                 stats.flushed += 1;
                 if line.block_dirty {
                     stats.written_back += 1;
-                    self.stats.writebacks += 1;
                 }
                 *line = CacheLine::empty();
             }
@@ -283,19 +259,6 @@ impl VirtualCache {
             .enumerate()
             .filter(|(_, l)| l.valid)
             .map(|(i, l)| (LineIndex(i), l))
-    }
-}
-
-impl fmt::Display for VirtualCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cache[{} lines, {} valid, {} fills, {} writebacks]",
-            self.num_lines(),
-            self.occupancy(),
-            self.stats.fills,
-            self.stats.writebacks
-        )
     }
 }
 
@@ -345,11 +308,6 @@ mod tests {
         );
         assert!(!c.probe(a).hit);
         assert!(c.probe(b).hit);
-        assert_eq!((c.stats.fills, c.stats.writebacks), (2, 1));
-        assert_eq!(
-            c.to_string(),
-            "cache[4096 lines, 1 valid, 2 fills, 1 writebacks]"
-        );
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //! virtual-address cache, in-cache translation, the dirty-bit policy, the
 //! reference-bit policy, and the VM system.
 //!
-//! One [`SpurSystem`] models one uniprocessor SPUR node exactly as the
-//! measured prototype was configured (Table 2.1), with the dirty-bit
+//! One [`SpurSystem`] models one SPUR node of 1–12 processors exactly as
+//! the measured prototype was configured (Table 2.1), with the dirty-bit
 //! mechanism and reference-bit policy selectable — the two knobs the paper
 //! turns.
+//!
+//! [`SpurSystem::run`] overlaps the two halves of a long run when a core
+//! is free: a scoped helper thread generates the reference stream in
+//! batches while the calling thread simulates them, in order, so the
+//! outcome is the serial loop's.
 
 use spur_cache::cache::VirtualCache;
 use spur_cache::coherence::{CoherenceMsg, CoherencyState};
@@ -26,6 +31,11 @@ use spur_vm::region::PageKind;
 use spur_vm::system::{VmConfig, VmCtx, VmSystem};
 
 use std::collections::HashMap;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::OnceLock;
+use std::thread;
 
 use crate::breakdown::{CycleBreakdown, CycleCategory};
 use crate::dirty::DirtyPolicy;
@@ -180,8 +190,101 @@ fn page_kind(kind: SegKind) -> PageKind {
 /// job).
 type WriteHitFn = fn(&mut SpurSystem, usize, LineIndex, GlobalAddr, CacheLine) -> Result<bool>;
 
-/// The uniprocessor full-system simulator.
+/// References per batch the stream helper hands the simulating thread.
+const BATCH: usize = 4096;
+
+/// A run pipelines only when it is at least this many batches long;
+/// a shorter one would spend a visible share of its time starting the
+/// helper and waiting for the first batch.
+const MIN_BATCHES: u64 = 16;
+
+/// Batch buffers a pipelined run cycles between its two threads: one
+/// being filled, one being simulated and one spare, which absorbs the
+/// jitter between the two (two buffers ran about 10% slower, four no
+/// faster).
+const BUFFERS: usize = 3;
+
+/// Threads busy with simulation, process-wide: each [`SpurSystem::run`]
+/// caller counts one, and each stream helper one more.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Cores this process may run on (1 under `taskset -c 0`).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Whether more simulation threads are busy than there are cores.
+fn oversubscribed() -> bool {
+    BUSY.load(Ordering::Relaxed) > cores()
+}
+
+/// One thread's share of [`BUSY`], released on drop (panics included).
+struct Busy;
+
+impl Busy {
+    /// Counts the calling thread.
+    fn enter() -> Busy {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+        Busy
+    }
+
+    /// Claims a share for a helper, only while a core is free.
+    fn claim_free_core() -> Option<Busy> {
+        BUSY.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            (busy < cores()).then_some(busy + 1)
+        })
+        .ok()
+        .map(|_| Busy)
+    }
+}
+
+impl Drop for Busy {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The stream helper's side of [`SpurSystem::run_pipelined`]: pulls
+/// exactly `limit` references of `gen` (fewer if it ends first) into
+/// the buffers `empty` hands back and sends them in order. Stops
+/// pulling at a batch boundary once `stop` is set, and returns whether
+/// it stopped so.
+fn generate<I: Iterator<Item = TraceRef>>(
+    gen: &mut I,
+    limit: u64,
+    full: &SyncSender<Vec<TraceRef>>,
+    empty: &Receiver<Vec<TraceRef>>,
+    stop: &AtomicBool,
+) -> bool {
+    let mut left = limit;
+    while left > 0 {
+        if stop.load(Ordering::Relaxed) {
+            return true;
+        }
+        let want = left.min(BATCH as u64) as usize;
+        let Ok(mut batch) = empty.recv() else {
+            break;
+        };
+        batch.clear();
+        batch.extend(gen.by_ref().take(want));
+        let ended = batch.len() < want;
+        left -= batch.len() as u64;
+        if batch.is_empty() || full.send(batch).is_err() || ended {
+            break;
+        }
+    }
+    false
+}
+
+/// The full-system simulator: one node of 1–12 CPUs, each with its own
+/// virtual-address cache, sharing one bus and one VM system.
+///
+/// Aligned to a cache line, so that a stream stored beside it (the
+/// scheduler inside spur-mp's `MpSystem`) shares no line with the
+/// simulator's state while a helper thread advances the stream.
 #[derive(Debug)]
+#[repr(align(64))]
 pub struct SpurSystem {
     config: SimConfig,
     caches: Vec<VirtualCache>,
@@ -555,7 +658,7 @@ impl SpurSystem {
         &self.vm
     }
 
-    /// CPU 0's cache (occupancy, stats).
+    /// CPU 0's cache (occupancy, lines).
     pub fn cache(&self) -> &VirtualCache {
         &self.caches[0]
     }
@@ -593,11 +696,46 @@ impl SpurSystem {
     /// Executes references from `gen` until `limit` references have run
     /// (or the generator ends).
     ///
+    /// On success exactly the references run have been pulled from
+    /// `gen`, so a later call continues the same stream. A run of at
+    /// least 16 batches of 4,096 references, started while a core is
+    /// free, generates on a helper thread while this thread simulates;
+    /// counters, events and the stream's state come out as the serial
+    /// loop leaves them. The helper hands the stream back at a batch
+    /// boundary once more simulation threads are busy than there are
+    /// cores, and the run finishes serially.
+    ///
     /// # Errors
     ///
     /// Propagates the first reference error (exhausted memory, workload
-    /// escaping its regions).
-    pub fn run<I: Iterator<Item = TraceRef>>(&mut self, gen: &mut I, limit: u64) -> Result<()> {
+    /// escaping its regions). [`SpurSystem::refs`] then counts the
+    /// failing reference, as in the serial loop, but the helper may
+    /// have pulled up to a few batches past it from `gen`.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `gen` or in the simulator is re-raised with its own
+    /// payload.
+    pub fn run<I: Iterator<Item = TraceRef> + Send>(
+        &mut self,
+        gen: &mut I,
+        limit: u64,
+    ) -> Result<()> {
+        let _busy = Busy::enter();
+        let mut left = limit;
+        if limit >= MIN_BATCHES * BATCH as u64 {
+            if let Some(helper) = Busy::claim_free_core() {
+                match self.run_pipelined(gen, limit, helper, oversubscribed)? {
+                    Some(pulled) => left -= pulled,
+                    None => return Ok(()),
+                }
+            }
+        }
+        self.run_serial(gen, left)
+    }
+
+    /// The serial loop: pulls and simulates one reference at a time.
+    fn run_serial<I: Iterator<Item = TraceRef>>(&mut self, gen: &mut I, limit: u64) -> Result<()> {
         for _ in 0..limit {
             match gen.next() {
                 Some(r) => self.reference(r)?,
@@ -605,6 +743,69 @@ impl SpurSystem {
             }
         }
         Ok(())
+    }
+
+    /// Runs up to `limit` references of `gen` while a scoped helper
+    /// thread (holding `helper`'s core) generates them ahead into
+    /// batches over a bounded channel. `yield_core` is asked at every
+    /// batch boundary; once it answers true the helper stops pulling,
+    /// the batches it made are simulated, and the number of references
+    /// pulled comes back as `Some`, for the caller to finish serially.
+    /// `None` means the run is complete: `limit` reached or the stream
+    /// ended. A failed spawn returns `Some(0)`.
+    fn run_pipelined<I: Iterator<Item = TraceRef> + Send>(
+        &mut self,
+        gen: &mut I,
+        limit: u64,
+        helper: Busy,
+        yield_core: impl Fn() -> bool,
+    ) -> Result<Option<u64>> {
+        let stop = AtomicBool::new(false);
+        thread::scope(|s| {
+            let (full_tx, full_rx) = mpsc::sync_channel(BUFFERS);
+            let (empty_tx, empty_rx) = mpsc::sync_channel(BUFFERS);
+            for _ in 0..BUFFERS {
+                let _ = empty_tx.send(Vec::with_capacity(BATCH));
+            }
+            let stop = &stop;
+            let spawned = thread::Builder::new()
+                .name("spur-stream".into())
+                .spawn_scoped(s, move || {
+                    let _helper = helper;
+                    generate(gen, limit, &full_tx, &empty_rx, stop)
+                });
+            let Ok(handle) = spawned else {
+                return Ok(Some(0));
+            };
+            let mut pulled = 0;
+            let mut failed = None;
+            while let Ok(batch) = full_rx.recv() {
+                pulled += batch.len() as u64;
+                if let Err(e) = batch.iter().try_for_each(|&r| self.reference(r)) {
+                    failed = Some(e);
+                    break;
+                }
+                // Never blocks: only `BUFFERS` buffers exist. The helper
+                // may be gone; then the buffer just drops.
+                let _ = empty_tx.send(batch);
+                if yield_core() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+            if let Some(e) = failed {
+                // Unblock and retire the helper. A panic it meets in
+                // its read-ahead is one the serial loop never reaches.
+                stop.store(true, Ordering::Relaxed);
+                drop((full_rx, empty_tx));
+                let _ = handle.join();
+                return Err(e);
+            }
+            match handle.join() {
+                Ok(true) => Ok(Some(pulled)),
+                Ok(false) => Ok(None),
+                Err(payload) => resume_unwind(payload),
+            }
+        })
     }
 
     /// Runs one whole simulation: turns observability on when `obs` is
@@ -615,12 +816,15 @@ impl SpurSystem {
     /// is).
     ///
     /// Every measurement, scenario cell and study that runs a whole
-    /// workload on a freshly built system takes this one step.
+    /// workload on a freshly built system takes this one step. The
+    /// references run through [`SpurSystem::run`], so a long stream is
+    /// generated on a free core while this thread simulates.
     ///
     /// # Errors
     ///
-    /// Propagates region-registration and simulation errors.
-    pub fn simulate<I: Iterator<Item = TraceRef>>(
+    /// Propagates region-registration and simulation errors; see
+    /// [`SpurSystem::run`] for how far `stream` has then advanced.
+    pub fn simulate<I: Iterator<Item = TraceRef> + Send>(
         mut self,
         workload: &Workload,
         mut stream: I,
@@ -1506,6 +1710,136 @@ mod tests {
                 > 0,
             "shared writes must invalidate peer copies"
         );
+    }
+
+    /// A pipelined-path limit that is not a multiple of the batch size.
+    const PIPE_REFS: u64 = 20 * BATCH as u64 + 1_234;
+
+    fn loaded(w: &Workload) -> SpurSystem {
+        let mut s = sim(MemSize::MB5, DirtyPolicy::Spur, RefPolicy::Miss);
+        s.load_workload(w).unwrap();
+        s
+    }
+
+    /// The state a run must reproduce: every counter, cycles and events.
+    fn outcome(s: &SpurSystem) -> (Vec<u64>, Cycles, EventCounts) {
+        let counters = CounterMode::ALL
+            .iter()
+            .flat_map(|m| m.events())
+            .map(|&e| s.counters().total(e))
+            .collect();
+        (counters, s.cycles(), s.events())
+    }
+
+    /// `refs` references of `gen`, one `reference` call at a time.
+    fn reference_loop(w: &Workload, seed: u64, refs: u64) -> SpurSystem {
+        let mut s = loaded(w);
+        for r in w.generator(seed).take(refs as usize) {
+            s.reference(r).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn pipelined_run_matches_the_reference_loop() {
+        let w = slc();
+        let mut s = loaded(&w);
+        let done = s.run_pipelined(&mut w.generator(4), PIPE_REFS, Busy::enter(), || false);
+        assert_eq!(done.unwrap(), None, "the run completes on the helper");
+        assert_eq!(s.refs(), PIPE_REFS);
+        assert_eq!(outcome(&s), outcome(&reference_loop(&w, 4, PIPE_REFS)));
+    }
+
+    #[test]
+    fn pipelined_run_pulls_exactly_its_limit() {
+        let w = workload1();
+        let mut gen = w.generator(8);
+        let done = loaded(&w).run_pipelined(&mut gen, PIPE_REFS, Busy::enter(), || false);
+        assert_eq!(done.unwrap(), None);
+        let next = w.generator(8).nth(PIPE_REFS as usize);
+        assert_eq!(gen.next(), next, "the stream resumes at ref n+1");
+    }
+
+    #[test]
+    fn a_helper_handed_back_leaves_the_stream_at_what_ran() {
+        let w = slc();
+        let mut s = loaded(&w);
+        let mut gen = w.generator(6);
+        let done = s.run_pipelined(&mut gen, PIPE_REFS, Busy::enter(), || true);
+        let pulled = done.unwrap().expect("the helper hands the stream back");
+        assert!(pulled < PIPE_REFS, "handed back early, after {pulled}");
+        assert_eq!(s.refs(), pulled, "every pulled reference ran");
+        s.run_serial(&mut gen, PIPE_REFS - pulled).unwrap();
+        assert_eq!(outcome(&s), outcome(&reference_loop(&w, 6, PIPE_REFS)));
+        let next = w.generator(6).nth(PIPE_REFS as usize);
+        assert_eq!(gen.next(), next);
+    }
+
+    #[test]
+    fn a_short_stream_stops_the_pipelined_run() {
+        let w = slc();
+        let short = 5 * BATCH as u64 + 17;
+        let mut s = loaded(&w);
+        let mut gen = w.generator(2).take(short as usize);
+        let done = s.run_pipelined(&mut gen, PIPE_REFS, Busy::enter(), || false);
+        assert_eq!(done.unwrap(), None);
+        assert_eq!(s.refs(), short);
+        assert_eq!(outcome(&s), outcome(&reference_loop(&w, 2, short)));
+    }
+
+    #[test]
+    fn a_bad_address_fails_the_pipelined_run_at_its_reference() {
+        let w = slc();
+        let k = 7 * BATCH + 300;
+        let bad = TraceRef {
+            pid: spur_trace::stream::Pid(0),
+            addr: GlobalAddr::from_parts(40, 0),
+            kind: AccessKind::Read,
+        };
+        let mut gen = w
+            .generator(3)
+            .take(k - 1)
+            .chain(std::iter::once(bad))
+            .chain(w.generator(5));
+        let mut s = loaded(&w);
+        let done = s.run_pipelined(&mut gen, PIPE_REFS, Busy::enter(), || false);
+        assert!(matches!(done, Err(Error::BadWorkload(_))), "{done:?}");
+        assert_eq!(s.refs(), k as u64, "the failing reference is counted");
+    }
+
+    /// The message of a caught panic.
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_stream_surfaces_its_own_message() {
+        let w = slc();
+        let mut gen = w
+            .generator(1)
+            .take(3 * BATCH + 5)
+            .chain(std::iter::from_fn(|| panic!("stream broke")));
+        let mut s = loaded(&w);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run_pipelined(&mut gen, PIPE_REFS, Busy::enter(), || false)
+        }));
+        assert_eq!(panic_text(caught.unwrap_err()), "stream broke");
+    }
+
+    #[test]
+    fn a_panic_on_the_simulating_side_keeps_its_message() {
+        let w = slc();
+        let mut s = loaded(&w);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run_pipelined(&mut w.generator(1), PIPE_REFS, Busy::enter(), || {
+                panic!("simulator broke")
+            })
+        }));
+        assert_eq!(panic_text(caught.unwrap_err()), "simulator broke");
     }
 
     #[test]

@@ -16,11 +16,13 @@
 //!    a shard's stream is a pure function of (workload, cpus, seed,
 //!    cpu). CPU 0's shard keeps the base seed: with `cpus == 1` the
 //!    scheduler degenerates to exactly `workload.generator(seed)`.
-//! 3. **Epochs with a barrier.** Generation proceeds in epochs of
-//!    `epoch` references per CPU. Within an epoch every shard's slice
-//!    is generated as one job on the spur-harness pool; [`run_jobs`]
-//!    returning *is* the barrier, and its key-ordered collection makes
-//!    the result independent of how many worker threads ran.
+//! 3. **Epochs.** Generation proceeds in epochs of `epoch` references
+//!    per CPU. With one worker (every caller's choice) each reference
+//!    is pulled straight off its shard as it is committed. With more,
+//!    every shard's slice is generated as one job on the spur-harness
+//!    pool; [`run_jobs`] returning *is* the barrier, and its
+//!    key-ordered collection makes the result independent of how many
+//!    worker threads ran.
 //! 4. **Round-robin commit.** The epoch's slices are committed
 //!    reference-by-reference in fixed CPU order (ref `k` of CPU 0, ref
 //!    `k` of CPU 1, …), so the interleave — and therefore every

@@ -15,7 +15,7 @@ fn replayed_trace_drives_the_simulator_identically_to_the_generator() {
     let n = 150_000u64;
     let trace = RecordedTrace::record(workload.generator(31).take(n as usize));
 
-    fn run<I: Iterator<Item = spur_trace::stream::TraceRef>>(
+    fn run<I: Iterator<Item = spur_trace::stream::TraceRef> + Send>(
         workload: &spur_trace::workloads::Workload,
         mut refs: I,
         n: u64,
