@@ -1807,6 +1807,26 @@ mod tests {
         assert_eq!(s.refs(), k as u64, "the failing reference is counted");
     }
 
+    #[test]
+    fn a_short_run_pulls_on_the_calling_thread() {
+        let w = slc();
+        let me = thread::current().id();
+        let mut gen = w
+            .generator(1)
+            .inspect(|_| assert_eq!(thread::current().id(), me, "a helper pulled"));
+        let mut s = loaded(&w);
+        s.run(&mut gen, MIN_BATCHES * BATCH as u64 - 1).unwrap();
+    }
+
+    #[test]
+    fn no_helper_is_claimed_while_every_core_is_busy() {
+        // Other tests only add shares they hold, so the count stays at
+        // or above these.
+        let held: Vec<Busy> = (0..cores()).map(|_| Busy::enter()).collect();
+        assert!(Busy::claim_free_core().is_none());
+        drop(held);
+    }
+
     /// The message of a caught panic.
     fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         payload
