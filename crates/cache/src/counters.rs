@@ -292,11 +292,13 @@ impl PerfCounters {
     }
 
     /// Records one occurrence of `event`.
+    #[inline]
     pub fn record(&mut self, event: CounterEvent) {
         self.record_n(event, 1);
     }
 
     /// Records `n` occurrences of `event`.
+    #[inline]
     pub fn record_n(&mut self, event: CounterEvent, n: u64) {
         let (mode, slot) = event.mode_slot();
         if self.promiscuous || mode == self.mode {

@@ -82,6 +82,7 @@ impl InCacheTranslator {
     /// caller's (the VM system's) job. If the second-level table has no
     /// entry for the PTE's page — the OS never touched any nearby PTE —
     /// the outcome carries [`Pte::INVALID`].
+    #[inline]
     pub fn translate(
         &self,
         addr: GlobalAddr,

@@ -114,6 +114,14 @@ impl SystemObs {
         self.buf.flush_into(&mut self.recorder);
     }
 
+    /// Counts one write to `page` for the residency histogram. Out of
+    /// line: the map update would otherwise swell every inlined hit
+    /// path, while it runs only with observability on.
+    #[inline(never)]
+    pub(crate) fn note_write(&mut self, page: u64) {
+        *self.page_writes.entry(page).or_insert(0) += 1;
+    }
+
     /// Notes fault-distribution samples for a fault-category event.
     pub(crate) fn note_fault(&mut self, ref_index: u64, cost: u64) {
         if let Some(last) = self.last_fault_ref {

@@ -92,6 +92,7 @@ impl Pte {
     }
 
     /// The two-bit protection field (`PR`).
+    #[inline]
     pub const fn protection(self) -> Protection {
         Protection::from_bits(((self.raw >> PR_SHIFT) & 0b11) as u8)
     }

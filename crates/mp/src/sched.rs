@@ -235,6 +235,7 @@ impl MpScheduler {
 impl Iterator for MpScheduler {
     type Item = TraceRef;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRef> {
         if self.workers <= 1 {
             if self.exhausted {

@@ -66,7 +66,7 @@ fn parse_config() -> ServeConfig {
         };
         match flag.as_str() {
             "--addr" => cfg.addr = value("--addr"),
-            "--workers" => cfg.workers = parse_num(&value("--workers"), "--workers"),
+            "--workers" => cfg.workers = parse_nonzero(&value("--workers"), "--workers"),
             "--queue-bound" => {
                 cfg.queue_bound = parse_num(&value("--queue-bound"), "--queue-bound")
             }
@@ -89,13 +89,13 @@ fn parse_config() -> ServeConfig {
                 cfg.accept_threads = parse_num(&value("--accept-threads"), "--accept-threads")
             }
             "--read-timeout-ms" => {
-                cfg.read_timeout = Duration::from_millis(parse_num(
+                cfg.read_timeout = Duration::from_millis(parse_nonzero(
                     &value("--read-timeout-ms"),
                     "--read-timeout-ms",
                 ))
             }
             "--write-timeout-ms" => {
-                cfg.write_timeout = Duration::from_millis(parse_num(
+                cfg.write_timeout = Duration::from_millis(parse_nonzero(
                     &value("--write-timeout-ms"),
                     "--write-timeout-ms",
                 ))
@@ -129,8 +129,10 @@ fn parse_config() -> ServeConfig {
                 }
             }
             "--slo-window-secs" => {
-                cfg.slo_window =
-                    Duration::from_secs(parse_num(&value("--slo-window-secs"), "--slo-window-secs"))
+                cfg.slo_window = Duration::from_secs(parse_nonzero(
+                    &value("--slo-window-secs"),
+                    "--slo-window-secs",
+                ))
             }
             "--trace-capacity" => {
                 cfg.trace_capacity = parse_num(&value("--trace-capacity"), "--trace-capacity")
@@ -160,6 +162,18 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
         eprintln!("spur-serve: bad value {text:?} for {flag}");
         usage();
     })
+}
+
+/// [`parse_num`] for a flag whose zero leaves the daemon unable to
+/// serve: no worker runs a job, a zero socket timeout is refused by the
+/// OS (leaving none at all), and a zero SLO window counts no jobs.
+fn parse_nonzero<T: std::str::FromStr + PartialEq + From<u8>>(text: &str, flag: &str) -> T {
+    let n = parse_num(text, flag);
+    if n == T::from(0) {
+        eprintln!("spur-serve: {flag} must be at least 1");
+        usage();
+    }
+    n
 }
 
 fn main() -> ExitCode {

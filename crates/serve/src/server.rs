@@ -100,15 +100,16 @@ pub struct ServeConfig {
     /// ephemeral port (the bound address is [`Server::addr`]).
     pub addr: String,
     /// Worker threads executing jobs. Zero is allowed (jobs queue but
-    /// never run — useful for tests; a real deployment wants ≥ 1).
+    /// never run — useful for tests; a real deployment wants ≥ 1, and
+    /// the `spur-serve` binary refuses 0).
     pub workers: usize,
     /// Queue capacity; submissions beyond it are shed with 429.
     pub queue_bound: usize,
     /// Threads blocked in `accept()` — the concurrent-connection cap.
     pub accept_threads: usize,
-    /// Socket read timeout per connection.
+    /// Socket read timeout per connection (nonzero).
     pub read_timeout: Duration,
-    /// Socket write timeout per connection.
+    /// Socket write timeout per connection (nonzero).
     pub write_timeout: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
@@ -382,7 +383,19 @@ pub struct Server {
 impl Server {
     /// Binds, then spawns the worker, acceptor, and (with SLOs
     /// declared) ticker threads.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a zero read or write timeout (the OS refuses a zero
+    /// socket timeout, which would leave connections with none) and an
+    /// inconsistent peer list, and propagates bind failures.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
+        if cfg.read_timeout.is_zero() || cfg.write_timeout.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "read and write timeouts must be nonzero",
+            ));
+        }
         // Multi-instance membership must be self-consistent before we
         // bind anything: an instance that isn't in its own peer list
         // would proxy every request somewhere else forever.
@@ -1722,5 +1735,21 @@ mod tests {
         assert_eq!(parse_job_path("/v1/jobs/7/logs"), None);
         assert_eq!(parse_job_path("/v1/jobs/abc/trace"), None);
         assert_eq!(parse_job_path("/v2/jobs/7"), None);
+    }
+
+    #[test]
+    fn a_zero_socket_timeout_is_refused_before_binding() {
+        let second = Duration::from_secs(1);
+        for (read_timeout, write_timeout) in [(Duration::ZERO, second), (second, Duration::ZERO)] {
+            let cfg = ServeConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 0,
+                read_timeout,
+                write_timeout,
+                ..ServeConfig::default()
+            };
+            let err = Server::start(cfg).err().expect("a zero timeout is refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 }

@@ -704,6 +704,7 @@ impl TraceGenerator {
 impl Iterator for TraceGenerator {
     type Item = TraceRef;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceRef> {
         let idx = self.schedule()?;
         self.quantum_left -= 1;

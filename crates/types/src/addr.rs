@@ -131,6 +131,7 @@ impl GlobalAddr {
     /// # Panics
     ///
     /// Panics if `segment >= 256` or `offset >= 1 GB`.
+    #[inline]
     pub const fn from_parts(segment: u64, offset: u64) -> Self {
         assert!(segment < (1 << (GLOBAL_ADDR_BITS - SEGMENT_SHIFT)));
         assert!(offset < (1 << SEGMENT_SHIFT));
@@ -220,6 +221,7 @@ impl Vpn {
     /// # Panics
     ///
     /// Panics if `i >= 128` (there are 128 blocks per page).
+    #[inline]
     pub const fn block(self, i: u64) -> BlockNum {
         assert!(i < BLOCKS_PER_PAGE);
         BlockNum(self.0 * BLOCKS_PER_PAGE + i)

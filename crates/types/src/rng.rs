@@ -97,6 +97,7 @@ impl SmallRng {
     /// # Panics
     ///
     /// Panics if the range is empty.
+    #[inline]
     pub fn random_range<T, R>(&mut self, range: R) -> T
     where
         T: UniformInt,

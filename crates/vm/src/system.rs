@@ -327,6 +327,7 @@ impl VmSystem {
     }
 
     /// Reads a PTE (invalid if absent).
+    #[inline]
     pub fn pte(&self, vpn: Vpn) -> Pte {
         self.pt.pte(vpn)
     }
@@ -342,6 +343,7 @@ impl VmSystem {
     }
 
     /// The page kind of `vpn`, if it belongs to a registered region.
+    #[inline]
     pub fn kind_of(&self, vpn: Vpn) -> Option<PageKind> {
         self.regions.kind_of(vpn)
     }
