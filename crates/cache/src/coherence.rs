@@ -92,7 +92,7 @@ pub enum CoherenceMsg {
 
 impl CoherenceMsg {
     /// The block the message is about.
-    pub(crate) fn block(self) -> BlockNum {
+    pub fn block(self) -> BlockNum {
         match self {
             CoherenceMsg::ReadShared(b) | CoherenceMsg::WriteForInvalidation(b) => b,
         }

@@ -20,6 +20,8 @@
 
 use core::fmt;
 
+use spur_obs::EventKind;
+
 /// The four event sets selectable by the mode register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CounterMode {
@@ -237,6 +239,35 @@ impl CounterEvent {
 impl fmt::Display for CounterEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
+    }
+}
+
+/// The counter each traced event kind increments: a trace is the
+/// counters itemized, so every [`SimEvent`](spur_obs::SimEvent) of a
+/// kind is counted once by this event, in the same call that traces it.
+impl From<EventKind> for CounterEvent {
+    #[inline]
+    fn from(kind: EventKind) -> Self {
+        match kind {
+            EventKind::IFetchMiss => CounterEvent::IFetchMiss,
+            EventKind::ReadMiss => CounterEvent::ReadMiss,
+            EventKind::WriteMiss => CounterEvent::WriteMiss,
+            EventKind::PteCacheMiss => CounterEvent::PteCacheMiss,
+            EventKind::SecondLevelFetch => CounterEvent::SecondLevelFetch,
+            EventKind::DirtyFault => CounterEvent::DirtyFault,
+            EventKind::ExcessFault => CounterEvent::ExcessFault,
+            EventKind::DirtyBitMiss => CounterEvent::DirtyBitMiss,
+            EventKind::RefFault => CounterEvent::RefFault,
+            EventKind::ProtFault => CounterEvent::ProtFault,
+            EventKind::ZeroFill => CounterEvent::ZeroFill,
+            EventKind::PageIn => CounterEvent::PageIn,
+            EventKind::PageOut => CounterEvent::PageOut,
+            EventKind::DaemonScan => CounterEvent::DaemonScan,
+            EventKind::SoftFault => CounterEvent::SoftFault,
+            EventKind::PageFlush => CounterEvent::PageFlush,
+            EventKind::CoherenceInvalidate => CounterEvent::Invalidation,
+            EventKind::OwnershipTransfer => CounterEvent::OwnerSupply,
+        }
     }
 }
 

@@ -99,8 +99,7 @@ impl InCacheTranslator {
     /// translation; emitted event timestamps are offsets from it, so
     /// trace time is pure simulated time. Emits `PteCacheMiss` (the
     /// moment the probe fails) and `SecondLevelFetch` (completion of
-    /// the wired fetch) — one trace event per corresponding counter
-    /// record, which is what the reconciliation test checks.
+    /// the wired fetch), each counted in the same call that traces it.
     pub fn translate_traced(
         &self,
         addr: GlobalAddr,
@@ -128,23 +127,20 @@ impl InCacheTranslator {
         }
 
         // First-level PTE missed: go to the wired second-level table.
-        counters.record(CounterEvent::PteCacheMiss);
-        recorder.emit(SimEvent {
-            kind: EventKind::PteCacheMiss,
-            cycle: cycle_base + cycles.raw(),
-            page: vpn.index(),
-            cost: 0,
-            cpu: 0,
-        });
-        counters.record(CounterEvent::SecondLevelFetch);
-        cycles += Cycles::new(self.costs.pte_wired_fetch);
-        recorder.emit(SimEvent {
-            kind: EventKind::SecondLevelFetch,
-            cycle: cycle_base + cycles.raw(),
-            page: vpn.index(),
-            cost: self.costs.pte_wired_fetch,
-            cpu: 0,
-        });
+        let mut event = |kind, cycles: Cycles, cost| {
+            counters.record(CounterEvent::from(kind));
+            recorder.emit(SimEvent {
+                kind,
+                cycle: cycle_base + cycles.raw(),
+                page: vpn.index(),
+                cost,
+                cpu: 0,
+            });
+        };
+        event(EventKind::PteCacheMiss, cycles, 0);
+        let wired = self.costs.pte_wired_fetch;
+        cycles += Cycles::new(wired);
+        event(EventKind::SecondLevelFetch, cycles, wired);
 
         let pte_page = pt.pte_page_vpn(vpn);
         if pt.second_level_lookup(pte_page).is_err() {

@@ -13,9 +13,9 @@
 
 use std::fmt;
 
+use spur_core::system::page_kind;
 use spur_core::{SimConfig, SpurSystem};
 use spur_obs::SimEvent;
-use spur_trace::layout::SegKind;
 use spur_trace::stream::TraceRef;
 use spur_trace::workloads::Workload;
 use spur_types::{Vpn, CACHE_LINES};
@@ -100,10 +100,6 @@ impl Lockstep {
         sys.enable_obs(spur_core::ObsParams {
             epoch: None,
             trace_capacity: LOCKSTEP_TRACE_CAPACITY,
-            // The checker drains the event delta after every single
-            // reference, so batching buys nothing here — emit straight
-            // into the ring.
-            batch: 1,
         });
         let oracle = Oracle::new(OracleConfig {
             dirty: config.dirty,
@@ -137,11 +133,8 @@ impl Lockstep {
             .load_workload(workload)
             .map_err(|e| e.to_string())?;
         for region in workload.regions() {
-            self.oracle.add_region(
-                region.start.index(),
-                region.pages,
-                seg_page_kind(region.kind),
-            );
+            self.oracle
+                .add_region(region.start.index(), region.pages, page_kind(region.kind));
         }
         Ok(())
     }
@@ -242,15 +235,6 @@ impl Lockstep {
                 .oracle
                 .context(cpu, r.addr.vpn().index(), r.addr.block().index()),
         }
-    }
-}
-
-fn seg_page_kind(kind: SegKind) -> PageKind {
-    match kind {
-        SegKind::Code => PageKind::Code,
-        SegKind::Heap => PageKind::Heap,
-        SegKind::Stack => PageKind::Stack,
-        SegKind::FileData => PageKind::FileData,
     }
 }
 

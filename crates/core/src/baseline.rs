@@ -24,17 +24,16 @@ use std::collections::HashMap;
 use spur_cache::cache::FlushStats;
 use spur_cache::counters::{CounterEvent, PerfCounters};
 use spur_cache::tlb::Tlb;
-use spur_trace::layout::SegKind;
 use spur_trace::stream::TraceRef;
 use spur_trace::workloads::Workload;
 use spur_types::{
     AccessKind, CostParams, Cycles, Error, MemSize, Pfn, Result, Vpn, BLOCKS_PER_PAGE, CACHE_LINES,
 };
 use spur_vm::policy::RefPolicy;
-use spur_vm::region::PageKind;
 use spur_vm::system::{PageFlusher, VmConfig, VmCtx, VmSystem};
 
 use crate::breakdown::{CycleBreakdown, CycleCategory};
+use crate::system::page_kind;
 
 /// Configuration of the conventional machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,13 +202,8 @@ impl TlbSystem {
     /// Propagates region errors.
     pub fn load_workload(&mut self, workload: &Workload) -> Result<()> {
         for region in workload.regions() {
-            let kind = match region.kind {
-                SegKind::Code => PageKind::Code,
-                SegKind::Heap => PageKind::Heap,
-                SegKind::Stack => PageKind::Stack,
-                SegKind::FileData => PageKind::FileData,
-            };
-            self.vm.register_region(region.start, region.pages, kind)?;
+            self.vm
+                .register_region(region.start, region.pages, page_kind(region.kind))?;
         }
         Ok(())
     }

@@ -150,7 +150,6 @@ mod tests {
         let obs = ObsParams {
             epoch: None,
             trace_capacity: 4096,
-            batch: 1,
         };
         let done = run_one(refbit_job_obs(
             "k".into(),

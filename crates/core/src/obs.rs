@@ -41,6 +41,13 @@ pub(crate) const EPOCH_COLUMNS: [&str; 12] = [
     "cycles",
 ];
 
+/// Events buffered before an automatic flush into the trace ring: one
+/// scheduler epoch's worth of references. Emission order is preserved
+/// exactly and every reader (`obs_tail`, `obs_emitted_total`,
+/// `finish_obs`) flushes first, so the batch is never visible in
+/// results, only in speed.
+pub(crate) const EVENT_BATCH: usize = 4096;
+
 /// Observability knobs, chosen before the run starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsParams {
@@ -50,17 +57,6 @@ pub struct ObsParams {
     /// Trace ring capacity in events. Per-kind counts keep exact totals
     /// even after the ring wraps.
     pub trace_capacity: usize,
-    /// Events buffered before an automatic flush into the trace ring.
-    /// Emission order is preserved exactly and every reader
-    /// (`obs_tail`, `obs_emitted_total`, `finish_obs`) flushes first,
-    /// so batching is never visible in results — only in speed. `1`
-    /// disables batching (each event lands in the ring immediately).
-    pub batch: usize,
-}
-
-impl ObsParams {
-    /// Default flush batch: one scheduler epoch's worth of references.
-    pub const DEFAULT_BATCH: usize = 4096;
 }
 
 impl Default for ObsParams {
@@ -68,7 +64,6 @@ impl Default for ObsParams {
         ObsParams {
             epoch: None,
             trace_capacity: TraceRecorder::DEFAULT_CAPACITY,
-            batch: Self::DEFAULT_BATCH,
         }
     }
 }
@@ -78,10 +73,8 @@ impl Default for ObsParams {
 pub(crate) struct SystemObs {
     pub(crate) recorder: TraceRecorder,
     /// Pending events not yet drained into the ring; see
-    /// [`ObsParams::batch`].
+    /// [`EVENT_BATCH`].
     pub(crate) buf: EventBuf,
-    /// Buffered events that trigger an automatic flush (≥ 1).
-    pub(crate) batch: usize,
     pub(crate) series: Option<EpochSeries>,
     pub(crate) fault_gap: Histogram,
     pub(crate) fault_cost: Histogram,
@@ -97,7 +90,6 @@ impl SystemObs {
         SystemObs {
             recorder: TraceRecorder::new(params.trace_capacity),
             buf: EventBuf::default(),
-            batch: params.batch.max(1),
             series: params.epoch.map(|n| {
                 EpochSeries::new(n, EPOCH_COLUMNS.iter().map(|c| c.to_string()).collect())
             }),

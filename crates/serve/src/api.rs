@@ -297,14 +297,16 @@ fn parse_overrides(doc: &Json) -> Result<SimOverrides, String> {
             }
         }
     }
-    if let Some(frames) = opt_u64(value, path, "kernel_reserved_frames")? {
-        ov.kernel_reserved_frames = Some(frames as u32);
-    }
-    if let Some(low) = opt_u64(value, path, "free_low_water")? {
-        ov.free_low_water = Some(low as u32);
-    }
-    if let Some(high) = opt_u64(value, path, "free_high_water")? {
-        ov.free_high_water = Some(high as u32);
+    for (key, slot) in [
+        ("kernel_reserved_frames", &mut ov.kernel_reserved_frames),
+        ("free_low_water", &mut ov.free_low_water),
+        ("free_high_water", &mut ov.free_high_water),
+    ] {
+        if let Some(frames) = opt_u64(value, path, key)? {
+            let frames = u32::try_from(frames)
+                .map_err(|_| format!("overrides.{key}: must be at most {}", u32::MAX))?;
+            *slot = Some(frames);
+        }
     }
     Ok(ov)
 }
@@ -561,6 +563,20 @@ mod tests {
             (
                 r#"{"experiment":"events","workload":"SLC","mem_mb":5,"scale":{"ref":1000}}"#,
                 "scale: unknown field \"ref\"",
+            ),
+            // A frame count past u32 is refused, not wrapped into a
+            // different cell.
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"overrides":{"kernel_reserved_frames":4294967296}}"#,
+                "overrides.kernel_reserved_frames: must be at most 4294967295",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"overrides":{"free_low_water":4294967296}}"#,
+                "overrides.free_low_water: must be at most",
+            ),
+            (
+                r#"{"experiment":"events","workload":"SLC","mem_mb":5,"overrides":{"free_high_water":4294967397}}"#,
+                "overrides.free_high_water: must be at most",
             ),
         ] {
             let err = spec(body).unwrap_err();

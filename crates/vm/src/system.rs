@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use spur_types::{FastMap, FastSet};
 
 use spur_cache::cache::VirtualCache;
-use spur_cache::counters::{CounterEvent, PerfCounters};
+use spur_cache::counters::PerfCounters;
 use spur_mem::pagetable::PageTable;
 use spur_mem::phys::PhysMemory;
 use spur_mem::pte::Pte;
@@ -83,7 +83,8 @@ impl VmConfig {
                 "low watermark must be below high watermark".to_string(),
             ));
         }
-        if self.kernel_reserved_frames + self.free_high_water >= self.mem.frames() {
+        let reserved = u64::from(self.kernel_reserved_frames) + u64::from(self.free_high_water);
+        if reserved >= u64::from(self.mem.frames()) {
             return Err(Error::InvalidConfig(format!(
                 "kernel reservation {} + watermark leaves no usable memory in {}",
                 self.kernel_reserved_frames, self.mem
@@ -183,9 +184,11 @@ impl<'a> VmCtx<'a> {
         self.paging_cycles + self.daemon_cycles + self.ref_flush_cycles
     }
 
-    /// Emits one event at the current simulated time (base + cycles
-    /// charged so far). A no-op without a recorder.
-    fn emit(&mut self, kind: EventKind, page: Vpn, cost: u64) {
+    /// Counts one event and, with a recorder attached, traces it at the
+    /// current simulated time (base + cycles charged so far), so callers
+    /// charge its cycles first.
+    fn event(&mut self, kind: EventKind, page: Vpn, cost: u64) {
+        self.counters.record(kind.into());
         let cycle = self.cycle_base + self.total().raw();
         if let Some(recorder) = self.recorder.as_deref_mut() {
             recorder.emit(SimEvent {
@@ -410,8 +413,7 @@ impl VmSystem {
             }
             self.stats.soft_faults += 1;
             self.stats.page_faults += 1;
-            ctx.counters.record(CounterEvent::SoftFault);
-            ctx.emit(EventKind::SoftFault, vpn, self.costs.page_fault_service);
+            ctx.event(EventKind::SoftFault, vpn, self.costs.page_fault_service);
             let mut pte = Pte::resident(pfn, initial_prot);
             pte.set_referenced(true);
             self.pt.insert(vpn, pte);
@@ -440,15 +442,13 @@ impl VmSystem {
         let read_from_store = self.swap.fault_in_reads(vpn, kind);
         if read_from_store {
             self.stats.page_ins += 1;
-            ctx.counters.record(CounterEvent::PageIn);
             ctx.paging_cycles += Cycles::new(self.costs.page_in);
-            ctx.emit(EventKind::PageIn, vpn, self.costs.page_in);
+            ctx.event(EventKind::PageIn, vpn, self.costs.page_in);
         } else {
             self.stats.zero_fills += 1;
             self.zero_filled.insert(vpn);
-            ctx.counters.record(CounterEvent::ZeroFill);
             ctx.paging_cycles += Cycles::new(self.costs.zero_fill);
-            ctx.emit(EventKind::ZeroFill, vpn, self.costs.zero_fill);
+            ctx.event(EventKind::ZeroFill, vpn, self.costs.zero_fill);
         }
         self.stats.page_faults += 1;
 
@@ -545,32 +545,7 @@ impl VmSystem {
         let mut budget = 2 * self.clock.len() + 2;
         while self.available_frames() < target && !self.clock.is_empty() && budget > 0 {
             budget -= 1;
-            let vpn = *self.clock.front().expect("clock nonempty");
-            self.stats.daemon_scans += 1;
-            ctx.counters.record(CounterEvent::DaemonScan);
-            ctx.daemon_cycles += Cycles::new(self.costs.daemon_per_page);
-            ctx.emit(EventKind::DaemonScan, vpn, self.costs.daemon_per_page);
-
-            let pte = self.pt.pte(vpn);
-            if self.ref_policy.read_ref(pte) {
-                if self.ref_policy.clear_clears_bit() {
-                    self.pt.update(vpn, |p| p.set_referenced(false));
-                    self.stats.ref_clears += 1;
-                }
-                if self.ref_policy.clear_flushes_page() {
-                    let flush = ctx.flusher.flush_page(vpn);
-                    self.stats.ref_flushes += 1;
-                    self.stats.flush_writebacks += flush.written_back;
-                    ctx.counters.record(CounterEvent::PageFlush);
-                    // Charge the actual work: probe + loop overhead per
-                    // line and a write-back per dirty block, per cache
-                    // (~t_flush = 500 cycles on a uniprocessor, scaling
-                    // with the number of caches on a multiprocessor).
-                    let flush_cost = flush.probed * (self.costs.flush_probe + 2)
-                        + flush.written_back * self.costs.flush_writeback;
-                    ctx.ref_flush_cycles += Cycles::new(flush_cost);
-                    ctx.emit(EventKind::PageFlush, vpn, flush_cost);
-                }
+            if self.clock_step(ctx) {
                 // Second chance: rotate to the back.
                 self.clock.rotate_left(1);
             } else {
@@ -585,29 +560,41 @@ impl VmSystem {
     /// pressure-driven sweep is the reclaiming hand.
     pub fn daemon_clear_pass(&mut self, ctx: &mut VmCtx<'_>) {
         for _ in 0..self.clock.len() {
-            let vpn = *self.clock.front().expect("clock nonempty");
-            self.stats.daemon_scans += 1;
-            ctx.counters.record(CounterEvent::DaemonScan);
-            ctx.daemon_cycles += Cycles::new(self.costs.daemon_per_page);
-            ctx.emit(EventKind::DaemonScan, vpn, self.costs.daemon_per_page);
-            if self.ref_policy.read_ref(self.pt.pte(vpn)) {
-                if self.ref_policy.clear_clears_bit() {
-                    self.pt.update(vpn, |p| p.set_referenced(false));
-                    self.stats.ref_clears += 1;
-                }
-                if self.ref_policy.clear_flushes_page() {
-                    let flush = ctx.flusher.flush_page(vpn);
-                    self.stats.ref_flushes += 1;
-                    self.stats.flush_writebacks += flush.written_back;
-                    ctx.counters.record(CounterEvent::PageFlush);
-                    let flush_cost = flush.probed * (self.costs.flush_probe + 2)
-                        + flush.written_back * self.costs.flush_writeback;
-                    ctx.ref_flush_cycles += Cycles::new(flush_cost);
-                    ctx.emit(EventKind::PageFlush, vpn, flush_cost);
-                }
-            }
+            self.clock_step(ctx);
             self.clock.rotate_left(1);
         }
+    }
+
+    /// One step of either clock hand over the page at the front, which
+    /// stays there: scans it and, when the policy reads its reference
+    /// bit as set, clears the bit (flushing the page under `REF`).
+    /// Returns whether the bit read as set.
+    fn clock_step(&mut self, ctx: &mut VmCtx<'_>) -> bool {
+        let vpn = *self.clock.front().expect("clock nonempty");
+        self.stats.daemon_scans += 1;
+        ctx.daemon_cycles += Cycles::new(self.costs.daemon_per_page);
+        ctx.event(EventKind::DaemonScan, vpn, self.costs.daemon_per_page);
+        if !self.ref_policy.read_ref(self.pt.pte(vpn)) {
+            return false;
+        }
+        if self.ref_policy.clear_clears_bit() {
+            self.pt.update(vpn, |p| p.set_referenced(false));
+            self.stats.ref_clears += 1;
+        }
+        if self.ref_policy.clear_flushes_page() {
+            let flush = ctx.flusher.flush_page(vpn);
+            self.stats.ref_flushes += 1;
+            self.stats.flush_writebacks += flush.written_back;
+            // Charge the actual work: probe + loop overhead per line and
+            // a write-back per dirty block, per cache (~t_flush = 500
+            // cycles on a uniprocessor, scaling with the number of caches
+            // on a multiprocessor).
+            let flush_cost = flush.probed * (self.costs.flush_probe + 2)
+                + flush.written_back * self.costs.flush_writeback;
+            ctx.ref_flush_cycles += Cycles::new(flush_cost);
+            ctx.event(EventKind::PageFlush, vpn, flush_cost);
+        }
+        true
     }
 
     /// Reclaims the page at the clock's front.
@@ -620,11 +607,10 @@ impl VmSystem {
         // blocks of a non-resident page.
         let flush = ctx.flusher.flush_page(vpn);
         self.stats.flush_writebacks += flush.written_back;
-        ctx.counters.record(CounterEvent::PageFlush);
         let flush_cost =
             flush.probed * self.costs.flush_probe + flush.written_back * self.costs.flush_writeback;
         ctx.daemon_cycles += Cycles::new(flush_cost);
-        ctx.emit(EventKind::PageFlush, vpn, flush_cost);
+        ctx.event(EventKind::PageFlush, vpn, flush_cost);
 
         let kind = self
             .regions
@@ -632,9 +618,8 @@ impl VmSystem {
             .expect("resident page lost its region");
         let outcome = self.swap.replace(vpn, kind, pte.dirty());
         if outcome.wrote {
-            ctx.counters.record(CounterEvent::PageOut);
             ctx.paging_cycles += Cycles::new(self.costs.page_out_cpu);
-            ctx.emit(EventKind::PageOut, vpn, self.costs.page_out_cpu);
+            ctx.event(EventKind::PageOut, vpn, self.costs.page_out_cpu);
         }
         if ctx.recorder.is_some() {
             ctx.reclaimed.push(vpn.index());
@@ -700,7 +685,7 @@ impl VmSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spur_cache::counters::CounterMode;
+    use spur_cache::counters::{CounterEvent, CounterMode};
 
     fn small_vm(policy: RefPolicy) -> VmSystem {
         let config = VmConfig {
@@ -733,6 +718,16 @@ mod tests {
         let mut cfg2 = VmConfig::for_mem(MemSize::new(1));
         cfg2.kernel_reserved_frames = 256;
         assert!(cfg2.validate().is_err());
+    }
+
+    #[test]
+    fn an_oversize_kernel_reservation_is_invalid_not_an_overflow() {
+        let config = VmConfig {
+            kernel_reserved_frames: u32::MAX,
+            ..VmConfig::for_mem(MemSize::MB5)
+        };
+        let err = VmSystem::new(config, CostParams::paper(), RefPolicy::Miss).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
     }
 
     #[test]
@@ -923,18 +918,19 @@ mod tests {
             clock += ctx.total().raw();
             reclaimed_pages += ctx.reclaimed.len() as u64;
         }
-        for (kind, event) in [
-            (EventKind::ZeroFill, CounterEvent::ZeroFill),
-            (EventKind::PageIn, CounterEvent::PageIn),
-            (EventKind::PageOut, CounterEvent::PageOut),
-            (EventKind::DaemonScan, CounterEvent::DaemonScan),
-            (EventKind::SoftFault, CounterEvent::SoftFault),
-            (EventKind::PageFlush, CounterEvent::PageFlush),
+        for kind in [
+            EventKind::ZeroFill,
+            EventKind::PageIn,
+            EventKind::PageOut,
+            EventKind::DaemonScan,
+            EventKind::SoftFault,
+            EventKind::PageFlush,
         ] {
             assert_eq!(
                 rec.emitted(kind),
-                ctrs.total(event),
-                "trace/counter mismatch for {event}"
+                ctrs.total(kind.into()),
+                "trace/counter mismatch for {}",
+                kind.name()
             );
         }
         assert_eq!(reclaimed_pages, vm.stats().reclaims);

@@ -57,75 +57,28 @@ fn hardware_mode_does_not_perturb_the_simulation() {
     assert_eq!(a.vm().stats().page_ins, b.vm().stats().page_ins);
 }
 
-/// The counter the promiscuous pass records for each traced event kind.
-fn counter_for(kind: EventKind) -> CounterEvent {
-    match kind {
-        EventKind::IFetchMiss => CounterEvent::IFetchMiss,
-        EventKind::ReadMiss => CounterEvent::ReadMiss,
-        EventKind::WriteMiss => CounterEvent::WriteMiss,
-        EventKind::PteCacheMiss => CounterEvent::PteCacheMiss,
-        EventKind::SecondLevelFetch => CounterEvent::SecondLevelFetch,
-        EventKind::DirtyFault => CounterEvent::DirtyFault,
-        EventKind::ExcessFault => CounterEvent::ExcessFault,
-        EventKind::DirtyBitMiss => CounterEvent::DirtyBitMiss,
-        EventKind::RefFault => CounterEvent::RefFault,
-        EventKind::ProtFault => CounterEvent::ProtFault,
-        EventKind::ZeroFill => CounterEvent::ZeroFill,
-        EventKind::PageIn => CounterEvent::PageIn,
-        EventKind::PageOut => CounterEvent::PageOut,
-        EventKind::DaemonScan => CounterEvent::DaemonScan,
-        EventKind::SoftFault => CounterEvent::SoftFault,
-        EventKind::PageFlush => CounterEvent::PageFlush,
-        EventKind::CoherenceInvalidate => CounterEvent::Invalidation,
-        EventKind::OwnershipTransfer => CounterEvent::OwnerSupply,
-    }
-}
-
 #[test]
 fn event_trace_reconciles_with_the_counters() {
     // The observability layer is a third witness to the same methodology:
     // every event it records must reconcile exactly with the CC chip's
-    // counters — the trace is the counters, itemized. Run once with
-    // event batching off (batch = 1: every event lands in the ring
-    // immediately) and once with it on: the reconciliation must hold
-    // either way, and the two recorders must be indistinguishable —
-    // same retained events in the same order, same per-kind totals.
-    let mut reports = Vec::new();
-    for batch in [1, ObsParams::DEFAULT_BATCH] {
-        let workload = slc();
-        let mut sim = SpurSystem::new(SimConfig {
-            mem: MemSize::MB5,
-            ..SimConfig::default()
-        })
-        .unwrap();
-        sim.enable_obs(ObsParams {
-            batch,
-            ..ObsParams::default()
-        });
-        sim.load_workload(&workload).unwrap();
-        sim.run(&mut workload.generator(1989), 400_000).unwrap();
-        let report = sim.finish_obs().expect("obs was enabled");
-        for kind in EventKind::ALL {
-            assert_eq!(
-                report.emitted(kind),
-                sim.counters().total(counter_for(kind)),
-                "traced {kind:?} must equal its counter (batch {batch})"
-            );
-        }
-        reports.push(report);
+    // counters — the trace is the counters, itemized.
+    let workload = slc();
+    let mut sim = SpurSystem::new(SimConfig {
+        mem: MemSize::MB5,
+        ..SimConfig::default()
+    })
+    .unwrap();
+    sim.enable_obs(ObsParams::default());
+    sim.load_workload(&workload).unwrap();
+    sim.run(&mut workload.generator(1989), 400_000).unwrap();
+    let report = sim.finish_obs().expect("obs was enabled");
+    for kind in EventKind::ALL {
+        assert_eq!(
+            report.emitted(kind),
+            sim.counters().total(CounterEvent::from(kind)),
+            "traced {kind:?} must equal its counter"
+        );
     }
-    let (unbatched, batched) = (&reports[0], &reports[1]);
-    assert_eq!(
-        unbatched.recorder.emitted_total(),
-        batched.recorder.emitted_total(),
-        "batching must not change the emitted total"
-    );
-    assert_eq!(
-        unbatched.recorder.events(),
-        batched.recorder.events(),
-        "batching must preserve exact emission order in the ring"
-    );
-    assert_eq!(unbatched.recorder.dropped(), batched.recorder.dropped());
 }
 
 #[test]
@@ -148,7 +101,7 @@ fn observability_does_not_perturb_the_counters() {
     assert_eq!(plain.cycles(), traced.cycles());
     assert_eq!(plain.misses(), traced.misses());
     for kind in EventKind::ALL {
-        let event = counter_for(kind);
+        let event = CounterEvent::from(kind);
         assert_eq!(
             plain.counters().total(event),
             traced.counters().total(event),
